@@ -4,126 +4,25 @@ Three qubits evolve under a piecewise-constant transverse/longitudinal
 Ising Hamiltonian whose 36 chunk parameters are fit by gradient descent so
 that squared parity expectations at the final time flag which qubit pairs
 (or the triple) are entangled.
+
+The package root exports the training and evaluation entry points; the
+rest of the API lives in the submodules (ops, states, ketexpr,
+hamiltonian, propagate, learning, witness, errors, cli).
 """
 
-from .errors import (
-    ArityError,
-    CalibrationInconclusive,
-    DimensionMismatch,
-    DivergenceError,
-    ImaginaryTraceError,
-    InvalidWeights,
-    KetSyntaxError,
-    NonPhysical,
-    OutOfRange,
-    QnnError,
-    UnknownState,
-    ZeroVector,
-)
-from .hamiltonian import (
-    ANGULAR,
-    BUNDLED_SCHEDULES,
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
-    GENERATORS,
-    PARAM_NAMES,
-    PLAIN,
-    ParameterSet,
-    Schedule,
-    build_hamiltonian,
-    bundled_schedule,
-    load_schedule,
-    resolve_schedule,
-    save_schedule,
-)
-from .ketexpr import parse_state, render
-from .learning import (
-    Dataset,
-    LossReport,
-    TrainConfig,
-    TrainingPair,
-    backprop_gradient,
-    fd_gradient,
-    load_dataset,
-    loss,
-    output,
-    resolve_state,
-    rms_error,
-    train,
-)
-from .ops import OBSERVABLE_IDS, OBSERVABLES, expectation
-from .propagate import IntegratorConfig, Trajectory, evolve, evolve_expm
-from .states import CATALOG_NAMES, StateSpec, catalog, fig1, fig2, mix
-from .witness import (
-    CalibrationResult,
-    SweepGrid,
-    WitnessReport,
-    calibrate,
-    classify,
-    evaluate,
-    sweep,
-)
+from .hamiltonian import bundled_schedule, save_schedule
+from .learning import TrainConfig, load_dataset, train
+from .propagate import IntegratorConfig
+from .witness import evaluate, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANGULAR",
-    "ArityError",
-    "BUNDLED_SCHEDULES",
-    "CATALOG_NAMES",
-    "CONVENTIONS",
-    "CalibrationInconclusive",
-    "CalibrationResult",
-    "DEFAULT_CONVENTION",
-    "Dataset",
-    "DimensionMismatch",
-    "DivergenceError",
-    "GENERATORS",
-    "ImaginaryTraceError",
     "IntegratorConfig",
-    "InvalidWeights",
-    "KetSyntaxError",
-    "LossReport",
-    "NonPhysical",
-    "OBSERVABLES",
-    "OBSERVABLE_IDS",
-    "OutOfRange",
-    "PARAM_NAMES",
-    "PLAIN",
-    "ParameterSet",
-    "QnnError",
-    "Schedule",
-    "StateSpec",
-    "SweepGrid",
     "TrainConfig",
-    "TrainingPair",
-    "Trajectory",
-    "UnknownState",
-    "WitnessReport",
-    "ZeroVector",
-    "backprop_gradient",
-    "build_hamiltonian",
     "bundled_schedule",
-    "calibrate",
-    "catalog",
-    "classify",
     "evaluate",
-    "evolve",
-    "evolve_expm",
-    "expectation",
-    "fd_gradient",
-    "fig1",
-    "fig2",
     "load_dataset",
-    "load_schedule",
-    "loss",
-    "mix",
-    "output",
-    "parse_state",
-    "render",
-    "resolve_schedule",
-    "resolve_state",
-    "rms_error",
     "save_schedule",
     "sweep",
     "train",

@@ -26,7 +26,8 @@ from .hamiltonian import (
 from .ketexpr import render
 from .learning import TrainConfig, TrainingPair, load_dataset
 from .ops import OBSERVABLE_IDS
-from .states import CATALOG_NAMES, StateSpec, catalog
+from .propagate import DEFAULT_DT_NS, IntegratorConfig
+from .states import CATALOG_NAMES, catalog
 
 CONFIG_ENV = "QNNWITNESS_CONFIG"
 
@@ -77,31 +78,27 @@ def _schedule_arg(source: str, config: dict):
     return resolve_schedule(source, _config_convention(config))
 
 
-def _train_config(args, config: dict) -> TrainConfig:
+def _pick(flag, config: dict, key, fallback):
     """Flags beat config file entries, which beat package defaults."""
+    if flag is not None:
+        return flag
+    return config.get(key, fallback)
+
+
+def _train_config(args, config: dict) -> TrainConfig:
     defaults = TrainConfig()
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        if key in config:
-            return config[key]
-        return fallback
-
     return TrainConfig(
-        epochs=int(pick(args.epochs, "epochs", defaults.epochs)),
-        learning_rate=float(pick(args.lr, "learning_rate",
-                                 defaults.learning_rate)),
-        momentum=float(pick(args.momentum, "momentum", defaults.momentum)),
-        dt=float(pick(args.dt, "dt", defaults.dt)),
+        epochs=int(_pick(args.epochs, config, "epochs", defaults.epochs)),
+        learning_rate=float(_pick(args.lr, config, "learning_rate",
+                                  defaults.learning_rate)),
+        momentum=float(_pick(args.momentum, config, "momentum",
+                             defaults.momentum)),
+        dt=float(_pick(args.dt, config, "dt", defaults.dt)),
     )
 
 
-def _eval_config(dt, config: dict) -> TrainConfig:
-    defaults = TrainConfig()
-    if dt is None:
-        dt = config.get("dt", defaults.dt)
-    return TrainConfig(dt=float(dt))
+def _integrator(args, config: dict) -> IntegratorConfig:
+    return IntegratorConfig(float(_pick(args.dt, config, "dt", DEFAULT_DT_NS)))
 
 
 def cmd_train(args) -> int:
@@ -123,37 +120,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _resolve_cli_state(text: str) -> StateSpec:
-    """A catalog name (with optional arguments) or a ket expression."""
-    head = text.split("(", 1)[0].strip()
-    if head not in CATALOG_NAMES and text.strip().replace("_", "a").isalnum() \
-            and not text.strip().isdigit():
-        raise KetSyntaxError(
-            f"unknown state name {text.strip()!r}; "
-            "run 'qnnwitness catalog' for the list")
-    if head in CATALOG_NAMES:
-        if "(" in text:
-            inner = text.split("(", 1)[1].rstrip()
-            if not inner.endswith(")"):
-                raise KetSyntaxError(f"unbalanced parentheses in {text!r}")
-            argtext = inner[:-1].strip()
-            try:
-                cli_args = ([float(a) for a in argtext.split(",")]
-                            if argtext else [])
-            except ValueError:
-                raise KetSyntaxError(
-                    f"arguments of {head} must be numbers, got {argtext!r}")
-            return catalog(head, *cli_args)
-        return catalog(head)
-    return learning.resolve_state(text)
-
-
 def cmd_evaluate(args) -> int:
     config = load_config()
     schedule = _schedule_arg(args.params, config)
-    cfg = _eval_config(args.dt, config)
-    spec = _resolve_cli_state(args.state)
-    report = witness.evaluate(spec, schedule, cfg.integrator())
+    spec = learning.resolve_state(args.state)
+    report = witness.evaluate(spec, schedule, _integrator(args, config))
     if args.json:
         doc = {
             "state": render(spec),
@@ -171,8 +142,8 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config()
     schedule = _schedule_arg(args.params, config)
-    cfg = _eval_config(args.dt, config)
-    grid = witness.sweep(args.family, args.n, schedule, cfg.integrator())
+    grid = witness.sweep(args.family, args.n, schedule,
+                         _integrator(args, config))
     out = Path(args.out)
     witness.sweep_csv(grid, out)
     print(f"{args.family}: {args.n}x{args.n} grid written to {out}")
@@ -187,13 +158,13 @@ def cmd_sweep(args) -> int:
 def cmd_grad_check(args) -> int:
     config = load_config()
     schedule = _schedule_arg(args.params, config)
-    cfg = _eval_config(args.dt, config)
-    spec = _resolve_cli_state(args.state)
+    cfg = _integrator(args, config)
     # Zero targets over all four observables give a loss with nonzero
     # gradient at any point where the outputs are nonzero.
-    pair = TrainingPair(spec, {key: 0.0 for key in OBSERVABLE_IDS})
-    exact = learning.backprop_gradient(pair, schedule, cfg.integrator())
-    numeric = learning.fd_gradient(pair, schedule, cfg.integrator(), h=args.h)
+    pair = TrainingPair(learning.resolve_state(args.state),
+                        {key: 0.0 for key in OBSERVABLE_IDS})
+    exact = learning.backprop_gradient(pair, schedule, cfg)
+    numeric = learning.fd_gradient(pair, schedule, cfg, h=args.h)
     scale = np.maximum(np.abs(numeric), 1e-10)
     rel = np.abs(exact - numeric) / scale
     worst = int(np.argmax(rel))
@@ -210,8 +181,7 @@ def cmd_grad_check(args) -> int:
 def cmd_calibrate(args) -> int:
     config = load_config()
     schedule = _schedule_arg(args.params, config)
-    cfg = _eval_config(args.dt, config)
-    result = witness.calibrate(schedule, cfg=cfg.integrator())
+    result = witness.calibrate(schedule, cfg=_integrator(args, config))
     for name, score in sorted(result.scores.items()):
         print(f"{name:<8} mean abs deviation {fmt(score)}")
     print(f"selected convention: {result.convention.name}")
@@ -262,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a state through the network")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--state", required=True,
-                   help="catalog name or ket expression")
+                   help="catalog name, Name(a, b), ket sum or mix{...}")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)

@@ -5,10 +5,6 @@ class QnnError(Exception):
     """Base class for all package-specific failures."""
 
 
-class DimensionMismatch(QnnError, ValueError):
-    """Operands have incompatible matrix dimensions."""
-
-
 class ImaginaryTraceError(QnnError, ValueError):
     """tr(rho O) has a non-negligible imaginary part; the state is corrupted."""
 

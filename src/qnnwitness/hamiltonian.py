@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, QnnError
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -87,6 +87,9 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "chunks",
                            np.asarray(self.chunks, dtype=float).reshape(-1, 9))
+        if not (np.isfinite(self.chunk_duration) and self.chunk_duration > 0):
+            raise QnnError(f"chunk duration must be a positive number of ns, "
+                           f"got {self.chunk_duration}")
 
     @property
     def n_chunks(self) -> int:
@@ -106,15 +109,19 @@ class Schedule:
         return ParameterSet.from_array(self.chunks[self.chunk_index(t)])
 
     def hamiltonians(self) -> np.ndarray:
-        """(n_chunks, 8, 8) stack of H/hbar per chunk."""
+        """(n_chunks, 8, 8) stack of H/hbar per chunk.
+
+        Every propagation route gets its matrices here, so non-finite
+        parameters are refused here; a schedule holding them can still be
+        built and inspected, as a diverged fit's result is.
+        """
+        if not np.all(np.isfinite(self.chunks)):
+            raise QnnError("schedule parameters must be finite")
         return build_hamiltonian(self.chunks, self.convention)
 
     def flatten(self) -> np.ndarray:
         """Chunk-major weight vector; order within a chunk is PARAM_NAMES."""
         return self.chunks.reshape(-1).copy()
-
-    def with_values(self, flat) -> "Schedule":
-        return unflatten(flat, like=self)
 
 
 def unflatten(flat, like: Schedule) -> Schedule:

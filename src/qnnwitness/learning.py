@@ -16,30 +16,58 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from . import superop
-from .errors import DivergenceError, ImaginaryTraceError
+from .errors import DivergenceError, KetSyntaxError
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
-from .ops import OBSERVABLE_IDS, OBSERVABLES, dagger, expectation
-from .propagate import IntegratorConfig, evolve, evolve_batch_h
+from .ops import OBSERVABLE_IDS, SIGNS, dagger, readout
+from .propagate import DEFAULT_DT_NS, IntegratorConfig, evolve, evolve_batch_h
 from .states import CATALOG_NAMES, StateSpec, catalog, mix
 
 P_STATE_TARGET = 0.44317  # originally trained partial-entanglement value
 
 
+# a bare name, or a name with a parenthesized argument list
+_NAMED = re.compile(r"\s*([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*")
+
+
 def resolve_state(text_or_spec) -> StateSpec:
-    """Catalog name or ket expression -> StateSpec."""
+    """StateSpec, catalog name, Name(a, b, ...) or ket expression -> StateSpec.
+
+    The one place state text is read: the CLI, dataset files and
+    witness.evaluate all come here. A catalog name, bare or with numeric
+    arguments, is built by catalog(); any other bare name is an unknown
+    state; everything else is a ket expression or mixture for parse_state.
+    """
     if isinstance(text_or_spec, StateSpec):
         return text_or_spec
-    name = str(text_or_spec).strip()
-    if name in CATALOG_NAMES:
-        return catalog(name)
-    return parse_state(name)
+    text = str(text_or_spec)
+    m = _NAMED.fullmatch(text)
+    # an unknown name with arguments may be a ket number such as sqrt(2)
+    if m is None or (m[1] not in CATALOG_NAMES and m[2] is not None):
+        return parse_state(text)
+    name, argtext = m.groups()
+    if name not in CATALOG_NAMES:
+        raise KetSyntaxError(
+            f"unknown state name {name!r}; "
+            "run 'qnnwitness catalog' for the list")
+    argtext = (argtext or "").strip()
+    try:
+        args = [float(a) for a in argtext.split(",")] if argtext else []
+    except ValueError:
+        raise KetSyntaxError(
+            f"arguments of {name} must be numbers, got {argtext!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise KetSyntaxError(
+            f"arguments of {name} must be finite, got {argtext!r}")
+    return catalog(name, *args)
 
 
 @dataclass(frozen=True)
@@ -61,10 +89,6 @@ class TrainingPair:
 class Dataset:
     name: str
     pairs: tuple
-
-    @property
-    def n_outputs(self) -> int:
-        return sum(len(p.targets) for p in self.pairs)
 
     def arrays(self):
         """(rhos, targets, mask) stacks in OBSERVABLE_IDS order."""
@@ -104,8 +128,7 @@ class TrainConfig:
     epochs: int = 5000
     learning_rate: float = 1e-3
     momentum: float = 0.9
-    dt: float = 0.05
-    rng_seed: int = 0  # reserved; batch training is deterministic
+    dt: float = DEFAULT_DT_NS
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -125,26 +148,10 @@ class LossReport:
     rms: float
 
 
-def _batched_expectations(rho_f: np.ndarray) -> np.ndarray:
-    """(..., 4) expectations of the four observables; guards Hermiticity."""
-    obs = np.stack([OBSERVABLES[k] for k in OBSERVABLE_IDS])
-    tr = np.einsum("...ij,kji->...k", rho_f, obs)
-    if np.max(np.abs(tr.imag)) >= 1e-10:
-        raise ImaginaryTraceError(
-            f"imaginary trace up to {np.max(np.abs(tr.imag)):.3e}")
-    return tr.real
-
-
-def output(rho_f: np.ndarray, obs) -> float:
-    """Squared correlation output for one observable (id or matrix)."""
-    matrix = OBSERVABLES[obs] if isinstance(obs, str) else obs
-    return expectation(rho_f, matrix) ** 2
-
-
 def loss(pair: TrainingPair, s: Schedule,
          cfg: IntegratorConfig = IntegratorConfig()) -> LossReport:
     rho_f, _ = evolve(mix(pair.state), s, cfg)
-    expect = _batched_expectations(rho_f)
+    expect = readout(rho_f)
     outputs, residuals = {}, {}
     for key, target in pair.targets.items():
         o = expect[OBSERVABLE_IDS.index(key)] ** 2
@@ -156,14 +163,13 @@ def loss(pair: TrainingPair, s: Schedule,
 
 
 def _loss_seed(expect: np.ndarray, pair: TrainingPair) -> np.ndarray:
-    """dE/drho(t_f) for one pair, a Hermitian 8x8 matrix."""
-    seed = np.zeros((8, 8), dtype=complex)
+    """dE/drho(t_f) for one pair, a real diagonal 8x8 matrix."""
+    coeff = np.zeros(4)
     for key, target in pair.targets.items():
         j = OBSERVABLE_IDS.index(key)
         y = expect[j]
-        resid = target - y * y
-        seed += (-2.0 * resid * y) * OBSERVABLES[key]
-    return seed
+        coeff[j] = -2.0 * (target - y * y) * y
+    return np.diag(coeff @ SIGNS).astype(complex)
 
 
 def backprop_gradient(pair: TrainingPair, s: Schedule,
@@ -178,7 +184,7 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     dt = cfg.dt
     steps = cfg.steps_per_chunk(s.chunk_duration)
     rho_f, traj = evolve(mix(pair.state), s, cfg, record=True, stages=True)
-    expect = _batched_expectations(rho_f)
+    expect = readout(rho_f)
 
     hs = s.hamiltonians()
     u = s.convention.omega_per_MHz
@@ -232,7 +238,7 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
 
     rho0 = np.broadcast_to(mix(pair.state), (2 * n_par, 8, 8))
     rho_f = evolve_batch_h(rho0, hs, cfg.dt, steps)
-    expect = _batched_expectations(rho_f)
+    expect = readout(rho_f)
 
     targets = np.array([pair.targets[k] if k in pair.targets else 0.0
                         for k in OBSERVABLE_IDS])
@@ -248,7 +254,7 @@ def rms_error(ds: Dataset, s: Schedule,
     """sqrt(sum residual^2 / N_outputs) over the whole dataset."""
     rhos, targets, mask = load_dataset(ds).arrays()
     rho_f, _ = evolve(rhos, s, cfg)
-    resid = (targets - _batched_expectations(rho_f) ** 2) * mask
+    resid = (targets - readout(rho_f) ** 2) * mask
     return float(np.sqrt(np.sum(resid * resid) / mask.sum()))
 
 
@@ -257,9 +263,12 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
 
     Returns (trained Schedule, per-epoch RMS history). history[e] is the
     RMS at the parameters entering epoch e, so a 0-epoch call returns the
-    initial schedule and an empty history.
+    initial schedule and an empty history. A dt that does not divide the
+    chunk duration is rejected before epoch 0, and a non-finite RMS or
+    gradient raises DivergenceError.
     """
     ds = load_dataset(ds)
+    cfg.integrator().steps_per_chunk(init.chunk_duration)
     rhos, targets, mask = ds.arrays()
     n_out = mask.sum()
     flat = init.flatten()
@@ -271,6 +280,9 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
             rhos, targets, mask, current, cfg.dt)
         rms = float(np.sqrt(2.0 * energy / n_out))
         history[epoch] = rms
+        if not (math.isfinite(rms) and np.all(np.isfinite(grad))):
+            raise DivergenceError(
+                f"non-finite RMS or gradient at epoch {epoch}")
         if rms > 10.0 * history[0]:
             raise DivergenceError(
                 f"RMS {rms:.3e} exceeds 10x initial {history[0]:.3e} "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImaginaryTraceError
+from .errors import ImaginaryTraceError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -51,27 +51,24 @@ OBSERVABLES = {
 
 OBSERVABLE_IDS = ("AB", "AC", "BC", "ABC")
 
+# diagonals of the observables, row k for OBSERVABLE_IDS[k]: the (4, 8)
+# sign matrix through which every output is read
+SIGNS = np.stack([np.diag(OBSERVABLES[k]) for k in OBSERVABLE_IDS])
 
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Re tr(rho obs), guarding against a corrupted (non-Hermitian) state."""
-    tr = np.trace(rho @ obs)
-    if abs(tr.imag) >= HERM_TOL:
+
+def readout(rho: np.ndarray) -> np.ndarray:
+    """(..., 8, 8) -> (..., 4): Re tr(rho P_k) in OBSERVABLE_IDS order.
+
+    Every P_k is diagonal, so tr(rho P_k) = diag(rho) . SIGNS[k]. A
+    non-negligible imaginary part means a corrupted (non-Hermitian) state.
+    """
+    tr = np.einsum("...ii,ki->...k", rho, SIGNS)
+    worst = np.max(np.abs(tr.imag))
+    if worst >= HERM_TOL:
         raise ImaginaryTraceError(
-            f"imaginary trace {tr.imag:.3e} exceeds {HERM_TOL:.0e}")
-    return float(tr.real)
-
-
-def commutator(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    h = np.asarray(h)
-    rho = np.asarray(rho)
-    if h.shape[-1] != rho.shape[-2]:
-        raise DimensionMismatch(f"cannot commute {h.shape} with {rho.shape}")
-    return h @ rho - rho @ h
+            f"imaginary trace {worst:.3e} exceeds {HERM_TOL:.0e}")
+    return tr.real
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(m), -1, -2).conj()
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return bool(np.max(np.abs(m - dagger(m))) < tol)

@@ -14,14 +14,13 @@ finite-difference sweeps cheap.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .hamiltonian import Schedule
-from .ops import OBSERVABLE_IDS, OBSERVABLES, dagger, expectation
+from .ops import dagger
 
 DEFAULT_DT_NS = 0.05
 
@@ -29,13 +28,10 @@ DEFAULT_DT_NS = 0.05
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = DEFAULT_DT_NS
-    scheme: str = "RK4"
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.scheme != "RK4":
-            raise ValueError(f"only the RK4 scheme exists, got {self.scheme!r}")
 
     def steps_per_chunk(self, chunk_duration: float) -> int:
         ratio = chunk_duration / self.dt
@@ -145,17 +141,3 @@ def evolve_expm(rho0, s: Schedule) -> np.ndarray:
         u = (v * np.exp(-1j * w * s.chunk_duration)) @ v.conj().T
         rho = u @ rho @ u.conj().T
     return rho
-
-
-def trajectory_csv(traj: Trajectory, path) -> None:
-    """Dump time, the 8 occupation probabilities, and the 4 expectations."""
-    obs = [OBSERVABLES[k] for k in OBSERVABLE_IDS]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns"] + [f"p{i}" for i in range(8)]
-                        + [f"exp_{k}" for k in OBSERVABLE_IDS])
-        for t, rho in zip(traj.times, traj.states):
-            row = [f"{t:.6g}"]
-            row += [f"{rho[i, i].real:.12g}" for i in range(8)]
-            row += [f"{expectation(rho, o):.12g}" for o in obs]
-            writer.writerow(row)

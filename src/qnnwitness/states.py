@@ -34,10 +34,6 @@ def ket_to_density(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def global_phase(ket: np.ndarray, phi: float) -> np.ndarray:
-    return np.asarray(ket, dtype=complex) * np.exp(1j * phi)
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """A pure ket or an explicit convex mixture of kets."""
@@ -229,15 +225,3 @@ def catalog(name: str, *args: float) -> StateSpec:
     if isinstance(out, StateSpec):
         return out
     return StateSpec.pure(normalize(out))
-
-
-def state_density(spec_or_rho) -> np.ndarray:
-    """Accept a StateSpec, a ket, or a density matrix; return the density."""
-    if isinstance(spec_or_rho, StateSpec):
-        return mix(spec_or_rho)
-    arr = np.asarray(spec_or_rho, dtype=complex)
-    if arr.shape == (8,):
-        return ket_to_density(normalize(arr))
-    if arr.shape[-2:] == (8, 8):
-        return arr
-    raise ValueError(f"not a state: shape {arr.shape}")

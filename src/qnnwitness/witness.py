@@ -14,10 +14,10 @@ import numpy as np
 
 from .errors import CalibrationInconclusive
 from .hamiltonian import CONVENTIONS, Schedule, UnitConvention
-from .learning import _batched_expectations, resolve_state
-from .ops import OBSERVABLE_IDS
+from .learning import resolve_state
+from .ops import OBSERVABLE_IDS, readout
 from .propagate import IntegratorConfig, evolve
-from .states import StateSpec, catalog, mix
+from .states import catalog, mix
 
 # reporting thresholds; acceptance logic pins raw outputs, not labels
 THRESHOLD_PARTIAL = 0.1
@@ -50,14 +50,13 @@ def evaluate_many(rhos: np.ndarray, s: Schedule,
                   cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """(B, 4) squared outputs for a stack of density matrices."""
     rho_f, _ = evolve(rhos, s, cfg)
-    return _batched_expectations(rho_f) ** 2
+    return readout(rho_f) ** 2
 
 
 def evaluate(state, s: Schedule,
              cfg: IntegratorConfig = IntegratorConfig()) -> WitnessReport:
     """Evolve a state (StateSpec, catalog name, or expression) and report."""
-    spec = state if isinstance(state, StateSpec) else resolve_state(state)
-    out = evaluate_many(mix(spec)[None], s, cfg)[0]
+    out = evaluate_many(mix(resolve_state(state))[None], s, cfg)[0]
     outputs = {k: float(v) for k, v in zip(OBSERVABLE_IDS, out)}
     return WitnessReport(outputs, classify(outputs))
 

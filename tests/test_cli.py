@@ -4,6 +4,13 @@ import numpy as np
 import pytest
 
 from qnnwitness.cli import main
+from qnnwitness.errors import ArityError, KetSyntaxError
+from qnnwitness.hamiltonian import bundled_schedule
+from qnnwitness.ketexpr import render
+from qnnwitness.learning import resolve_state
+from qnnwitness.propagate import IntegratorConfig
+from qnnwitness.states import StateSpec, catalog, mix
+from qnnwitness.witness import evaluate
 
 
 @pytest.fixture
@@ -81,6 +88,12 @@ def test_exit_codes(isolated_config, capsys):
                        "--state", "Bell_XY")
     assert code == 2 and "catalog" in err
 
+    # non-finite catalog arguments: usage error
+    for text in ("fig1(nan, 0)", "Cr_AB(inf)"):
+        code, out, err = run(capsys, "evaluate", "--params", "set1",
+                             "--state", text)
+        assert code == 2 and out == "" and "finite" in err
+
     # missing file: failure exit
     code, _, err = run(capsys, "evaluate", "--params", "/no/such/file.json",
                        "--state", "W")
@@ -94,6 +107,41 @@ def test_exit_codes(isolated_config, capsys):
         main(["sweep", "--family", "fig9", "--n", "5",
               "--params", "set1", "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+# state text -> the state it names, or (API error, CLI exit code, stderr word)
+STATE_TEXTS = [
+    ("W", catalog("W")),
+    ("fig2(0.0, 1.0)", catalog("GHZ_plus")),
+    (" Cr_AB( 0.3 ) ", catalog("Cr_AB", 0.3)),
+    ("Cr_AB()", catalog("Cr_AB")),
+    ("|001> + |010> - |100>", StateSpec.pure([0, 1, 1, 0, -1, 0, 0, 0])),
+    ("mix{0.5: |000>, 0.5: |111>}", catalog("M")),
+    ("Bell_XY", (KetSyntaxError, 2, "catalog")),
+    ("W(1)", (ArityError, 1, "argument")),
+    ("fig1(a, b)", (KetSyntaxError, 2, "numbers")),
+]
+
+
+@pytest.mark.parametrize("text, expected", STATE_TEXTS)
+def test_state_text_means_the_same_in_api_and_cli(isolated_config, capsys,
+                                                  text, expected):
+    code, out, err = run(capsys, "evaluate", "--params", "trained_set2",
+                         "--state", text, "--dt", "0.25", "--json")
+    if isinstance(expected, StateSpec):
+        spec = resolve_state(text)
+        assert np.abs(mix(spec) - mix(expected)).max() < 1e-15
+        report = evaluate(spec, bundled_schedule("trained_set2"),
+                          IntegratorConfig(0.25))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["outputs"] == report.outputs
+        assert doc["state"] == render(spec)
+    else:
+        error, exit_code, word = expected
+        with pytest.raises(error):
+            resolve_state(text)
+        assert code == exit_code and word in err
 
 
 def test_train_writes_schedule_and_history(isolated_config, tmp_path, capsys):

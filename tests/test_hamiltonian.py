@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qnnwitness.errors import OutOfRange
+from qnnwitness.errors import OutOfRange, QnnError
 from qnnwitness.hamiltonian import (
     ANGULAR,
     BUNDLED_SCHEDULES,
@@ -82,6 +82,19 @@ def test_schedule_chunk_lookup():
         s.chunk_index(-1.0)
     with pytest.raises(OutOfRange):
         s.chunk_index(300.1)
+
+
+def test_schedule_rejects_non_finite_values_and_bad_duration():
+    chunks = RNG.normal(size=(4, 9))
+    for duration in (0.0, -75.0, np.nan, np.inf):
+        with pytest.raises(QnnError):
+            Schedule(chunks, duration, PLAIN)
+    for bad in (np.nan, np.inf):
+        corrupt = chunks.copy()
+        corrupt[2, 5] = bad
+        s = Schedule(corrupt, DEFAULT_CHUNK_NS, PLAIN)
+        with pytest.raises(QnnError):
+            s.hamiltonians()
 
 
 def test_params_at_returns_chunk_values():

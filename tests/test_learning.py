@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qnnwitness.errors import DivergenceError
+from qnnwitness import superop
+from qnnwitness.errors import DivergenceError, KetSyntaxError
 from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
 from qnnwitness.learning import (
     P_STATE_TARGET,
@@ -14,12 +15,11 @@ from qnnwitness.learning import (
     history_csv,
     load_dataset,
     loss,
-    output,
     resolve_state,
     rms_error,
     train,
 )
-from qnnwitness.states import catalog, global_phase, StateSpec
+from qnnwitness.states import catalog, StateSpec
 
 RNG = np.random.default_rng(19)
 
@@ -34,6 +34,13 @@ def test_resolve_state_accepts_names_and_expressions():
     assert resolve_state("W").is_pure
     spec = resolve_state("|000> + |111>")
     assert np.count_nonzero(np.abs(spec.ket) > 1e-12) == 2
+    assert resolve_state(spec) is spec
+
+
+def test_resolve_state_rejects_non_finite_arguments():
+    for text in ("fig1(nan, 0)", "Cr_AB(inf)", "fig2(0.5, -inf)"):
+        with pytest.raises(KetSyntaxError, match="finite"):
+            resolve_state(text)
 
 
 def test_training_pair_validation():
@@ -49,10 +56,10 @@ def test_training_pair_validation():
 def test_bundled_datasets():
     ds1 = load_dataset("set1")
     assert len(ds1.pairs) == 12
-    assert ds1.n_outputs == 36
+    assert sum(len(p.targets) for p in ds1.pairs) == 36
     ds2 = load_dataset("set2")
     assert len(ds2.pairs) == 13
-    assert ds2.n_outputs == 52
+    assert sum(len(p.targets) for p in ds2.pairs) == 52
     # every set2 pair grades the triple observable as well
     assert all("ABC" in p.targets for p in ds2.pairs)
 
@@ -84,16 +91,6 @@ def test_loss_report_arithmetic():
                       -rep.outputs["AC"], -rep.outputs["BC"]])
     assert rep.loss == pytest.approx(0.5 * np.sum(resid ** 2))
     assert rep.rms == pytest.approx(np.sqrt(np.mean(resid ** 2)))
-
-
-def test_output_accepts_id_or_matrix():
-    s = bundled_schedule("trained_set1")
-    from qnnwitness.ops import OBSERVABLES
-    from qnnwitness.propagate import evolve
-    from qnnwitness.states import mix
-    rho_f, _ = evolve(mix(catalog("Bell_AB")), s, IntegratorConfig(0.25))
-    assert output(rho_f, "AB") == pytest.approx(
-        output(rho_f, OBSERVABLES["AB"]))
 
 
 def test_gradient_against_finite_differences():
@@ -135,7 +132,7 @@ def test_outputs_ignore_global_phase():
     cfg = IntegratorConfig(0.25)
     base = catalog("GHZ_minus").ket
     a = TrainingPair(StateSpec.pure(base), dict(ZERO_TARGETS))
-    b = TrainingPair(StateSpec.pure(global_phase(base, 0.77)),
+    b = TrainingPair(StateSpec.pure(base * np.exp(0.77j)),
                      dict(ZERO_TARGETS))
     ra = loss(a, s, cfg)
     rb = loss(b, s, cfg)
@@ -183,6 +180,21 @@ def test_train_raises_on_divergence():
     cfg = TrainConfig(epochs=600, learning_rate=50.0, momentum=0.9, dt=0.25)
     with pytest.raises(DivergenceError):
         train("set1", bundled_schedule("initial"), cfg)
+    # a Hamiltonian that overflows the step map: NaN rms at once
+    huge = Schedule(np.full((4, 9), 1e200), 75.0, PLAIN)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="epoch 0"):
+        train("set1", huge, cfg)
+
+
+def test_train_checks_its_step_before_epoch_0(monkeypatch):
+    def no_epoch(*args):
+        pytest.fail("an epoch ran with a step that does not divide the chunk")
+
+    monkeypatch.setattr(superop, "dataset_loss_grad", no_epoch)
+    with pytest.raises(ValueError, match="integer multiple"):
+        train("set1", bundled_schedule("initial"),
+              TrainConfig(epochs=3, dt=0.07))
 
 
 def test_history_csv(tmp_path):
@@ -199,9 +211,11 @@ def test_dataset_from_file(tmp_path):
     doc = {"name": "tiny", "pairs": [
         {"state": "Bell_AB", "targets": {"AB": 1.0}},
         {"state": "|000> + |011>", "targets": {"BC": 1.0, "ABC": 0.0}},
+        {"state": "fig2(0.0, 1.0)", "targets": {"ABC": 1.0}},
     ]}
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
     ds = load_dataset(str(path))
-    assert ds.n_outputs == 3
+    assert [len(p.targets) for p in ds.pairs] == [1, 2, 1]
     assert ds.pairs[1].targets["BC"] == 1.0
+    assert ds.pairs[2].state == catalog("fig2", 0.0, 1.0)

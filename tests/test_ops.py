@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from qnnwitness.errors import DimensionMismatch, ImaginaryTraceError
+from qnnwitness.errors import ImaginaryTraceError
 from qnnwitness.ops import (
     OBSERVABLE_IDS,
     OBSERVABLES,
+    SIGNS,
     SX,
     SZ,
-    commutator,
     dagger,
     embed_pauli,
-    expectation,
-    is_hermitian,
     kron3,
+    readout,
 )
 
 RNG = np.random.default_rng(7)
@@ -22,6 +21,10 @@ def random_density(rng=RNG):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_complex(shape, rng=RNG):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def test_pauli_algebra():
@@ -44,32 +47,47 @@ def test_observables_are_parity_products():
     assert np.allclose(OBSERVABLES["AB"], np.kron(zz, np.eye(2)))
     assert np.allclose(OBSERVABLES["BC"], np.kron(np.eye(2), zz))
     assert np.allclose(OBSERVABLES["ABC"], kron3(SZ, SZ, SZ))
-    for obs in OBSERVABLES.values():
-        assert is_hermitian(obs)
+    for k, key in enumerate(OBSERVABLE_IDS):
+        obs = OBSERVABLES[key]
+        assert np.array_equal(obs, dagger(obs))
         assert np.allclose(obs @ obs, np.eye(8))
+        assert np.array_equal(obs, np.diag(SIGNS[k]))
 
 
 def test_expectation_is_real_diagonal_sum():
-    rho = random_density()
-    val = expectation(rho, OBSERVABLES["AB"])
-    signs = np.array([1, 1, -1, -1, -1, -1, 1, 1])
-    assert val == pytest.approx(float(np.sum(signs * np.diag(rho).real)))
+    """readout is Re tr(rho P_k) for each sign row, on single states and
+    batches alike, including non-Hermitian input with a real trace."""
+    rhos = np.stack([random_density() for _ in range(5)])
+    # off-diagonal junk leaves tr(rho P) real, so the guard stays quiet
+    skewed = rhos + random_complex((5, 8, 8)) * (1 - np.eye(8))
+    for batch in (rhos, skewed):
+        out = readout(batch)
+        assert out.shape == (5, 4) and out.dtype == float
+        for i, rho in enumerate(batch):
+            assert np.array_equal(readout(rho), out[i])
+            for k in range(4):
+                ref = np.trace(rho @ np.diag(SIGNS[k]))
+                assert out[i, k] == pytest.approx(ref.real, abs=1e-14)
+    signs_ab = np.array([1, 1, -1, -1, -1, -1, 1, 1])
+    assert readout(rhos[0])[0] == pytest.approx(
+        float(np.sum(signs_ab * np.diag(rhos[0]).real)))
 
 
 def test_expectation_rejects_complex_trace():
     rho = random_density()
-    rho[0, 0] += 1.0j  # imaginary population, so tr(rho P) leaves the real axis
-    with pytest.raises(ImaginaryTraceError):
-        expectation(rho, OBSERVABLES["AB"])
+    e0, e7 = np.diag(np.eye(8)[0]), np.diag(np.eye(8)[7])
+    readout(rho + 1e-11j * e0)  # below the 1e-10 guard
+    for bad in (rho + 1.0j * e0,  # imaginary population
+                random_complex((8, 8)),
+                np.stack([rho, rho + 1e-9j * e7])):
+        with pytest.raises(ImaginaryTraceError):
+            readout(bad)
 
 
 def test_commutator_of_commuting_operators_vanishes():
-    assert np.allclose(commutator(OBSERVABLES["AB"], OBSERVABLES["BC"]), 0)
-
-
-def test_commutator_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        commutator(np.eye(4), np.eye(8))
+    for a in OBSERVABLES.values():
+        for b in OBSERVABLES.values():
+            assert np.array_equal(a @ b, b @ a)
 
 
 def test_dagger_handles_batches():

@@ -9,11 +9,9 @@ from qnnwitness.states import (
     catalog,
     fig1,
     fig2,
-    global_phase,
     ket_to_density,
     mix,
     normalize,
-    state_density,
 )
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -47,7 +45,7 @@ def test_ket_to_density_is_projector():
 
 def test_global_phase_leaves_density_alone():
     psi = amplitudes("W")
-    assert np.allclose(ket_to_density(global_phase(psi, 1.234)),
+    assert np.allclose(ket_to_density(psi * np.exp(1.234j)),
                        ket_to_density(psi))
 
 
@@ -145,10 +143,3 @@ def test_catalog_rejects_unknown_and_bad_arity():
     with pytest.raises(ArityError):
         catalog("W", 0.3)
 
-
-def test_state_density_accepts_spec_ket_and_matrix():
-    spec = catalog("Bell_AB")
-    rho = mix(spec)
-    assert np.allclose(state_density(spec), rho)
-    assert np.allclose(state_density(spec.ket), rho)
-    assert np.allclose(state_density(rho), rho)

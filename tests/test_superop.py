@@ -13,14 +13,13 @@ from qnnwitness.learning import (
     load_dataset,
     loss,
 )
-from qnnwitness.ops import OBSERVABLE_IDS
+from qnnwitness.ops import readout
 from qnnwitness.propagate import evolve, rk4_step
 from qnnwitness.states import catalog, mix
 from qnnwitness.superop import (
     _pow,
     _pow_with_weight,
     dataset_loss_grad,
-    outputs_from_vec,
     propagate_vec,
     step_operator,
 )
@@ -73,12 +72,17 @@ def test_propagate_vec_matches_direct_integration():
 
 
 def test_outputs_match_squared_expectations():
+    """The training route reads the diagonal rows of the vectorized state;
+    its outputs must equal the squared readout of the stepped route."""
     s = bundled_schedule("trained_set1")
-    rhos = np.stack([mix(catalog("Bell_AB"))])
-    mats, _ = propagate_vec(rhos, s, 0.25)
-    out = outputs_from_vec(mats[-1])
-    assert out.shape == (1, 4)
-    assert out[0, 0] == pytest.approx(0.9954, abs=1e-3)
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    _, _, out = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    rho_f, _ = evolve(rhos, s, IntegratorConfig(0.25))
+    assert np.abs(out - readout(rho_f) ** 2).max() < 1e-12
+    bell_ab = next(i for i, p in enumerate(ds.pairs)
+                   if p.state == catalog("Bell_AB"))
+    assert out[bell_ab, 0] == pytest.approx(0.9954, abs=1e-3)
 
 
 def test_dataset_loss_grad_agrees_with_stagewise_route():
