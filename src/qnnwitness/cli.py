@@ -8,6 +8,7 @@ parse errors.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -204,6 +205,17 @@ def cmd_catalog(_args) -> int:
     return 0
 
 
+def _positive_step(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnnwitness",
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "differences")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--state", required=True)
-    p.add_argument("--h", type=float, default=1e-4,
+    p.add_argument("--h", type=_positive_step, default=1e-4,
                    help="finite difference step in MHz")
     p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_grad_check)

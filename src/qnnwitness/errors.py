@@ -13,6 +13,10 @@ class ZeroVector(QnnError, ValueError):
     """Cannot normalize an all-zero amplitude vector."""
 
 
+class NonFinite(QnnError, ValueError):
+    """A value that must be a finite number is NaN or infinite."""
+
+
 class InvalidWeights(QnnError, ValueError):
     """Mixture weights are negative or do not sum to one."""
 

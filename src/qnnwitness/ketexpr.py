@@ -49,14 +49,19 @@ def _tokenize(text: str):
     return tokens
 
 
-def _number_value(text: str) -> complex:
-    if text.startswith("1/sqrt("):
-        return 1.0 / np.sqrt(float(text[7:-1]))
-    if text.startswith("sqrt("):
-        return complex(np.sqrt(float(text[5:-1])))
-    if text.endswith("i"):
-        return 1j * float(text[:-1])
-    return complex(float(text))
+def _number_value(text: str, offset: int) -> complex:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if text.startswith("1/sqrt("):
+            value = complex(1.0 / np.sqrt(float(text[7:-1])))
+        elif text.startswith("sqrt("):
+            value = complex(np.sqrt(float(text[5:-1])))
+        elif text.endswith("i"):
+            value = 1j * float(text[:-1])
+        else:
+            value = complex(float(text))
+    if not np.isfinite(value):
+        raise KetSyntaxError("coefficient is not a finite number", offset)
+    return value
 
 
 class _Parser:
@@ -103,7 +108,7 @@ class _Parser:
             self.take()
             sign = -1.0
         kind, text, off = self.take("number")
-        w = sign * _number_value(text)
+        w = sign * _number_value(text, off)
         if w.imag != 0:
             raise NonPhysical(f"mixture weight {text} is not a real number")
         if w.real < 0:
@@ -133,7 +138,7 @@ class _Parser:
             if self.peek()[:2] == ("op", "*"):
                 self.take()
                 bk, bt, boff = self.take("basis")
-                amps[int(bt[1:4], 2)] += sign * _number_value(text)
+                amps[int(bt[1:4], 2)] += sign * _number_value(text, off)
                 return
             raise KetSyntaxError(
                 "a bare number is not a state; multiply a basis ket", off)

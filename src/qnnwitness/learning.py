@@ -7,10 +7,11 @@ dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
 the reference: reverse-mode through every recorded RK4 stage of the
-actual stepped integration. The training loop instead calls the
-superoperator fast path (see superop.py), which computes the same
-discrete adjoint in closed form per chunk; tests pin the two routes
-against each other and against central differences.
+actual stepped integration. The training loop instead calls the fast
+path in superop.py, which applies each chunk's n RK4 steps at once in
+the eigenbasis of its Hamiltonian and gets the same discrete adjoint
+from the divided-difference form of the derivative of that map; tests
+pin the two routes against each other and against central differences.
 """
 from __future__ import annotations
 
@@ -223,8 +224,12 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     """Central-difference gradient, (E(p+h) - E(p-h)) / 2h per parameter.
 
     All 72 perturbed forward evolutions run as one batch: each batch
-    element gets its own per-chunk Hamiltonian stack.
+    element gets its own per-chunk Hamiltonian stack. h must be a
+    positive finite step.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be a positive "
+                         f"finite number of MHz, got {h!r}")
     steps = cfg.steps_per_chunk(s.chunk_duration)
     n_par = s.n_chunks * 9
     base = s.hamiltonians()

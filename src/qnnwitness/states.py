@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityError, InvalidWeights, UnknownState, ZeroVector
+from .errors import ArityError, InvalidWeights, NonFinite, UnknownState, ZeroVector
 
 WEIGHT_TOL = 1e-9
 
@@ -23,7 +23,10 @@ def basis_index(q_a: int, q_b: int, q_c: int) -> int:
 def normalize(raw) -> np.ndarray:
     """Scale 8 amplitudes to unit Euclidean norm."""
     amps = np.asarray(raw, dtype=complex).reshape(8)
-    norm = np.linalg.norm(amps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise NonFinite("amplitudes must be finite, with a norm below ~1e154")
     if norm < 1e-150:
         raise ZeroVector("cannot normalize the zero vector")
     return amps / norm
@@ -45,6 +48,10 @@ class StateSpec:
         if len(self.weights) != len(self.kets):
             raise InvalidWeights("one weight per component required")
         w = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise InvalidWeights(f"mixture weights must be finite, got {w}")
+        if not np.isfinite(np.asarray(self.kets, dtype=complex)).all():
+            raise NonFinite("ket amplitudes must be finite")
         if np.any(w < 0):
             raise InvalidWeights(f"negative mixture weight {w.min()}")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:

@@ -1,25 +1,36 @@
-"""Superoperator fast path used by the training loop.
+"""Chunk propagators of the training loop, exact in each chunk's eigenbasis.
 
-For a constant H the equation of motion is linear in the vectorized
-state, v = vec(rho), with generator F = -i (H x I - I x H) (row-major
-vec, H real symmetric). One RK4 step is then exactly the degree-4
-Taylor polynomial of exp(dt F):
+Within a chunk H is constant and real symmetric, H = V diag(w) V^T. For
+the linear equation of motion rho' = F rho, F rho = -i (H rho - rho H),
+one RK4 step is exactly the degree-4 Taylor polynomial
 
-    T = I + h F + h^2 F^2/2 + h^3 F^3/6 + h^4 F^4/24
+    T = P(dt F),   P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
-so the whole-chunk map is T^n, computable by binary powering, and the
-chunk-local adjoint weight sum
+F is diagonal on the matrix units V e_j e_k^T V^T, with eigenvalue
+-i (w_j - w_k), so T^n is elementwise there:
 
-    W = sum_{j=0}^{n-1} T^j C T^{n-1-j}
+    rho -> V (t^n o V^T rho V) V^T,   t_jk = P(mu_jk),  mu_jk = -i dt (w_j - w_k),
 
-comes from powering the block matrix [[T, C], [0, T]]. This reproduces
-the stepped RK4 forward values and the stage-level adjoint gradient to
-rounding error at a small fixed cost per epoch, independent of dt.
+and the adjoint state goes back through lam -> V (conj(t^n) o V^T lam V) V^T.
+One 8 x 8 eigh per chunk thus reproduces the n stepped RK4 steps to
+rounding error, at any dt.
 
-Everything here treats the batch of training inputs as the columns of a
-64 x B matrix. Only the training loop uses this module; the propagator
-and the stage-level adjoint remain the reference implementations that
-tests compare against.
+The gradient is the divided-difference (Daleckii-Krein) form of the
+derivative of T^n = f(F), f(z) = P(dt z)^n. In the eigenbasis
+d(T^n) = Phi o dF, with, for index pairs a = (j, k) and b,
+
+    Phi_ab = (t_a^n - t_b^n) / (d_a - d_b) = dt P[mu_a, mu_b] S_n(t_a, t_b),
+
+where P[x, y] is the divided difference of the quartic and
+S_n(x, y) = sum_m x^m y^(n-1-m); both are written without division, so
+degenerate spectra need no special case. A generator G enters dF as
+-i u (g x I - I x g) with g = V^T G V, so only the two faces
+Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] of Phi are ever read.
+
+This is the discrete adjoint of the stepped integrator, not of the exact
+exponential. Only the training loop uses this module; the stepped
+propagator and the stage-level reverse pass in learning.py remain the
+references that the tests compare against.
 """
 from __future__ import annotations
 
@@ -28,64 +39,54 @@ import numpy as np
 from .hamiltonian import GENERATORS, Schedule
 from .ops import SIGNS
 
-E8 = np.eye(8)
-E64 = np.eye(64)
+
+def _quartic(z):
+    return 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
 
 
-def step_operator(h: np.ndarray, dt: float):
-    """One-step RK4 transfer matrix on vec(rho), plus powers of F."""
-    f = -1j * (np.kron(h, E8) - np.kron(E8, h))
-    f2 = f @ f
-    f3 = f2 @ f
-    t = (E64 + dt * f + (dt**2 / 2) * f2 + (dt**3 / 6) * f3
-         + (dt**4 / 24) * (f3 @ f))
-    return t, f, f2, f3
+def _quartic_divided_difference(x, y):
+    """(P(x) - P(y)) / (x - y), expanded so that x == y needs no limit."""
+    return (1 + (x + y) / 2 + (x * x + x * y + y * y) / 6
+            + (x + y) * (x * x + y * y) / 24)
 
 
-def _pow(t: np.ndarray, n: int) -> np.ndarray:
-    out = np.eye(t.shape[0], dtype=complex)
-    p = t
+def _geometric_sum(x, y, n: int):
+    """sum_{m<n} x^m y^(n-1-m) elementwise, by binary powering of the
+    upper-triangular pair [[x, 1], [0, y]], whose n-th power carries it."""
+    px, py = np.broadcast_arrays(x, y)
+    ps = np.ones_like(px)
+    total = np.zeros_like(px)
+    ry = np.ones_like(px)
     while n:
         if n & 1:
-            out = p @ out
-        p = p @ p
+            total = px * total + ps * ry
+            ry = py * ry
+        ps = px * ps + ps * py
+        px, py = px * px, py * py
         n >>= 1
-    return out
-
-
-def _pow_with_weight(t: np.ndarray, c: np.ndarray, n: int):
-    """(T^n, sum_j T^j C T^{n-1-j}) via block-triangular powering."""
-    m = t.shape[0]
-    rt = np.eye(m, dtype=complex)
-    rd = np.zeros((m, m), dtype=complex)
-    pt, pd = t, c
-    while n:
-        if n & 1:
-            rt, rd = pt @ rt, pt @ rd + pd @ rt
-        pt, pd = pt @ pt, pt @ pd + pd @ pt
-        n >>= 1
-    return rt, rd
+    return total
 
 
 def chunk_operators(s: Schedule, dt: float):
-    """Per-chunk (T, F, F2, F3, T^steps) for the schedule at this dt."""
+    """Per-chunk (V, mu, t, t^n), each (n_chunks, 8, 8), and n = steps."""
     steps = round(s.chunk_duration / dt)
-    ops = []
-    for h in s.hamiltonians():
-        t, f, f2, f3 = step_operator(h, dt)
-        ops.append((t, f, f2, f3, _pow(t, steps)))
-    return ops, steps
+    w, v = np.linalg.eigh(s.hamiltonians())
+    mu = -1j * dt * (w[:, :, None] - w[:, None, :])
+    t = _quartic(mu)
+    return (v, mu, t, t ** steps), steps
 
 
 def propagate_vec(rhos: np.ndarray, s: Schedule, dt: float):
-    """Evolve a (B, 8, 8) stack; returns chunk-boundary 64 x B matrices."""
-    v = np.asarray(rhos, dtype=complex).reshape(-1, 64).T
+    """Evolve a (B, 8, 8) stack; returns the (n_chunks + 1, B, 8, 8)
+    states at the chunk boundaries and the chunk operators."""
+    rho = np.asarray(rhos, dtype=complex)
     ops, _ = chunk_operators(s, dt)
-    boundaries = [v]
-    for *_, tn in ops:
-        v = tn @ v
-        boundaries.append(v)
-    return boundaries, ops
+    v, _, _, tn = ops
+    boundaries = [rho]
+    for vk, tk in zip(v, tn):
+        rho = vk @ (tk * (vk.T @ rho @ vk)) @ vk.T
+        boundaries.append(rho)
+    return np.stack(boundaries), ops
 
 
 def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
@@ -93,41 +94,34 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     """Loss, flattened gradient, and outputs for a whole training batch.
 
     targets and mask are (B, 4) in OBSERVABLE_IDS order; mask zeroes the
-    outputs a pair does not train on. Rows v[::9] of the 64 x B state
-    are the diagonals of the density matrices, the only entries the
-    diagonal observables read.
+    outputs a pair does not train on. The diagonal observables read only
+    the diagonals of the final density matrices.
     """
     steps = round(s.chunk_duration / dt)
-    boundaries, ops = propagate_vec(rhos, s, dt)
-    y = SIGNS @ boundaries[-1][::9].real     # (4, B) pre-squared
-    outputs = (y.T) ** 2
+    boundaries, (v, mu, t, tn) = propagate_vec(rhos, s, dt)
+    y = boundaries[-1].diagonal(axis1=1, axis2=2).real @ SIGNS.T  # pre-squared
+    outputs = y ** 2
     resid = (targets - outputs) * mask
     loss = 0.5 * float(np.sum(resid * resid))
 
-    # seed dE/dv at t_f: sum_j -2 resid_j y_j vec(P_j), per batch column
-    lam = np.zeros_like(boundaries[-1])      # (64, B)
-    lam[::9] = SIGNS.T @ (-2.0 * resid * y.T).T
-
-    u = s.convention.omega_per_MHz
-    c1, c2, c3, c4 = dt, dt**2 / 2, dt**3 / 6, dt**4 / 24
-    grad = np.empty((s.n_chunks, 9))
+    # seed dE/drho at t_f: sum_j -2 resid_j y_j P_j, per batch element
+    lam = ((-2.0 * resid * y) @ SIGNS)[:, :, None] * np.eye(8)
+    vt = v.transpose(0, 2, 1)
+    lam_eig = np.empty((s.n_chunks,) + lam.shape, dtype=complex)
     for k in range(s.n_chunks - 1, -1, -1):
-        t, f, f2, f3, tn = ops[k]
-        c = boundaries[k] @ lam.conj().T     # sum_b v_start lam_end^dag
-        _, w = _pow_with_weight(t, c, steps)
-        z1 = f @ w
-        z2 = f2 @ w
-        z3 = f3 @ w
-        b0 = c1 * w + c2 * z1 + c3 * z2 + c4 * z3
-        b1 = c2 * w + c3 * z1 + c4 * z2
-        b2 = c3 * w + c4 * z1
-        b3 = c4 * w
-        y_mat = b0 + ((b3 @ f + b2) @ f + b1) @ f
-        yr = y_mat.reshape(8, 8, 8, 8)
-        left = np.einsum("cbab->ca", yr)
-        right = np.einsum("adab->db", yr)
-        tr_left = np.einsum("qac,ca->q", GENERATORS, left)
-        tr_right = np.einsum("qac,ca->q", GENERATORS, right)
-        grad[k] = u * (tr_left - tr_right).imag
-        lam = tn.conj().T @ lam
+        lam_eig[k] = vt[k] @ lam @ v[k]
+        lam = v[k] @ (tn[k].conj() * lam_eig[k]) @ vt[k]
+    rho_eig = vt[:, None] @ boundaries[:-1] @ v[:, None]
+
+    # faces [c, j, l, k] = Phi[(j,k),(l,k)] and [c, j, k, m] = Phi[(j,k),(j,m)]
+    phi_l = (dt * _quartic_divided_difference(mu[:, :, None], mu[:, None])
+             * _geometric_sum(t[:, :, None], t[:, None], steps))
+    phi_r = (dt * _quartic_divided_difference(mu[..., None], mu[:, :, None])
+             * _geometric_sum(t[..., None], t[:, :, None], steps))
+    lam_c = lam_eig.conj()
+    left = np.einsum("cjlk,cbjk,cblk->cjl", phi_l, lam_c, rho_eig)
+    right = np.einsum("cjkm,cbjk,cbjm->ckm", phi_r, lam_c, rho_eig)
+    dm = v @ (left - right) @ vt
+    grad = s.convention.omega_per_MHz * np.einsum(
+        "qac,kac->kq", GENERATORS, dm).imag
     return loss, grad.reshape(-1), outputs

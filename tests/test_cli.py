@@ -94,6 +94,14 @@ def test_exit_codes(isolated_config, capsys):
                              "--state", text)
         assert code == 2 and out == "" and "finite" in err
 
+    # over-long coefficient that overflows to inf: usage error
+    code, out, err = run(capsys, "evaluate", "--params", "set1",
+                         "--state", "9" * 400 + "*|000> + |001>")
+    assert code == 2 and out == "" and "finite" in err
+    code, out, err = run(capsys, "evaluate", "--params", "set1",
+                         "--state", "mix{1/sqrt(0): |000>, 0.5: |001>}")
+    assert code == 2 and out == "" and "finite" in err
+
     # missing file: failure exit
     code, _, err = run(capsys, "evaluate", "--params", "/no/such/file.json",
                        "--state", "W")
@@ -107,6 +115,13 @@ def test_exit_codes(isolated_config, capsys):
         main(["sweep", "--family", "fig9", "--n", "5",
               "--params", "set1", "--out", "x.csv"])
     assert exc.value.code == 2
+    # a finite-difference step that is not a positive finite number
+    for step in ("0", "-1e-4", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["grad-check", "--params", "set1", "--state", "W",
+                  f"--h={step}"])
+        assert exc.value.code == 2
+        assert "positive finite" in capsys.readouterr().err
 
 
 # state text -> the state it names, or (API error, CLI exit code, stderr word)

@@ -104,6 +104,13 @@ def test_gradient_against_finite_differences():
     assert rel.max() < 1e-6
 
 
+def test_fd_gradient_needs_a_positive_finite_step():
+    pair = TrainingPair(catalog("W"), dict(ZERO_TARGETS))
+    for h in (0.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive"):
+            fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
+
+
 def test_gradient_for_mixed_input():
     s = random_schedule()
     pair = TrainingPair(catalog("M"), dict(ZERO_TARGETS))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qnnwitness.errors import ArityError, InvalidWeights, UnknownState, ZeroVector
+from qnnwitness.errors import (
+    ArityError,
+    InvalidWeights,
+    NonFinite,
+    UnknownState,
+    ZeroVector,
+)
 from qnnwitness.states import (
     CATALOG_NAMES,
     StateSpec,
@@ -34,6 +40,14 @@ def test_basis_index_orders_qubit_a_most_significant():
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ZeroVector):
         normalize(np.zeros(8))
+
+
+def test_normalize_rejects_non_finite_amplitudes():
+    for bad in (np.nan, np.inf, 1e200):
+        amps = np.ones(8, dtype=complex)
+        amps[3] = bad
+        with pytest.raises(NonFinite):
+            normalize(amps)
 
 
 def test_ket_to_density_is_projector():
@@ -125,6 +139,14 @@ def test_mixture_weights_validated():
         StateSpec.mixture([(0.6, psi), (0.6, psi)])
     with pytest.raises(InvalidWeights):
         StateSpec.mixture([(-0.5, psi), (1.5, psi)])
+    e0 = tuple(np.eye(8)[0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidWeights):
+            StateSpec(weights=(bad,), kets=(e0,))
+        with pytest.raises(InvalidWeights):
+            StateSpec.mixture([(0.5, psi), (bad, psi)])
+        with pytest.raises(NonFinite):
+            StateSpec(weights=(1.0,), kets=((bad,) + e0[1:],))
 
 
 def test_mixture_density_is_weighted_sum():

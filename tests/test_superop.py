@@ -1,63 +1,93 @@
-"""The vectorized one-step map used by training must agree with the direct
+"""The eigenbasis chunk maps used by training must agree with the direct
 integrator and with the stage-level reverse pass; both comparisons stay in
 the suite so neither route can silently drift."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
+from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
 from qnnwitness.learning import (
     IntegratorConfig,
-    TrainingPair,
     backprop_gradient,
     load_dataset,
     loss,
 )
 from qnnwitness.ops import readout
-from qnnwitness.propagate import evolve, rk4_step
+from qnnwitness.propagate import evolve, evolve_expm, rk4_step
 from qnnwitness.states import catalog, mix
 from qnnwitness.superop import (
-    _pow,
-    _pow_with_weight,
+    _geometric_sum,
+    chunk_operators,
     dataset_loss_grad,
     propagate_vec,
-    step_operator,
 )
 
 RNG = np.random.default_rng(17)
 
 
-def random_h():
-    v = RNG.uniform(-6.0, 6.0, size=9)
-    from qnnwitness.hamiltonian import build_hamiltonian
-    return build_hamiltonian(v, PLAIN)
+def test_chunk_map_reproduces_rk4():
+    """One chunk's map V (t^n o V^T rho V) V^T is n stepped RK4 steps,
+    on a step large enough that RK4 visibly differs from exp."""
+    values = RNG.uniform(-6.0, 6.0, size=(1, 9))
+    s = Schedule(values, 75.0, ANGULAR)
+    dt, n = 1.5, 50
+    h = s.hamiltonians()[0]
+    rho = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
+    (v, _, _, tn), steps = chunk_operators(s, dt)
+    assert steps == n
+    via_map = v[0] @ (tn[0] * (v[0].T @ rho @ v[0])) @ v[0].T
+    stepped = rho
+    for _ in range(n):
+        stepped = rk4_step(stepped, h, dt)
+    assert np.abs(via_map - stepped).max() < 1e-12
+    assert np.abs(via_map - evolve_expm(rho, s)).max() > 1e-8
 
 
-def test_step_operator_reproduces_rk4():
-    h = random_h()
-    rho = mix(catalog("W"))
-    t, *_ = step_operator(h, 0.25)
-    via_map = (t @ rho.reshape(64)).reshape(8, 8)
-    assert np.abs(via_map - rk4_step(rho, h, 0.25)).max() < 1e-14
+@pytest.mark.parametrize("n", [1, 2, 13, 300])
+def test_geometric_sum(n):
+    """_geometric_sum(x, y, n) is sum_m x^m y^(n-1-m), also where x == y
+    or |x - y| = 1e-12, where (x^n - y^n)/(x - y) would cancel."""
+    x = np.exp(1j * RNG.uniform(-0.5, 0.5, size=6)) * RNG.uniform(0.9, 1.0, size=6)
+    y = np.concatenate([x[:2], x[2:4] + 1e-12, RNG.normal(size=2) * 0.5])
+    ref = np.array([sum(a ** m * b ** (n - 1 - m) for m in range(n))
+                    for a, b in zip(x, y)])
+    got = _geometric_sum(x, y, n)
+    assert np.abs(got - ref).max() < np.abs(ref).max() * 1e-12
+    assert np.abs(got[:2] - n * x[:2] ** (n - 1)).max() < n * 1e-12
 
 
-def test_binary_powering():
-    t = RNG.normal(size=(6, 6))
-    ref = np.linalg.matrix_power(t, 13)
-    assert np.abs(_pow(t, 13) - ref).max() < np.abs(ref).max() * 1e-12
+def summed_stagewise(ds, s, cfg):
+    energy = 0.0
+    grad = np.zeros(s.n_chunks * 9)
+    for pair in ds.pairs:
+        energy += loss(pair, s, cfg).loss
+        grad += backprop_gradient(pair, s, cfg)
+    return energy, grad
 
 
-def test_powering_with_directional_weight():
-    """_pow_with_weight(T, C, n) must return sum_j T^j C T^(n-1-j), the
-    derivative of T^n along dT = C."""
-    t = RNG.normal(size=(5, 5)) * 0.3
-    c = RNG.normal(size=(5, 5))
-    n = 11
-    tn, w = _pow_with_weight(t, c, n)
-    assert np.abs(tn - np.linalg.matrix_power(t, n)).max() < 1e-12
-    ref = sum(np.linalg.matrix_power(t, j) @ c @ np.linalg.matrix_power(t, n - 1 - j)
-              for j in range(n))
-    assert np.abs(w - ref).max() < np.abs(ref).max() * 1e-11
+# schedules whose chunk Hamiltonians have degenerate spectra
+DEGENERATE = {
+    "zero": np.zeros(9),
+    "eps_only": [0, 0, 0, 4.0, 4.0, -2.0, 0, 0, 0],
+    "equal_K": [3.0, 3.0, 3.0, 0, 0, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_spectra_agree_with_stagewise_route(name):
+    s = Schedule(np.tile(DEGENERATE[name], (2, 1)), 75.0, PLAIN)
+    w = np.linalg.eigvalsh(s.hamiltonians()[0])
+    assert np.min(np.diff(w)) < 1e-12
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    cfg = IntegratorConfig(0.25)
+    energy, grad, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    ref_energy, ref_grad = summed_stagewise(ds, s, cfg)
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
 
 
 def test_propagate_vec_matches_direct_integration():
@@ -66,14 +96,14 @@ def test_propagate_vec_matches_direct_integration():
     rhos = np.stack([mix(catalog(n)) for n in names])
     mats, _ = propagate_vec(rhos, s, 0.25)
     direct, _ = evolve(rhos, s, IntegratorConfig(0.25))
-    final = mats[-1]  # 64 x batch
+    final = mats[-1]  # batch x 8 x 8
     for i in range(len(names)):
-        assert np.abs(final[:, i].reshape(8, 8) - direct[i]).max() < 1e-12
+        assert np.abs(final[i] - direct[i]).max() < 1e-12
 
 
 def test_outputs_match_squared_expectations():
-    """The training route reads the diagonal rows of the vectorized state;
-    its outputs must equal the squared readout of the stepped route."""
+    """The training route reads the diagonals of the final states; its
+    outputs must equal the squared readout of the stepped route."""
     s = bundled_schedule("trained_set1")
     ds = load_dataset("set1")
     rhos, targets, mask = ds.arrays()
@@ -113,3 +143,18 @@ def test_dataset_loss_grad_dt_invariance():
     e2, g2, _ = dataset_loss_grad(rhos, targets, mask, s, 0.125)
     assert e1 == pytest.approx(e2, rel=1e-9)
     assert np.abs(g1 - g2).max() < 1e-9
+
+
+@settings(max_examples=4, deadline=None)
+@given(arrays(float, (4, 9), elements=st.floats(-6.0, 6.0)))
+def test_random_schedules_agree_with_stepped_routes(values):
+    s = Schedule(values, 75.0, PLAIN)
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    cfg = IntegratorConfig(0.25)
+    energy, grad, outputs = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    rho_f, _ = evolve(rhos, s, cfg)
+    assert np.abs(outputs - readout(rho_f) ** 2).max() < 1e-12
+    ref_energy, ref_grad = summed_stagewise(ds, s, cfg)
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()

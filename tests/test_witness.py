@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qnnwitness.errors import CalibrationInconclusive
+from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
 from qnnwitness.hamiltonian import Schedule, bundled_schedule
 from qnnwitness.propagate import IntegratorConfig
-from qnnwitness.states import catalog, mix
+from qnnwitness.states import StateSpec, catalog, mix
 from qnnwitness.witness import (
     BELL_REFERENCE,
     calibrate,
@@ -38,6 +38,13 @@ def test_evaluate_accepts_name_spec_and_expression():
     for key in by_name.outputs:
         assert by_name.outputs[key] == pytest.approx(by_spec.outputs[key])
         assert by_name.outputs[key] == pytest.approx(by_expr.outputs[key])
+
+
+def test_evaluate_refuses_a_nan_weight():
+    # a NaN mixture weight used to give NaN outputs labelled "none"
+    with pytest.raises(InvalidWeights):
+        evaluate(StateSpec(weights=(np.nan,), kets=(tuple(np.eye(8)[0]),)),
+                 bundled_schedule("trained_set1"), FAST)
 
 
 def test_trained_network_flags_the_right_pair():
