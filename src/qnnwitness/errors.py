@@ -33,10 +33,6 @@ class ArityError(QnnError, TypeError):
     """Catalog state called with the wrong number of arguments."""
 
 
-class OutOfRange(QnnError, ValueError):
-    """Time or index outside the schedule's domain."""
-
-
 class DivergenceError(QnnError, RuntimeError):
     """Training loss blew up; the learning rate is too large."""
 

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import OutOfRange, QnnError
+from .errors import QnnError
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -47,31 +47,8 @@ DEFAULT_CONVENTION = PLAIN
 DEFAULT_CHUNK_NS = 75.0
 
 
-@dataclass(frozen=True)
-class ParameterSet:
-    K_A: float = 0.0
-    K_B: float = 0.0
-    K_C: float = 0.0
-    eps_A: float = 0.0
-    eps_B: float = 0.0
-    eps_C: float = 0.0
-    zeta_AB: float = 0.0
-    zeta_AC: float = 0.0
-    zeta_BC: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in PARAM_NAMES])
-
-    @classmethod
-    def from_array(cls, values) -> "ParameterSet":
-        values = np.asarray(values, dtype=float).reshape(9)
-        return cls(**dict(zip(PARAM_NAMES, values)))
-
-
 def build_hamiltonian(params, convention: UnitConvention = DEFAULT_CONVENTION):
-    """H/hbar in rad/ns for one parameter set (MHz). Output is real symmetric."""
-    if isinstance(params, ParameterSet):
-        params = params.as_array()
+    """H/hbar in rad/ns for (..., 9) parameter values in MHz; real symmetric."""
     values = np.asarray(params, dtype=float)
     return convention.omega_per_MHz * np.tensordot(values, GENERATORS, axes=(-1, 0))
 
@@ -94,19 +71,6 @@ class Schedule:
     @property
     def n_chunks(self) -> int:
         return self.chunks.shape[0]
-
-    @property
-    def t_f(self) -> float:
-        return self.n_chunks * self.chunk_duration
-
-    def chunk_index(self, t: float) -> int:
-        if t < 0 or t > self.t_f:
-            raise OutOfRange(f"t = {t} outside [0, {self.t_f}] ns")
-        # right-continuous; t = t_f belongs to the last chunk
-        return min(int(t / self.chunk_duration), self.n_chunks - 1)
-
-    def params_at(self, t: float) -> ParameterSet:
-        return ParameterSet.from_array(self.chunks[self.chunk_index(t)])
 
     def hamiltonians(self) -> np.ndarray:
         """(n_chunks, 8, 8) stack of H/hbar per chunk.

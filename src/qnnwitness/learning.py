@@ -6,12 +6,18 @@ is E = 1/2 sum (target - output)^2 over a pair's targets, summed over the
 dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
-the reference: reverse-mode through every recorded RK4 stage of the
-actual stepped integration. The training loop instead calls the fast
+the reference: reverse-mode through every RK4 stage of the actual
+stepped integration, whose stages it recomputes chunk by chunk from the
+recorded step-boundary states. The training loop instead calls the fast
 path in superop.py, which applies each chunk's n RK4 steps at once in
 the eigenbasis of its Hamiltonian and gets the same discrete adjoint
 from the divided-difference form of the derivative of that map; tests
 pin the two routes against each other and against central differences.
+rms_error, the stepped forward pass and readout, is the reference loss.
+
+Every route reads a pair's targets through TrainingPair.arrays, which
+encodes them in OBSERVABLE_IDS order with a 0/1 mask for the ungraded
+outputs.
 """
 from __future__ import annotations
 
@@ -29,7 +35,13 @@ from .errors import DivergenceError, KetSyntaxError
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
 from .ops import OBSERVABLE_IDS, SIGNS, dagger, readout
-from .propagate import DEFAULT_DT_NS, IntegratorConfig, evolve, evolve_batch_h
+from .propagate import (
+    DEFAULT_DT_NS,
+    IntegratorConfig,
+    evolve,
+    evolve_batch_h,
+    rhs,
+)
 from .states import CATALOG_NAMES, StateSpec, catalog, mix
 
 P_STATE_TARGET = 0.44317  # originally trained partial-entanglement value
@@ -85,23 +97,29 @@ class TrainingPair:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"target {key}={value} outside [0, 1]")
 
+    def arrays(self):
+        """(rho, targets, mask): the (8, 8) input density and (4,) target
+        and 0/1 mask rows in OBSERVABLE_IDS order."""
+        targets = np.array([self.targets.get(k, 0.0) for k in OBSERVABLE_IDS],
+                           dtype=float)
+        mask = np.array([k in self.targets for k in OBSERVABLE_IDS],
+                        dtype=float)
+        return mix(self.state), targets, mask
+
 
 @dataclass(frozen=True)
 class Dataset:
     name: str
     pairs: tuple
 
+    def __post_init__(self):
+        if not self.pairs:
+            raise ValueError(f"dataset {self.name!r} has no pairs")
+
     def arrays(self):
         """(rhos, targets, mask) stacks in OBSERVABLE_IDS order."""
-        rhos = np.stack([mix(p.state) for p in self.pairs])
-        targets = np.zeros((len(self.pairs), 4))
-        mask = np.zeros((len(self.pairs), 4))
-        for i, pair in enumerate(self.pairs):
-            for key, value in pair.targets.items():
-                j = OBSERVABLE_IDS.index(key)
-                targets[i, j] = value
-                mask[i, j] = 1.0
-        return rhos, targets, mask
+        rhos, targets, mask = zip(*(p.arrays() for p in self.pairs))
+        return np.stack(rhos), np.stack(targets), np.stack(mask)
 
 
 def _dataset_from_doc(doc: dict) -> Dataset:
@@ -132,8 +150,11 @@ class TrainConfig:
     dt: float = DEFAULT_DT_NS
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive finite "
+                             f"number, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
 
@@ -141,80 +162,50 @@ class TrainConfig:
         return IntegratorConfig(dt=self.dt)
 
 
-@dataclass(frozen=True)
-class LossReport:
-    outputs: dict
-    residuals: dict
-    loss: float
-    rms: float
-
-
-def loss(pair: TrainingPair, s: Schedule,
-         cfg: IntegratorConfig = IntegratorConfig()) -> LossReport:
-    rho_f, _ = evolve(mix(pair.state), s, cfg)
-    expect = readout(rho_f)
-    outputs, residuals = {}, {}
-    for key, target in pair.targets.items():
-        o = expect[OBSERVABLE_IDS.index(key)] ** 2
-        outputs[key] = float(o)
-        residuals[key] = float(target - o)
-    sq = sum(r * r for r in residuals.values())
-    return LossReport(outputs, residuals, 0.5 * sq,
-                      float(np.sqrt(sq / len(residuals))))
-
-
-def _loss_seed(expect: np.ndarray, pair: TrainingPair) -> np.ndarray:
-    """dE/drho(t_f) for one pair, a real diagonal 8x8 matrix."""
-    coeff = np.zeros(4)
-    for key, target in pair.targets.items():
-        j = OBSERVABLE_IDS.index(key)
-        y = expect[j]
-        coeff[j] = -2.0 * (target - y * y) * y
-    return np.diag(coeff @ SIGNS).astype(complex)
-
-
 def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Exact loss gradient by reverse-mode through every RK4 stage.
 
-    Walks the recorded trajectory backward: the adjoint of one RK4 step
-    with generator f(x) = -i[H, x] applies the same stage arithmetic with
-    f+ = -f, and each stage contributes [x_i, w_i+] to the parameter
-    commutator sum. The re-Hermitization between steps is self-adjoint.
+    Walks the recorded trajectory backward a chunk at a time: the adjoint
+    of one RK4 step with generator f(x) = -i[H, x] applies the same stage
+    arithmetic with f+ = -f, and each stage contributes [x_i, w_i+] to the
+    parameter commutator sum. The stage inputs x_2..x_4 of all of a
+    chunk's steps are recomputed from its recorded states in one batched
+    pass. The re-Hermitization between steps is self-adjoint.
     """
     dt = cfg.dt
     steps = cfg.steps_per_chunk(s.chunk_duration)
-    rho_f, traj = evolve(mix(pair.state), s, cfg, record=True, stages=True)
-    expect = readout(rho_f)
+    rho0, targets, mask = pair.arrays()
+    rho_f, traj = evolve(rho0, s, cfg, record=True)
+    y = readout(rho_f)
 
     hs = s.hamiltonians()
     u = s.convention.omega_per_MHz
-    lam = _loss_seed(expect, pair)
+    # dE/drho(t_f) = sum_j -2 resid_j y_j P_j, a real diagonal matrix
+    lam = np.diag((-2.0 * (targets - y * y) * mask * y) @ SIGNS).astype(complex)
     grad = np.zeros((s.n_chunks, 9))
 
     def fdag(h, w):
         return 1j * (h @ w - w @ h)
 
-    total = steps * s.n_chunks
-    for n in range(total - 1, -1, -1):
-        k = n // steps
+    for k in range(s.n_chunks - 1, -1, -1):
         h = hs[k]
-        lam = 0.5 * (lam + dagger(lam))
-        w4 = (dt / 6) * lam
-        w3 = (dt / 3) * lam + dt * fdag(h, w4)
-        w2 = (dt / 3) * lam + (dt / 2) * fdag(h, w3)
-        w1 = (dt / 6) * lam + (dt / 2) * fdag(h, w2)
-        x1 = traj.states[n]
-        k1, k2, k3, _ = traj.stages[n]
-        x2 = x1 + (dt / 2) * k1
-        x3 = x1 + (dt / 2) * k2
-        x4 = x1 + dt * k3
-        c = np.zeros((8, 8), dtype=complex)
-        for x, w in ((x1, w1), (x2, w2), (x3, w3), (x4, w4)):
-            wd = dagger(w)
-            c += x @ wd - wd @ x
-        grad[k] += u * np.einsum("qij,ji->q", GENERATORS, c).imag
-        lam = lam + fdag(h, w1) + fdag(h, w2) + fdag(h, w3) + fdag(h, w4)
+        x1 = traj.states[k * steps:(k + 1) * steps]
+        x2 = x1 + (dt / 2) * rhs(h, x1)
+        x3 = x1 + (dt / 2) * rhs(h, x2)
+        x4 = x1 + dt * rhs(h, x3)
+        for n in range(steps - 1, -1, -1):
+            lam = 0.5 * (lam + dagger(lam))
+            w4 = (dt / 6) * lam
+            w3 = (dt / 3) * lam + dt * fdag(h, w4)
+            w2 = (dt / 3) * lam + (dt / 2) * fdag(h, w3)
+            w1 = (dt / 6) * lam + (dt / 2) * fdag(h, w2)
+            c = np.zeros((8, 8), dtype=complex)
+            for x, w in ((x1[n], w1), (x2[n], w2), (x3[n], w3), (x4[n], w4)):
+                wd = dagger(w)
+                c += x @ wd - wd @ x
+            grad[k] += u * np.einsum("qij,ji->q", GENERATORS, c).imag
+            lam = lam + fdag(h, w1) + fdag(h, w2) + fdag(h, w3) + fdag(h, w4)
     return grad.reshape(-1)
 
 
@@ -241,14 +232,10 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
         hs[k, 2 * m] += h * u * GENERATORS[q]
         hs[k, 2 * m + 1] -= h * u * GENERATORS[q]
 
-    rho0 = np.broadcast_to(mix(pair.state), (2 * n_par, 8, 8))
-    rho_f = evolve_batch_h(rho0, hs, cfg.dt, steps)
+    rho, targets, mask = pair.arrays()
+    rho_f = evolve_batch_h(np.broadcast_to(rho, (2 * n_par, 8, 8)), hs,
+                           cfg.dt, steps)
     expect = readout(rho_f)
-
-    targets = np.array([pair.targets[k] if k in pair.targets else 0.0
-                        for k in OBSERVABLE_IDS])
-    mask = np.array([1.0 if k in pair.targets else 0.0
-                     for k in OBSERVABLE_IDS])
     resid = (targets - expect ** 2) * mask
     energies = 0.5 * np.sum(resid * resid, axis=1)
     return (energies[0::2] - energies[1::2]) / (2 * h)

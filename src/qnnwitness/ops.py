@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ImaginaryTraceError
+from .errors import ImaginaryTraceError, NonFinite
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -60,9 +60,14 @@ def readout(rho: np.ndarray) -> np.ndarray:
     """(..., 8, 8) -> (..., 4): Re tr(rho P_k) in OBSERVABLE_IDS order.
 
     Every P_k is diagonal, so tr(rho P_k) = diag(rho) . SIGNS[k]. A
-    non-negligible imaginary part means a corrupted (non-Hermitian) state.
+    non-finite value means the integration diverged, a non-negligible
+    imaginary part a corrupted (non-Hermitian) state.
     """
     tr = np.einsum("...ii,ki->...k", rho, SIGNS)
+    if not np.all(np.isfinite(tr)):
+        raise NonFinite(
+            "non-finite correlation: the integration diverged "
+            "(dt*|w_j - w_k| above RK4's 2*sqrt(2) stability limit)")
     worst = np.max(np.abs(tr.imag))
     if worst >= HERM_TOL:
         raise ImaginaryTraceError(

@@ -8,14 +8,17 @@ is autonomous. The state is re-Hermitized after every step; the trace is
 deliberately NOT renormalized, so trace drift stays visible as a
 correctness signal.
 
-All stepping routines broadcast over leading batch axes of rho (and of h,
-when given a matching stack), which keeps parameter scans and
-finite-difference sweeps cheap.
+evolve, evolve_batch_h and rk4_step share one stepping loop, which holds
+the RK4 stage arithmetic and broadcasts over leading batch axes of rho
+(and of h, when given a matching stack), so parameter scans and
+finite-difference sweeps run as one batch. A recorded trajectory keeps
+only the states at the step boundaries: the reference adjoint recomputes
+each step's RK4 stages from them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,8 +33,9 @@ class IntegratorConfig:
     dt: float = DEFAULT_DT_NS
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(
+                f"dt must be a positive finite number of ns, got {self.dt}")
 
     def steps_per_chunk(self, chunk_duration: float) -> int:
         ratio = chunk_duration / self.dt
@@ -45,15 +49,10 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded states at every step boundary, t = 0 through t_f.
-
-    When stage recording is on, ``stages[n]`` holds the four RK4 slopes
-    (k1..k4) of step n, which the discrete adjoint needs to be exact.
-    """
+    """Recorded states at every step boundary, t = 0 through t_f."""
 
     times: np.ndarray
     states: np.ndarray
-    stages: Optional[np.ndarray] = None
 
 
 def rhs(h_over_hbar: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -61,57 +60,58 @@ def rhs(h_over_hbar: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return -1j * (h_over_hbar @ rho - rho @ h_over_hbar)
 
 
-def _rk4_stages(rho, h, dt):
-    k1 = rhs(h, rho)
-    k2 = rhs(h, rho + (dt / 2) * k1)
-    k3 = rhs(h, rho + (dt / 2) * k2)
-    k4 = rhs(h, rho + dt * k3)
-    return k1, k2, k3, k4
-
-
-def rk4_step(rho: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step with H constant over the step."""
-    k1, k2, k3, k4 = _rk4_stages(rho, h, dt)
-    return rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _rehermitize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + dagger(rho))
 
 
+def _stepped(rho, hs, dt, steps_per_chunk, states=None):
+    """steps_per_chunk re-Hermitized RK4 steps under each H of hs in turn;
+    step n's result goes to states[n + 1] when states is given.
+
+    The stages are computed here rather than in a per-step call so that
+    k1..k4 stay bound until the next step replaces them. Freeing all four
+    at every step boundary lets the C allocator return large-batch
+    buffers to the OS and fault them in again on the next step, which
+    makes batched sweeps measurably slower.
+    """
+    n = 0
+    for h in hs:
+        for _ in range(steps_per_chunk):
+            k1 = rhs(h, rho)
+            k2 = rhs(h, rho + (dt / 2) * k1)
+            k3 = rhs(h, rho + (dt / 2) * k2)
+            k4 = rhs(h, rho + dt * k3)
+            rho = _rehermitize(rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+            n += 1
+            if states is not None:
+                states[n] = rho
+    return rho
+
+
+def rk4_step(rho: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step with H constant over the step,
+    re-Hermitized as every stepped route takes it."""
+    return _stepped(rho, (h,), dt, 1)
+
+
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
-           record: bool = False, stages: bool = False):
+           record: bool = False):
     """Propagate rho0 through the whole schedule.
 
     Returns (rho_f, Trajectory or None). rho0 may carry leading batch
-    axes. Recording stores every step boundary; stage recording
-    additionally keeps the RK4 slopes for the adjoint pass.
+    axes. Recording stores every step boundary, which is all the
+    reference adjoint in learning.py needs.
     """
     rho = np.asarray(rho0, dtype=complex)
     steps = cfg.steps_per_chunk(s.chunk_duration)
     hs = s.hamiltonians()
+    if not record:
+        return _stepped(rho, hs, cfg.dt, steps), None
     total = steps * s.n_chunks
-
-    times = states = stage_log = None
-    if record:
-        times = np.arange(total + 1) * cfg.dt
-        states = np.empty((total + 1,) + rho.shape, dtype=complex)
-        states[0] = rho
-        if stages:
-            stage_log = np.empty((total, 4) + rho.shape, dtype=complex)
-
-    n = 0
-    for h in hs:
-        for _ in range(steps):
-            k1, k2, k3, k4 = _rk4_stages(rho, h, cfg.dt)
-            rho = _rehermitize(rho + (cfg.dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-            n += 1
-            if record:
-                states[n] = rho
-                if stages:
-                    stage_log[n - 1] = (k1, k2, k3, k4)
-    traj = Trajectory(times, states, stage_log) if record else None
-    return rho, traj
+    states = np.empty((total + 1,) + rho.shape, dtype=complex)
+    states[0] = rho
+    rho = _stepped(rho, hs, cfg.dt, steps, states)
+    return rho, Trajectory(np.arange(total + 1) * cfg.dt, states)
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
@@ -122,11 +122,7 @@ def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
     Used by the finite-difference gradient, which perturbs one schedule
     entry per batch element.
     """
-    rho = np.asarray(rho0, dtype=complex)
-    for h in hs:
-        for _ in range(steps_per_chunk):
-            rho = _rehermitize(rk4_step(rho, h, dt))
-    return rho
+    return _stepped(np.asarray(rho0, dtype=complex), hs, dt, steps_per_chunk)
 
 
 def evolve_expm(rho0, s: Schedule) -> np.ndarray:

@@ -102,6 +102,25 @@ def test_exit_codes(isolated_config, capsys):
                          "--state", "mix{1/sqrt(0): |000>, 0.5: |001>}")
     assert code == 2 and out == "" and "finite" in err
 
+    # a schedule that makes stepped RK4 overflow at dt 0.25: domain error,
+    # not NaN outputs labelled "none"
+    huge = isolated_config.parent / "huge.json"
+    huge.write_text(json.dumps({"chunks": [[2000.0] * 9] * 4}))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "evaluate", "--params", str(huge),
+                             "--state", "W", "--dt", "0.25")
+    assert code == 1 and out == "" and "diverged" in err
+
+    # config values that are not finite or out of range: usage error
+    for argv, field in ((("train", "--dataset", "set1", "--lr", "nan"),
+                         "learning_rate"),
+                        (("train", "--dataset", "set1", "--epochs", "-3"),
+                         "epochs"),
+                        (("evaluate", "--params", "set1", "--state", "W",
+                          "--dt", "nan"), "dt")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and field in err
+
     # missing file: failure exit
     code, _, err = run(capsys, "evaluate", "--params", "/no/such/file.json",
                        "--state", "W")

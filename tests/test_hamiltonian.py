@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qnnwitness.errors import OutOfRange, QnnError
+from qnnwitness.errors import QnnError
 from qnnwitness.hamiltonian import (
     ANGULAR,
     BUNDLED_SCHEDULES,
@@ -12,7 +12,6 @@ from qnnwitness.hamiltonian import (
     GENERATORS,
     PARAM_NAMES,
     PLAIN,
-    ParameterSet,
     Schedule,
     build_hamiltonian,
     bundled_schedule,
@@ -63,27 +62,6 @@ def test_build_hamiltonian_broadcasts_over_chunks():
         assert np.allclose(stacked[k], build_hamiltonian(chunks[k], PLAIN))
 
 
-def test_parameter_set_round_trip():
-    values = RNG.normal(size=9)
-    ps = ParameterSet.from_array(values)
-    assert np.allclose(ps.as_array(), values)
-    assert ps.K_A == values[0] and ps.zeta_BC == values[8]
-
-
-def test_schedule_chunk_lookup():
-    s = Schedule(RNG.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
-    assert s.n_chunks == 4
-    assert s.t_f == pytest.approx(300.0)
-    assert s.chunk_index(0.0) == 0
-    assert s.chunk_index(74.999) == 0
-    assert s.chunk_index(75.0) == 1
-    assert s.chunk_index(300.0) == 3  # final instant belongs to the last chunk
-    with pytest.raises(OutOfRange):
-        s.chunk_index(-1.0)
-    with pytest.raises(OutOfRange):
-        s.chunk_index(300.1)
-
-
 def test_schedule_rejects_non_finite_values_and_bad_duration():
     chunks = RNG.normal(size=(4, 9))
     for duration in (0.0, -75.0, np.nan, np.inf):
@@ -95,12 +73,6 @@ def test_schedule_rejects_non_finite_values_and_bad_duration():
         s = Schedule(corrupt, DEFAULT_CHUNK_NS, PLAIN)
         with pytest.raises(QnnError):
             s.hamiltonians()
-
-
-def test_params_at_returns_chunk_values():
-    chunks = RNG.normal(size=(4, 9))
-    s = Schedule(chunks, DEFAULT_CHUNK_NS, PLAIN)
-    assert np.allclose(s.params_at(80.0).as_array(), chunks[1])
 
 
 def test_flatten_unflatten_round_trip():

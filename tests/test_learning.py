@@ -14,12 +14,13 @@ from qnnwitness.learning import (
     fd_gradient,
     history_csv,
     load_dataset,
-    loss,
     resolve_state,
     rms_error,
     train,
 )
-from qnnwitness.states import catalog, StateSpec
+from qnnwitness.ops import OBSERVABLE_IDS, readout
+from qnnwitness.propagate import evolve
+from qnnwitness.states import catalog, mix, StateSpec
 
 RNG = np.random.default_rng(19)
 
@@ -51,6 +52,8 @@ def test_training_pair_validation():
         TrainingPair(spec, {"XY": 0.5})
     with pytest.raises(ValueError):
         TrainingPair(spec, {"AB": 1.5})
+    with pytest.raises(ValueError, match="no pairs"):
+        Dataset("empty", ())
 
 
 def test_bundled_datasets():
@@ -83,14 +86,24 @@ def test_dataset_arrays_shapes():
     assert mask[:, 3].sum() == 0
 
 
-def test_loss_report_arithmetic():
+def stepped_outputs(spec, s, cfg):
+    """{observable id: squared output} from the stepped forward pass."""
+    rho_f, _ = evolve(mix(spec), s, cfg)
+    return dict(zip(OBSERVABLE_IDS, map(float, readout(rho_f) ** 2)))
+
+
+def test_pair_arrays_and_rms_arithmetic():
     s = bundled_schedule("trained_set1")
-    pair = TrainingPair(catalog("Bell_AB"), {"AB": 1.0, "AC": 0.0, "BC": 0.0})
-    rep = loss(pair, s, IntegratorConfig(0.25))
-    resid = np.array([1.0 - rep.outputs["AB"],
-                      -rep.outputs["AC"], -rep.outputs["BC"]])
-    assert rep.loss == pytest.approx(0.5 * np.sum(resid ** 2))
-    assert rep.rms == pytest.approx(np.sqrt(np.mean(resid ** 2)))
+    cfg = IntegratorConfig(0.25)
+    pair = TrainingPair(catalog("Bell_AB"), {"BC": 0.0, "AB": 1.0, "ABC": 0.5})
+    rho, targets, mask = pair.arrays()
+    assert np.array_equal(rho, mix(catalog("Bell_AB")))
+    assert targets.tolist() == [1.0, 0.0, 0.0, 0.5]
+    assert mask.tolist() == [1.0, 0.0, 1.0, 1.0]
+    out = stepped_outputs(pair.state, s, cfg)
+    resid = np.array([1.0 - out["AB"], -out["BC"], 0.5 - out["ABC"]])
+    assert rms_error(Dataset("one", (pair,)), s, cfg) == pytest.approx(
+        np.sqrt(np.mean(resid ** 2)))
 
 
 def test_gradient_against_finite_differences():
@@ -127,9 +140,8 @@ def test_gradient_vanishes_at_exact_fit():
     reverse pass must return an exactly zero gradient."""
     s = random_schedule()
     cfg = IntegratorConfig(0.25)
-    probe = TrainingPair(catalog("W"), dict(ZERO_TARGETS))
     fitted = TrainingPair(catalog("W"),
-                          loss(probe, s, cfg).outputs)
+                          stepped_outputs(catalog("W"), s, cfg))
     g = backprop_gradient(fitted, s, cfg)
     assert np.abs(g).max() < 1e-14
 
@@ -138,13 +150,10 @@ def test_outputs_ignore_global_phase():
     s = bundled_schedule("set1")
     cfg = IntegratorConfig(0.25)
     base = catalog("GHZ_minus").ket
-    a = TrainingPair(StateSpec.pure(base), dict(ZERO_TARGETS))
-    b = TrainingPair(StateSpec.pure(base * np.exp(0.77j)),
-                     dict(ZERO_TARGETS))
-    ra = loss(a, s, cfg)
-    rb = loss(b, s, cfg)
-    for key in ra.outputs:
-        assert ra.outputs[key] == pytest.approx(rb.outputs[key], abs=1e-12)
+    ra = stepped_outputs(StateSpec.pure(base), s, cfg)
+    rb = stepped_outputs(StateSpec.pure(base * np.exp(0.77j)), s, cfg)
+    for key in ra:
+        assert ra[key] == pytest.approx(rb[key], abs=1e-12)
 
 
 def test_rms_error_counts_only_graded_outputs():
@@ -153,8 +162,8 @@ def test_rms_error_counts_only_graded_outputs():
     ds = load_dataset("set1")
     total = 0.0
     for pair in ds.pairs:
-        rep = loss(pair, s, cfg)
-        total += sum(r ** 2 for r in rep.residuals.values())
+        out = stepped_outputs(pair.state, s, cfg)
+        total += sum((t - out[k]) ** 2 for k, t in pair.targets.items())
     assert rms_error(ds, s, cfg) == pytest.approx(np.sqrt(total / 36.0))
 
 
@@ -177,10 +186,15 @@ def test_train_descends_and_is_deterministic():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-3)
+    with pytest.raises(ValueError, match="dt"):
+        TrainConfig(dt=np.nan).integrator()
 
 
 def test_train_raises_on_divergence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnnwitness.errors import ImaginaryTraceError
+from qnnwitness.errors import ImaginaryTraceError, NonFinite
 from qnnwitness.ops import (
     OBSERVABLE_IDS,
     OBSERVABLES,
@@ -82,6 +82,18 @@ def test_expectation_rejects_complex_trace():
                 np.stack([rho, rho + 1e-9j * e7])):
         with pytest.raises(ImaginaryTraceError):
             readout(bad)
+
+
+def test_readout_rejects_non_finite_correlations():
+    # NaN fails every comparison, so the imaginary-part guard alone let a
+    # diverged state through as NaN outputs
+    rho = random_density()
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        bad = rho.copy()
+        bad[3, 3] = value
+        for batch in (bad, np.stack([rho, bad])):
+            with pytest.raises(NonFinite, match="diverged"):
+                readout(batch)
 
 
 def test_commutator_of_commuting_operators_vanishes():

@@ -27,8 +27,9 @@ def test_config_validates_step():
     assert IntegratorConfig().dt == DEFAULT_DT_NS
     with pytest.raises(ValueError):
         IntegratorConfig(0.4).steps_per_chunk(75.0)  # 187.5 steps
-    with pytest.raises(ValueError):
-        IntegratorConfig(-0.1)
+    for dt in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            IntegratorConfig(dt)
 
 
 def test_single_qubit_drive_matches_rabi_formula():
@@ -135,10 +136,13 @@ def test_trajectory_recording():
     assert np.array_equal(traj.states[-1], rho_f)
 
 
-def test_stage_recording_reproduces_steps():
+def test_recorded_states_are_rk4_steps():
+    """Each recorded state is the RK4 step of the one before it, under the
+    Hamiltonian of the chunk that step lies in."""
     cfg = IntegratorConfig(0.25)
-    _, traj = evolve(BELL, SET1, cfg, record=True, stages=True)
-    h = SET1.hamiltonians()[0]
-    k1 = traj.stages[0][0]
-    from qnnwitness.propagate import rhs
-    assert np.abs(k1 - rhs(h, traj.states[0])).max() < 1e-15
+    steps = cfg.steps_per_chunk(75.0)
+    _, traj = evolve(BELL, SET1, cfg, record=True)
+    hs = SET1.hamiltonians()
+    for n in (0, 1, steps - 1, steps, 4 * steps - 1):
+        assert np.array_equal(traj.states[n + 1],
+                              rk4_step(traj.states[n], hs[n // steps], cfg.dt))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
 from qnnwitness.hamiltonian import Schedule, bundled_schedule
-from qnnwitness.propagate import IntegratorConfig
+from qnnwitness.ops import readout
+from qnnwitness.propagate import IntegratorConfig, evolve
 from qnnwitness.states import StateSpec, catalog, mix
 from qnnwitness.witness import (
     BELL_REFERENCE,
@@ -69,8 +73,6 @@ def test_evaluate_many_matches_single_calls():
 def test_final_density_is_linear_in_the_input():
     """Mixing two inputs mixes their final densities, so every signed
     final-time expectation is the weighted sum of the parts."""
-    from qnnwitness.ops import readout
-    from qnnwitness.propagate import evolve
     s = bundled_schedule("trained_set2")
     a = mix(catalog("GHZ_plus"))
     b = mix(catalog("W"))
@@ -78,6 +80,28 @@ def test_final_density_is_linear_in_the_input():
     finals, _ = evolve(np.stack([a, b, blend]), s, FAST)
     ea, eb, eblend = readout(finals)
     assert np.abs(eblend - (0.3 * ea + 0.7 * eb)).max() < 1e-10
+
+
+@settings(max_examples=12, deadline=None)
+@given(arrays(float, (2, 2, 8), elements=st.floats(-1.0, 1.0)),
+       st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi))
+def test_outputs_are_bounded_phase_free_and_linear_in_weights(
+        parts, weight, phase):
+    kets = parts[:, 0] + 1j * parts[:, 1]
+    assume(np.linalg.norm(kets, axis=1).min() > 1e-3)
+    a, b = (StateSpec.pure(k) for k in kets)
+    blend = StateSpec.mixture([(weight, kets[0]), (1.0 - weight, kets[1])])
+    rhos = np.stack([mix(a), mix(b), mix(blend),
+                     mix(StateSpec.pure(a.ket * np.exp(1j * phase)))])
+    s = bundled_schedule("trained_set2")
+
+    out = evaluate_many(rhos, s, FAST)
+    assert np.all((out >= 0.0) & (out <= 1.0))
+    assert np.abs(out[3] - out[0]).max() <= 1e-12
+
+    finals, _ = evolve(rhos[:3], s, FAST)
+    ea, eb, eblend = readout(finals)
+    assert np.abs(eblend - (weight * ea + (1.0 - weight) * eb)).max() <= 1e-12
 
 
 def test_calibration_selects_matching_convention():
