@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import learning, witness
-from .errors import ArityError, KetSyntaxError, QnnError
+from .errors import ArityError, KetSyntaxError, QnnError, json_value
 from .hamiltonian import (
     BUNDLED_SCHEDULES,
     CONVENTIONS,
@@ -40,15 +40,25 @@ def config_path() -> Path:
     return Path.home() / ".config" / "qnnwitness.json"
 
 
+# the config file's fields and the JSON kind each must have
+CONFIG_FIELDS = {"epochs": int, "learning_rate": float, "momentum": float,
+                 "dt": float, "convention": str}
+
+
 def load_config() -> dict:
     path = config_path()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         return {}
     except json.JSONDecodeError as exc:
         raise QnnError(f"config file {path} is not valid JSON: {exc}")
+    json_value(config, dict, f"config file {path}")
+    for key, kind in CONFIG_FIELDS.items():
+        if key in config:
+            json_value(config[key], kind, key)
+    return config
 
 
 def save_config(updates: dict) -> Path:
@@ -287,7 +297,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every subcommand refuses a non-finite result (the readout raises
+        # NonFinite, training DivergenceError), so numpy's overflow warnings
+        # on the way there would only precede that message.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except KetSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check that
+every JSON input document (config, schedule, dataset) applies."""
+
+_JSON_KINDS = {float: "a number", int: "an integer", str: "a string",
+               list: "an array", dict: "an object"}
+
+
+def json_value(value, kind: type, field: str):
+    """value if it is a JSON value of kind (float: any number; neither
+    number kind accepts a boolean), else a ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, "
+                         f"got {value!r:.40}")
+    return value
 
 
 class QnnError(Exception):

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import QnnError
+from .errors import QnnError, json_value
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -105,10 +105,16 @@ def save_schedule(s: Schedule, path) -> None:
 
 
 def _schedule_from_doc(doc: dict, default_convention=None) -> Schedule:
+    json_value(doc, dict, "schedule")
     fallback = (default_convention or DEFAULT_CONVENTION).name
-    convention = CONVENTIONS[doc.get("convention", fallback)]
-    return Schedule(np.array(doc["chunks"], dtype=float),
-                    float(doc.get("chunk_duration_ns", DEFAULT_CHUNK_NS)),
+    convention = CONVENTIONS[json_value(doc.get("convention", fallback), str,
+                                        "convention")]
+    chunks = [[json_value(v, float, "chunk value")
+               for v in json_value(row, list, "chunks row")]
+              for row in json_value(doc["chunks"], list, "chunks")]
+    duration = doc.get("chunk_duration_ns", DEFAULT_CHUNK_NS)
+    return Schedule(np.array(chunks, dtype=float),
+                    float(json_value(duration, float, "chunk_duration_ns")),
                     convention)
 
 

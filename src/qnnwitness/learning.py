@@ -7,8 +7,8 @@ dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
 the reference: reverse-mode through every RK4 stage of the actual
-stepped integration, whose stages it recomputes chunk by chunk from the
-recorded step-boundary states. The training loop instead calls the fast
+stepped integration, stepping the adjoint state back with the same RK4
+loop under -H. The training loop instead calls the fast
 path in superop.py, which applies each chunk's n RK4 steps at once in
 the eigenbasis of its Hamiltonian and gets the same discrete adjoint
 from the divided-difference form of the derivative of that map; tests
@@ -31,13 +31,14 @@ from importlib import resources
 import numpy as np
 
 from . import superop
-from .errors import DivergenceError, KetSyntaxError
+from .errors import DivergenceError, KetSyntaxError, json_value
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
-from .ops import OBSERVABLE_IDS, SIGNS, dagger, readout
+from .ops import OBSERVABLE_IDS, SIGNS, readout
 from .propagate import (
     DEFAULT_DT_NS,
     IntegratorConfig,
+    _stepped,
     evolve,
     evolve_batch_h,
     rhs,
@@ -123,11 +124,17 @@ class Dataset:
 
 
 def _dataset_from_doc(doc: dict) -> Dataset:
-    pairs = tuple(
-        TrainingPair(resolve_state(entry["state"]),
-                     {k: float(v) for k, v in entry["targets"].items()})
-        for entry in doc["pairs"])
-    return Dataset(doc.get("name", "dataset"), pairs)
+    json_value(doc, dict, "dataset")
+    pairs = []
+    for entry in json_value(doc["pairs"], list, "pairs"):
+        json_value(entry, dict, "pair")
+        targets = json_value(entry["targets"], dict, "targets")
+        pairs.append(TrainingPair(
+            resolve_state(json_value(entry["state"], str, "state")),
+            {k: float(json_value(v, float, f"target {k}"))
+             for k, v in targets.items()}))
+    return Dataset(json_value(doc.get("name", "dataset"), str, "name"),
+                   tuple(pairs))
 
 
 def load_dataset(source) -> Dataset:
@@ -166,12 +173,15 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Exact loss gradient by reverse-mode through every RK4 stage.
 
-    Walks the recorded trajectory backward a chunk at a time: the adjoint
-    of one RK4 step with generator f(x) = -i[H, x] applies the same stage
-    arithmetic with f+ = -f, and each stage contributes [x_i, w_i+] to the
-    parameter commutator sum. The stage inputs x_2..x_4 of all of a
-    chunk's steps are recomputed from its recorded states in one batched
-    pass. The re-Hermitization between steps is self-adjoint.
+    With H constant, an RK4 step is P(dt F) for a real-coefficient quartic
+    P and F x = -i[H, x]; F+ = -F, so the adjoint of a step is the same
+    step under -H, and that of the re-Hermitization after it is itself.
+    The stepped loop thus walks the adjoint state back a chunk at a time,
+    recording it at every step. From those records and the recomputed
+    stage inputs x_1..x_4, the stage adjoints w_4..w_1 of all of a chunk's
+    steps are built at once; stage i adds Im tr(G [x_i, w_i]) to generator
+    G's derivative, which is 2 Im tr(G x_i w_i) because x_i, w_i are
+    Hermitian and G real symmetric.
     """
     dt = cfg.dt
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -184,28 +194,23 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     # dE/drho(t_f) = sum_j -2 resid_j y_j P_j, a real diagonal matrix
     lam = np.diag((-2.0 * (targets - y * y) * mask * y) @ SIGNS).astype(complex)
     grad = np.zeros((s.n_chunks, 9))
-
-    def fdag(h, w):
-        return 1j * (h @ w - w @ h)
-
+    lams = np.empty((steps + 1, 8, 8), dtype=complex)
     for k in range(s.n_chunks - 1, -1, -1):
         h = hs[k]
         x1 = traj.states[k * steps:(k + 1) * steps]
         x2 = x1 + (dt / 2) * rhs(h, x1)
         x3 = x1 + (dt / 2) * rhs(h, x2)
         x4 = x1 + dt * rhs(h, x3)
-        for n in range(steps - 1, -1, -1):
-            lam = 0.5 * (lam + dagger(lam))
-            w4 = (dt / 6) * lam
-            w3 = (dt / 3) * lam + dt * fdag(h, w4)
-            w2 = (dt / 3) * lam + (dt / 2) * fdag(h, w3)
-            w1 = (dt / 6) * lam + (dt / 2) * fdag(h, w2)
-            c = np.zeros((8, 8), dtype=complex)
-            for x, w in ((x1[n], w1), (x2[n], w2), (x3[n], w3), (x4[n], w4)):
-                wd = dagger(w)
-                c += x @ wd - wd @ x
-            grad[k] += u * np.einsum("qij,ji->q", GENERATORS, c).imag
-            lam = lam + fdag(h, w1) + fdag(h, w2) + fdag(h, w3) + fdag(h, w4)
+        lams[0] = lam
+        lam = _stepped(lam, (-h,), dt, steps, lams)
+        back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
+        w = (dt / 6) * back
+        c = np.einsum("nij,njk->ik", x4, w)
+        for x, a, b in ((x3, dt / 3, dt), (x2, dt / 3, dt / 2),
+                        (x1, dt / 6, dt / 2)):
+            w = a * back + b * rhs(-h, w)
+            c += np.einsum("nij,njk->ik", x, w)
+        grad[k] = 2 * u * np.einsum("qij,ji->q", GENERATORS, c).imag
     return grad.reshape(-1)
 
 

@@ -24,8 +24,11 @@ d(T^n) = Phi o dF, with, for index pairs a = (j, k) and b,
 where P[x, y] is the divided difference of the quartic and
 S_n(x, y) = sum_m x^m y^(n-1-m); both are written without division, so
 degenerate spectra need no special case. A generator G enters dF as
--i u (g x I - I x g) with g = V^T G V, so only the two faces
-Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] of Phi are ever read.
+-i u (g x I - I x g) with g = V^T G V, so only the faces
+Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] enter, contracted with lam and rho
+into L and R. V is real and lam, rho are Hermitian (a real diagonal seed,
+inputs from mix, and a map with t_kj = conj(t_jk)), so R = conj(L) and
+V (L - R) V^T = 2i V (Im L) V^T: one face and one contraction suffice.
 
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
@@ -113,15 +116,12 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
         lam = v[k] @ (tn[k].conj() * lam_eig[k]) @ vt[k]
     rho_eig = vt[:, None] @ boundaries[:-1] @ v[:, None]
 
-    # faces [c, j, l, k] = Phi[(j,k),(l,k)] and [c, j, k, m] = Phi[(j,k),(j,m)]
-    phi_l = (dt * _quartic_divided_difference(mu[:, :, None], mu[:, None])
-             * _geometric_sum(t[:, :, None], t[:, None], steps))
-    phi_r = (dt * _quartic_divided_difference(mu[..., None], mu[:, :, None])
-             * _geometric_sum(t[..., None], t[:, :, None], steps))
-    lam_c = lam_eig.conj()
-    left = np.einsum("cjlk,cbjk,cblk->cjl", phi_l, lam_c, rho_eig)
-    right = np.einsum("cjkm,cbjk,cbjm->ckm", phi_r, lam_c, rho_eig)
-    dm = v @ (left - right) @ vt
-    grad = s.convention.omega_per_MHz * np.einsum(
-        "qac,kac->kq", GENERATORS, dm).imag
+    # face [c, j, l, k] = Phi[(j,k),(l,k)]; the other face's contraction
+    # is the conjugate of this one, so V (L - R) V^T = 2i V (Im L) V^T
+    phi = (dt * _quartic_divided_difference(mu[:, :, None], mu[:, None])
+           * _geometric_sum(t[:, :, None], t[:, None], steps))
+    left = np.einsum("cjlk,cbjk,cblk->cjl", phi, lam_eig.conj(), rho_eig)
+    dm = v @ left.imag @ vt
+    grad = 2 * s.convention.omega_per_MHz * np.einsum(
+        "qac,kac->kq", GENERATORS, dm)
     return loss, grad.reshape(-1), outputs

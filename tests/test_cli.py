@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -102,14 +103,21 @@ def test_exit_codes(isolated_config, capsys):
                          "--state", "mix{1/sqrt(0): |000>, 0.5: |001>}")
     assert code == 2 and out == "" and "finite" in err
 
-    # a schedule that makes stepped RK4 overflow at dt 0.25: domain error,
-    # not NaN outputs labelled "none"
+    # a schedule that makes RK4 overflow at dt 0.25: domain error, not NaN
+    # outputs labelled "none", and no numpy warning on the way there
     huge = isolated_config.parent / "huge.json"
     huge.write_text(json.dumps({"chunks": [[2000.0] * 9] * 4}))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = run(capsys, "evaluate", "--params", str(huge),
                              "--state", "W", "--dt", "0.25")
-    assert code == 1 and out == "" and "diverged" in err
+        assert code == 1 and out == "" and "diverged" in err
+        code, out, err = run(capsys, "grad-check", "--params", str(huge),
+                             "--state", "W", "--dt", "0.25")
+        assert code == 1 and out == "" and "diverged" in err
+        code, out, err = run(capsys, "train", "--dataset", "set1", "--init",
+                             str(huge), "--dt", "0.25", "--epochs", "3")
+        assert code == 1 and out == "" and "non-finite" in err
 
     # config values that are not finite or out of range: usage error
     for argv, field in ((("train", "--dataset", "set1", "--lr", "nan"),
@@ -141,6 +149,55 @@ def test_exit_codes(isolated_config, capsys):
                   f"--h={step}"])
         assert exc.value.code == 2
         assert "positive finite" in capsys.readouterr().err
+
+
+ROW = [0.0] * 9
+
+# (subcommand, file option, document, field the error names): each is a
+# usage error (exit 2) with nothing on stdout, never a traceback or a
+# silent reading of a wrong-typed value
+MISTYPED_FILES = [
+    ("config", None, {"dt": None}, "dt"),
+    ("config", None, {"dt": [0.25]}, "dt"),
+    ("config", None, {"dt": True}, "dt"),
+    ("config", None, [], "config file"),
+    ("config", None, {"convention": ["plain"]}, "convention"),
+    ("config", None, {"epochs": 2.7}, "epochs"),
+    ("config", None, {"epochs": True}, "epochs"),
+    ("config", None, {"learning_rate": "0.003"}, "learning_rate"),
+    ("schedule", "--init", [], "schedule"),
+    ("schedule", "--init", {"chunks": [ROW] * 4, "chunk_duration_ns": None},
+     "chunk_duration_ns"),
+    ("schedule", "--init", {"chunks": [ROW] * 4, "convention": ["plain"]},
+     "convention"),
+    ("schedule", "--init", {"chunks": [[True] * 9] * 4}, "chunk value"),
+    ("schedule", "--init", {"chunks": 5}, "chunks"),
+    ("dataset", "--dataset", [], "dataset"),
+    ("dataset", "--dataset", {"pairs": [{"state": "W",
+                                         "targets": {"AB": None}}]}, "AB"),
+    ("dataset", "--dataset", {"pairs": [{"state": "W",
+                                         "targets": {"AB": True}}]}, "AB"),
+    ("dataset", "--dataset", {"pairs": [{"state": 5,
+                                         "targets": {"AB": 1.0}}]}, "state"),
+    ("dataset", "--dataset", {"name": 3, "pairs": [{"state": "W",
+                                                    "targets": {"AB": 1.0}}]},
+     "name"),
+    ("dataset", "--dataset", {"pairs": 3}, "pairs"),
+]
+
+
+@pytest.mark.parametrize("kind, option, doc, field", MISTYPED_FILES)
+def test_mistyped_json_files_are_usage_errors(isolated_config, tmp_path,
+                                              capsys, kind, option, doc,
+                                              field):
+    path = isolated_config if option is None else tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    files = {"--dataset": "set1", "--init": "initial"}
+    if option is not None:
+        files[option] = str(path)
+    code, out, err = run(capsys, "train", "--epochs", "1", "--dt", "0.25",
+                         *(word for item in files.items() for word in item))
+    assert code == 2 and out == "" and field in err
 
 
 # state text -> the state it names, or (API error, CLI exit code, stderr word)

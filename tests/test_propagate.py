@@ -146,3 +146,21 @@ def test_recorded_states_are_rk4_steps():
     for n in (0, 1, steps - 1, steps, 4 * steps - 1):
         assert np.array_equal(traj.states[n + 1],
                               rk4_step(traj.states[n], hs[n // steps], cfg.dt))
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_rk4_step_adjoint_is_the_step_under_minus_h(n):
+    """<A, T^n B> = <T'^n A, B> for T one RK4 step under H and T' one
+    under -H: the identity the reference adjoint steps its state back by."""
+    g = RNG.normal(size=(8, 8))
+    h = g + g.T
+    a, b = (m + m.conj().T for m in (RNG.normal(size=(2, 8, 8))
+                                     + 1j * RNG.normal(size=(2, 8, 8))))
+    forward, backward, same_sign = b, a, a
+    for _ in range(n):
+        forward = rk4_step(forward, h, 0.1)
+        backward = rk4_step(backward, -h, 0.1)
+        same_sign = rk4_step(same_sign, h, 0.1)
+    lhs = np.trace(a @ forward).real
+    assert lhs == pytest.approx(np.trace(backward @ b).real, abs=1e-12)
+    assert abs(lhs - np.trace(same_sign @ b).real) > 1e-3

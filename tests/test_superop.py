@@ -140,8 +140,10 @@ def test_dataset_loss_grad_agrees_with_stagewise_route():
 
 
 def test_dataset_loss_grad_dt_invariance():
-    # the one-step map is the exact RK4 polynomial at any dt, so halving
-    # dt must leave loss and gradient essentially unchanged
+    # P(dt F)^(75/dt) depends on dt, but RK4's error per step is
+    # O((dt dw)^5), dw the largest eigenvalue gap of a chunk Hamiltonian,
+    # and dt dw is below 0.004 on set1 at dt 0.25, so halving dt must
+    # leave loss and gradient essentially unchanged
     s = bundled_schedule("set1")
     rhos, targets, mask = load_dataset("set1").arrays()
     e1, g1, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
