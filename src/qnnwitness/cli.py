@@ -8,7 +8,6 @@ parse errors.
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -16,18 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from . import learning, witness
-from .errors import ArityError, KetSyntaxError, QnnError, json_value
+from .errors import ArityError, KetSyntaxError, QnnError, json_value, read_json
 from .hamiltonian import (
     BUNDLED_SCHEDULES,
-    CONVENTIONS,
     PARAM_NAMES,
     resolve_schedule,
     save_schedule,
+    unit_convention,
 )
 from .ketexpr import render
 from .learning import TrainConfig, TrainingPair, load_dataset
 from .ops import OBSERVABLE_IDS
-from .propagate import DEFAULT_DT_NS, IntegratorConfig
+from .propagate import IntegratorConfig
 from .states import CATALOG_NAMES, catalog
 
 CONFIG_ENV = "QNNWITNESS_CONFIG"
@@ -40,24 +39,23 @@ def config_path() -> Path:
     return Path.home() / ".config" / "qnnwitness.json"
 
 
-# the config file's fields and the JSON kind each must have
+# the config file's TrainConfig fields and the JSON kind each must have
 CONFIG_FIELDS = {"epochs": int, "learning_rate": float, "momentum": float,
-                 "dt": float, "convention": str}
+                 "dt": float}
 
 
 def load_config() -> dict:
     path = config_path()
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        config = read_json(path)
     except FileNotFoundError:
         return {}
-    except json.JSONDecodeError as exc:
-        raise QnnError(f"config file {path} is not valid JSON: {exc}")
     json_value(config, dict, f"config file {path}")
     for key, kind in CONFIG_FIELDS.items():
         if key in config:
             json_value(config[key], kind, key)
+    if "convention" in config:
+        unit_convention(config["convention"])
     return config
 
 
@@ -76,47 +74,24 @@ def fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _config_convention(config: dict):
-    name = config.get("convention")
-    if name is None:
-        return None
-    if name not in CONVENTIONS:
-        raise QnnError(f"config names unknown convention {name!r}")
-    return CONVENTIONS[name]
-
-
-def _schedule_arg(source: str, config: dict):
-    return resolve_schedule(source, _config_convention(config))
-
-
-def _pick(flag, config: dict, key, fallback):
-    """Flags beat config file entries, which beat package defaults."""
-    if flag is not None:
-        return flag
-    return config.get(key, fallback)
-
-
-def _train_config(args, config: dict) -> TrainConfig:
-    defaults = TrainConfig()
-    return TrainConfig(
-        epochs=int(_pick(args.epochs, config, "epochs", defaults.epochs)),
-        learning_rate=float(_pick(args.lr, config, "learning_rate",
-                                  defaults.learning_rate)),
-        momentum=float(_pick(args.momentum, config, "momentum",
-                             defaults.momentum)),
-        dt=float(_pick(args.dt, config, "dt", defaults.dt)),
-    )
+def _settings(args, config: dict, fields) -> dict:
+    """The named fields from the flags, else from the config file; a
+    field that neither sets keeps its package default."""
+    merged = {key: config[key] for key in fields if key in config}
+    merged.update((key, getattr(args, key)) for key in fields
+                  if getattr(args, key) is not None)
+    return merged
 
 
 def _integrator(args, config: dict) -> IntegratorConfig:
-    return IntegratorConfig(float(_pick(args.dt, config, "dt", DEFAULT_DT_NS)))
+    return IntegratorConfig(**_settings(args, config, ("dt",)))
 
 
 def cmd_train(args) -> int:
     config = load_config()
     dataset = load_dataset(args.dataset)
-    init = _schedule_arg(args.init, config)
-    cfg = _train_config(args, config)
+    init = resolve_schedule(args.init, config.get("convention"))
+    cfg = TrainConfig(**_settings(args, config, CONFIG_FIELDS))
     trained, history = learning.train(dataset, init, cfg)
     final_rms = learning.rms_error(dataset, trained, cfg.integrator())
     if args.out:
@@ -133,7 +108,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_config()
-    schedule = _schedule_arg(args.params, config)
+    schedule = resolve_schedule(args.params, config.get("convention"))
     spec = learning.resolve_state(args.state)
     report = witness.evaluate(spec, schedule, _integrator(args, config))
     if args.json:
@@ -152,7 +127,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_config()
-    schedule = _schedule_arg(args.params, config)
+    schedule = resolve_schedule(args.params, config.get("convention"))
     grid = witness.sweep(args.family, args.n, schedule,
                          _integrator(args, config))
     out = Path(args.out)
@@ -168,14 +143,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_grad_check(args) -> int:
     config = load_config()
-    schedule = _schedule_arg(args.params, config)
+    schedule = resolve_schedule(args.params, config.get("convention"))
     cfg = _integrator(args, config)
     # Zero targets over all four observables give a loss with nonzero
     # gradient at any point where the outputs are nonzero.
     pair = TrainingPair(learning.resolve_state(args.state),
                         {key: 0.0 for key in OBSERVABLE_IDS})
-    exact = learning.backprop_gradient(pair, schedule, cfg)
+    # differences first: they refuse a bad --h before any evolution
     numeric = learning.fd_gradient(pair, schedule, cfg, h=args.h)
+    exact = learning.backprop_gradient(pair, schedule, cfg)
     scale = np.maximum(np.abs(numeric), 1e-10)
     rel = np.abs(exact - numeric) / scale
     worst = int(np.argmax(rel))
@@ -191,7 +167,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = load_config()
-    schedule = _schedule_arg(args.params, config)
+    schedule = resolve_schedule(args.params, config.get("convention"))
     result = witness.calibrate(schedule, cfg=_integrator(args, config))
     for name, score in sorted(result.scores.items()):
         print(f"{name:<8} mean abs deviation {fmt(score)}")
@@ -215,17 +191,6 @@ def cmd_catalog(_args) -> int:
     return 0
 
 
-def _positive_step(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnnwitness",
@@ -241,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset file or bundled name (set1, set2)")
     p.add_argument("--init", default="initial", help=schedule_help)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--dt", type=float, default=None,
                    help="integrator step in ns")
@@ -275,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "differences")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--state", required=True)
-    p.add_argument("--h", type=_positive_step, default=1e-4,
+    p.add_argument("--h", type=float, default=1e-4,
                    help="finite difference step in MHz")
     p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_grad_check)
@@ -293,6 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code per failure, first match wins: 2 for unreadable state text and
+# any other bad flag or file value, 1 for domain errors and missing files
+EXIT_CODES = ((KetSyntaxError, 2), (QnnError, 1), (FileNotFoundError, 1),
+              (ValueError, 2))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -302,19 +273,9 @@ def main(argv=None) -> int:
         # on the way there would only precede that message.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except KetSyntaxError as exc:
+    except (QnnError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QnnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        # malformed dataset/schedule files and bad argument values
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,8 +1,18 @@
-"""Exception types shared across the package, and the type check that
-every JSON input document (config, schedule, dataset) applies."""
+"""Exception types shared across the package, and the one reader and the
+type checks of every JSON input file (config, schedule, dataset)."""
+import json
 
 _JSON_KINDS = {float: "a number", int: "an integer", str: "a string",
                list: "an array", dict: "an object"}
+
+
+def read_json(path):
+    """The JSON document at path; malformed JSON is a ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
 def json_value(value, kind: type, field: str):
@@ -13,6 +23,13 @@ def json_value(value, kind: type, field: str):
         raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, "
                          f"got {value!r:.40}")
     return value
+
+
+def json_field(doc: dict, key: str, kind: type):
+    """json_value of the required field doc[key], which must be there."""
+    if key not in doc:
+        raise ValueError(f"required field {key} is missing")
+    return json_value(doc[key], kind, key)
 
 
 class QnnError(Exception):
@@ -48,7 +65,7 @@ class ArityError(QnnError, TypeError):
 
 
 class DivergenceError(QnnError, RuntimeError):
-    """Training loss blew up; the learning rate is too large."""
+    """RK4 stepped past its stability limit, or a training loss blew up."""
 
 
 class CalibrationInconclusive(QnnError, RuntimeError):

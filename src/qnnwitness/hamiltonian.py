@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import QnnError, json_value
+from .errors import QnnError, json_field, json_value, read_json
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -45,6 +45,14 @@ CONVENTIONS = {"angular": ANGULAR, "plain": PLAIN}
 DEFAULT_CONVENTION = PLAIN
 
 DEFAULT_CHUNK_NS = 75.0
+
+
+def unit_convention(name) -> UnitConvention:
+    """The convention an input names; a ValueError names the choices."""
+    if json_value(name, str, "convention") not in CONVENTIONS:
+        raise ValueError(f"convention must be one of "
+                         f"{', '.join(CONVENTIONS)}, got {name!r:.40}")
+    return CONVENTIONS[name]
 
 
 def build_hamiltonian(params, convention: UnitConvention = DEFAULT_CONVENTION):
@@ -106,23 +114,24 @@ def save_schedule(s: Schedule, path) -> None:
 
 def _schedule_from_doc(doc: dict, default_convention=None) -> Schedule:
     json_value(doc, dict, "schedule")
-    fallback = (default_convention or DEFAULT_CONVENTION).name
-    convention = CONVENTIONS[json_value(doc.get("convention", fallback), str,
-                                        "convention")]
-    chunks = [[json_value(v, float, "chunk value")
-               for v in json_value(row, list, "chunks row")]
-              for row in json_value(doc["chunks"], list, "chunks")]
+    convention = unit_convention(doc.get(
+        "convention", default_convention or DEFAULT_CONVENTION.name))
+    chunks = json_field(doc, "chunks", list)
+    for i, row in enumerate(chunks):
+        if len(json_value(row, list, f"chunks row {i}")) != len(PARAM_NAMES):
+            raise ValueError(f"chunks row {i} must hold {len(PARAM_NAMES)} "
+                             f"values, got {len(row)}")
     duration = doc.get("chunk_duration_ns", DEFAULT_CHUNK_NS)
-    return Schedule(np.array(chunks, dtype=float),
+    return Schedule(np.array([[json_value(v, float, "chunk value")
+                               for v in row] for row in chunks], dtype=float),
                     float(json_value(duration, float, "chunk_duration_ns")),
                     convention)
 
 
 def load_schedule(path, default_convention=None) -> Schedule:
     """Read a schedule file; files without a convention field get the
-    caller's default (or the package default)."""
-    with open(path) as fh:
-        return _schedule_from_doc(json.load(fh), default_convention)
+    caller's default convention name (or the package default)."""
+    return _schedule_from_doc(read_json(path), default_convention)
 
 
 BUNDLED_SCHEDULES = ("initial", "set1", "set2", "trained_set1", "trained_set2")
@@ -134,9 +143,8 @@ def bundled_schedule(name: str) -> Schedule:
     "initial", "set1" and "set2" are the stock parameter tables;
     "trained_set1"/"trained_set2" are the locally trained results.
     """
-    text = resources.files("qnnwitness.data").joinpath(
-        f"schedule_{name}.json").read_text()
-    return _schedule_from_doc(json.loads(text))
+    return _schedule_from_doc(read_json(
+        resources.files("qnnwitness.data") / f"schedule_{name}.json"))
 
 
 def resolve_schedule(source, default_convention=None) -> Schedule:

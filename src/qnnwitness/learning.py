@@ -22,7 +22,6 @@ outputs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -31,7 +30,13 @@ from importlib import resources
 import numpy as np
 
 from . import superop
-from .errors import DivergenceError, KetSyntaxError, json_value
+from .errors import (
+    DivergenceError,
+    KetSyntaxError,
+    json_field,
+    json_value,
+    read_json,
+)
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
 from .ops import OBSERVABLE_IDS, SIGNS, readout
@@ -94,7 +99,7 @@ class TrainingPair:
             raise ValueError("a training pair needs at least one target")
         for key, value in self.targets.items():
             if key not in OBSERVABLE_IDS:
-                raise KeyError(f"unknown observable id {key!r}")
+                raise ValueError(f"unknown observable id {key!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"target {key}={value} outside [0, 1]")
 
@@ -126,11 +131,11 @@ class Dataset:
 def _dataset_from_doc(doc: dict) -> Dataset:
     json_value(doc, dict, "dataset")
     pairs = []
-    for entry in json_value(doc["pairs"], list, "pairs"):
+    for entry in json_field(doc, "pairs", list):
         json_value(entry, dict, "pair")
-        targets = json_value(entry["targets"], dict, "targets")
+        targets = json_field(entry, "targets", dict)
         pairs.append(TrainingPair(
-            resolve_state(json_value(entry["state"], str, "state")),
+            resolve_state(json_field(entry, "state", str)),
             {k: float(json_value(v, float, f"target {k}"))
              for k, v in targets.items()}))
     return Dataset(json_value(doc.get("name", "dataset"), str, "name"),
@@ -142,11 +147,8 @@ def load_dataset(source) -> Dataset:
     if isinstance(source, Dataset):
         return source
     if source in ("set1", "set2"):
-        text = resources.files("qnnwitness.data").joinpath(
-            f"{source}.json").read_text()
-        return _dataset_from_doc(json.loads(text))
-    with open(source) as fh:
-        return _dataset_from_doc(json.load(fh))
+        source = resources.files("qnnwitness.data") / f"{source}.json"
+    return _dataset_from_doc(read_json(source))
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,11 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     history = np.empty(cfg.epochs)
     current = init
     for epoch in range(cfg.epochs):
-        energy, grad, _ = superop.dataset_loss_grad(
-            rhos, targets, mask, current, cfg.dt)
+        try:
+            energy, grad, _ = superop.dataset_loss_grad(
+                rhos, targets, mask, current, cfg.dt)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from None
         rms = float(np.sqrt(2.0 * energy / n_out))
         history[epoch] = rms
         if not (math.isfinite(rms) and np.all(np.isfinite(grad))):

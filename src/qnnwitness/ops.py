@@ -60,14 +60,12 @@ def readout(rho: np.ndarray) -> np.ndarray:
     """(..., 8, 8) -> (..., 4): Re tr(rho P_k) in OBSERVABLE_IDS order.
 
     Every P_k is diagonal, so tr(rho P_k) = diag(rho) . SIGNS[k]. A
-    non-finite value means the integration diverged, a non-negligible
-    imaginary part a corrupted (non-Hermitian) state.
+    non-finite value means a state that diverged or was never finite, a
+    non-negligible imaginary part a corrupted (non-Hermitian) state.
     """
     tr = np.einsum("...ii,ki->...k", rho, SIGNS)
     if not np.all(np.isfinite(tr)):
-        raise NonFinite(
-            "non-finite correlation: the integration diverged "
-            "(dt*|w_j - w_k| above RK4's 2*sqrt(2) stability limit)")
+        raise NonFinite("non-finite correlation: diverged or non-finite state")
     worst = np.max(np.abs(tr.imag))
     if worst >= HERM_TOL:
         raise ImaginaryTraceError(

@@ -8,12 +8,12 @@ is autonomous. The state is re-Hermitized after every step; the trace is
 deliberately NOT renormalized, so trace drift stays visible as a
 correctness signal.
 
-evolve, evolve_batch_h and rk4_step share one stepping loop, which holds
-the RK4 stage arithmetic and broadcasts over leading batch axes of rho
-(and of h, when given a matching stack), so parameter scans and
-finite-difference sweeps run as one batch. A recorded trajectory keeps
-only the states at the step boundaries: the reference adjoint recomputes
-each step's RK4 stages from them.
+evolve and evolve_batch_h share one stepping loop, which refuses a dt past
+RK4's stability limit, holds the RK4 stage arithmetic and broadcasts over
+leading batch axes of rho (and of h, when given a matching stack), so
+parameter scans and finite-difference sweeps run as one batch. A recorded
+trajectory keeps only the states at the step boundaries: the reference
+adjoint recomputes each step's RK4 stages from them.
 """
 from __future__ import annotations
 
@@ -22,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
 from .hamiltonian import Schedule
 from .ops import dagger
 
 DEFAULT_DT_NS = 0.05
+RK4_STABLE_THETA = 2 * math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,24 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded states at every step boundary, t = 0 through t_f."""
 
-    times: np.ndarray
     states: np.ndarray
+
+
+def check_stable(w, dt: float) -> None:
+    """Refuse a dt past RK4's stability limit in any chunk; w holds each
+    chunk's ascending eigenvalues, shape (n_chunks, ..., 8). A step scales
+    rho's eigen-component (j, k) by P(-i dt (w_j - w_k)), and |P(i theta)|^2
+    = 1 - theta^6/72 + theta^8/576 exceeds 1 exactly when |theta| > 2 sqrt(2)
+    (Hairer & Wanner, Solving ODEs II, IV.2)."""
+    spread = w[..., -1] - w[..., 0]
+    if dt * spread.max(initial=0.0) <= RK4_STABLE_THETA:
+        return
+    for k, gap in enumerate(spread.reshape(len(spread), -1).max(axis=1)):
+        if not dt * gap <= RK4_STABLE_THETA:
+            raise DivergenceError(
+                f"chunk {k}: dt {dt} ns is past RK4's stability limit "
+                f"(dt*(w_max - w_min) = {dt * gap:.4g} > 2*sqrt(2)); the "
+                f"largest stable dt is {RK4_STABLE_THETA / gap:.4g} ns")
 
 
 def rhs(h_over_hbar: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -74,6 +92,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     buffers to the OS and fault them in again on the next step, which
     makes batched sweeps measurably slower.
     """
+    check_stable(np.linalg.eigvalsh(np.asarray(hs)), dt)
     n = 0
     for h in hs:
         for _ in range(steps_per_chunk):
@@ -86,12 +105,6 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
             if states is not None:
                 states[n] = rho
     return rho
-
-
-def rk4_step(rho: np.ndarray, h: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step with H constant over the step,
-    re-Hermitized as every stepped route takes it."""
-    return _stepped(rho, (h,), dt, 1)
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
@@ -111,7 +124,7 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     states = np.empty((total + 1,) + rho.shape, dtype=complex)
     states[0] = rho
     rho = _stepped(rho, hs, cfg.dt, steps, states)
-    return rho, Trajectory(np.arange(total + 1) * cfg.dt, states)
+    return rho, Trajectory(states)
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,

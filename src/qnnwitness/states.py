@@ -110,9 +110,9 @@ _ZERO = np.array([1.0, 0.0])
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
 
-def _bell(pair, theta=0.0):
-    # (|00> + e^{i theta}|11>) on the pair, spectator |0>
-    return _embed_pair(pair, {(0, 0): 1.0, (1, 1): np.exp(1j * theta)}, _ZERO)
+def _bell(pair):
+    # (|00> + |11>) on the pair, spectator |0>
+    return _embed_pair(pair, {(0, 0): 1.0, (1, 1): 1.0}, _ZERO)
 
 
 def _flat(pair):

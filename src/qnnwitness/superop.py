@@ -13,7 +13,7 @@ F is diagonal on the matrix units V e_j e_k^T V^T, with eigenvalue
 
 and the adjoint state goes back through lam -> V (conj(t^n) o V^T lam V) V^T.
 One 8 x 8 eigh per chunk thus reproduces the n stepped RK4 steps to
-rounding error, at any dt.
+rounding error, at any dt within RK4's stability limit (checked on w).
 
 The gradient is the divided-difference (Daleckii-Krein) form of the
 derivative of T^n = f(F), f(z) = P(dt z)^n. In the eigenbasis
@@ -41,6 +41,7 @@ import numpy as np
 
 from .hamiltonian import GENERATORS, Schedule
 from .ops import SIGNS
+from .propagate import check_stable
 
 
 def _quartic(z):
@@ -74,6 +75,7 @@ def chunk_operators(s: Schedule, dt: float):
     """Per-chunk (V, mu, t, t^n), each (n_chunks, 8, 8), and n = steps."""
     steps = round(s.chunk_duration / dt)
     w, v = np.linalg.eigh(s.hamiltonians())
+    check_stable(w, dt)
     mu = -1j * dt * (w[:, :, None] - w[:, None, :])
     t = _quartic(mu)
     return (v, mu, t, t ** steps), steps

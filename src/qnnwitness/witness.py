@@ -33,13 +33,12 @@ class WitnessReport:
     labels: dict   # id -> "none" | "partial" | "strong"
 
 
-def classify(outputs: dict, partial: float = THRESHOLD_PARTIAL,
-             strong: float = THRESHOLD_STRONG) -> dict:
+def classify(outputs: dict) -> dict:
     labels = {}
     for key, value in outputs.items():
-        if value >= strong:
+        if value >= THRESHOLD_STRONG:
             labels[key] = "strong"
-        elif value >= partial:
+        elif value >= THRESHOLD_PARTIAL:
             labels[key] = "partial"
         else:
             labels[key] = "none"
@@ -97,9 +96,6 @@ class SweepGrid:
     betas: np.ndarray
     outputs: np.ndarray  # (n_beta, n_alpha, 4)
     crossing: tuple = ()  # fig2 only: (beta, alpha_star) rows
-
-    def cell(self, i_beta: int, i_alpha: int) -> dict:
-        return dict(zip(OBSERVABLE_IDS, self.outputs[i_beta, i_alpha]))
 
 
 def _crossing_locus(alphas, betas, outputs):

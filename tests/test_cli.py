@@ -4,14 +4,27 @@ import warnings
 import numpy as np
 import pytest
 
+from qnnwitness import propagate
 from qnnwitness.cli import main
-from qnnwitness.errors import ArityError, KetSyntaxError
-from qnnwitness.hamiltonian import bundled_schedule
+from qnnwitness.errors import ArityError, DivergenceError, KetSyntaxError
+from qnnwitness.hamiltonian import (
+    PLAIN,
+    Schedule,
+    bundled_schedule,
+    save_schedule,
+)
 from qnnwitness.ketexpr import render
-from qnnwitness.learning import resolve_state
+from qnnwitness.learning import (
+    TrainConfig,
+    TrainingPair,
+    backprop_gradient,
+    fd_gradient,
+    resolve_state,
+    train,
+)
 from qnnwitness.propagate import IntegratorConfig
 from qnnwitness.states import StateSpec, catalog, mix
-from qnnwitness.witness import evaluate
+from qnnwitness.witness import evaluate, sweep
 
 
 @pytest.fixture
@@ -73,7 +86,7 @@ def test_evaluate_expression_state(isolated_config, capsys):
     assert "strong" in out
 
 
-def test_exit_codes(isolated_config, capsys):
+def test_exit_codes(isolated_config, capsys, monkeypatch):
     # bad mixture weights: domain error
     code, _, err = run(capsys, "evaluate", "--params", "set1",
                        "--state", "mix{0.3: |000>, 0.3: |111>}")
@@ -111,13 +124,13 @@ def test_exit_codes(isolated_config, capsys):
         warnings.simplefilter("error")
         code, out, err = run(capsys, "evaluate", "--params", str(huge),
                              "--state", "W", "--dt", "0.25")
-        assert code == 1 and out == "" and "diverged" in err
+        assert code == 1 and out == "" and "stability" in err
         code, out, err = run(capsys, "grad-check", "--params", str(huge),
                              "--state", "W", "--dt", "0.25")
-        assert code == 1 and out == "" and "diverged" in err
+        assert code == 1 and out == "" and "stability" in err
         code, out, err = run(capsys, "train", "--dataset", "set1", "--init",
                              str(huge), "--dt", "0.25", "--epochs", "3")
-        assert code == 1 and out == "" and "non-finite" in err
+        assert code == 1 and out == "" and "stability" in err
 
     # config values that are not finite or out of range: usage error
     for argv, field in ((("train", "--dataset", "set1", "--lr", "nan"),
@@ -142,20 +155,61 @@ def test_exit_codes(isolated_config, capsys):
         main(["sweep", "--family", "fig9", "--n", "5",
               "--params", "set1", "--out", "x.csv"])
     assert exc.value.code == 2
-    # a finite-difference step that is not a positive finite number
+    # a finite-difference step that is not a positive finite number:
+    # usage error, refused before any evolution
+    def no_evolution(*args):
+        pytest.fail("an evolution ran with an invalid finite-difference step")
+
+    monkeypatch.setattr(propagate, "_stepped", no_evolution)
     for step in ("0", "-1e-4", "nan", "inf"):
-        with pytest.raises(SystemExit) as exc:
-            main(["grad-check", "--params", "set1", "--state", "W",
-                  f"--h={step}"])
-        assert exc.value.code == 2
-        assert "positive finite" in capsys.readouterr().err
+        code, out, err = run(capsys, "grad-check", "--params", "set1",
+                             "--state", "W", f"--h={step}")
+        assert code == 2 and out == "" and "positive finite" in err
+
+
+@pytest.mark.parametrize("mhz", [1100.0, 1120.0, 1150.0])
+def test_steps_past_rk4_stability_are_refused(isolated_config, tmp_path,
+                                              capsys, mhz):
+    """dt 0.25 with every value at these MHz puts dt*(w_max - w_min) at
+    2.86-2.99, past 2*sqrt(2): every route, on the API and the CLI alike,
+    refuses it before integrating and names the chunk and the dt."""
+    s = Schedule(np.full((4, 9), mhz), 75.0, PLAIN)
+    cfg = IntegratorConfig(0.25)
+    pair = TrainingPair(catalog("W"), {"AB": 0.0})
+    for route in (lambda: evaluate("W", s, cfg),
+                  lambda: sweep("fig2", 3, s, cfg),
+                  lambda: fd_gradient(pair, s, cfg),
+                  lambda: backprop_gradient(pair, s, cfg)):
+        with pytest.raises(DivergenceError,
+                           match=r"chunk 0: dt 0\.25 .* largest stable dt"):
+            route()
+    with pytest.raises(DivergenceError, match="epoch 0: chunk 0"):
+        train("set1", s, TrainConfig(epochs=3, dt=0.25))
+
+    path = tmp_path / "fast.json"
+    save_schedule(s, path)
+    grid = tmp_path / "grid.csv"
+    for argv in (("evaluate", "--params", path, "--state", "W"),
+                 ("sweep", "--family", "fig2", "--n", "3", "--params", path,
+                  "--out", grid),
+                 ("grad-check", "--params", path, "--state", "W"),
+                 ("train", "--dataset", "set1", "--init", path,
+                  "--epochs", "3")):
+        code, out, err = run(capsys, *map(str, argv), "--dt", "0.25")
+        assert code == 1 and out == "" and "stability limit" in err
+    assert not grid.exists()
+    # the same values at dt 0.05 are well inside the limit
+    assert run(capsys, "evaluate", "--params", str(path), "--state", "W",
+               "--dt", "0.05")[0] == 0
 
 
 ROW = [0.0] * 9
+# an unknown convention reads the same in the config and in a schedule
+HERTZ = "convention must be one of angular, plain, got 'hertz'"
 
-# (subcommand, file option, document, field the error names): each is a
-# usage error (exit 2) with nothing on stdout, never a traceback or a
-# silent reading of a wrong-typed value
+# (kind, file option, document or raw file text, field or file the error
+# names): each is a usage error (exit 2) with nothing on stdout, never a
+# traceback or a silent reading of a missing or wrong-typed value
 MISTYPED_FILES = [
     ("config", None, {"dt": None}, "dt"),
     ("config", None, {"dt": [0.25]}, "dt"),
@@ -183,6 +237,21 @@ MISTYPED_FILES = [
                                                     "targets": {"AB": 1.0}}]},
      "name"),
     ("dataset", "--dataset", {"pairs": 3}, "pairs"),
+    ("schedule", "--init", {"convention": "plain"}, "required field chunks"),
+    ("dataset", "--dataset", {"name": "set3"}, "required field pairs"),
+    ("dataset", "--dataset", {"pairs": [{"targets": {"AB": 1.0}}]},
+     "required field state"),
+    ("dataset", "--dataset", {"pairs": [{"state": "W"}]},
+     "required field targets"),
+    ("config", None, {"convention": "hertz"}, HERTZ),
+    ("schedule", "--init", {"chunks": [ROW] * 4, "convention": "hertz"},
+     HERTZ),
+    ("schedule", "--init", {"chunks": [ROW, ROW[:8]]}, "chunks row 1"),
+    ("dataset", "--dataset", {"pairs": [{"state": "W",
+                                         "targets": {"XY": 1.0}}]}, "XY"),
+    ("config", None, '{"dt": 0.25', "config.json is not valid JSON"),
+    ("schedule", "--init", '{"chunks": [}', "schedule.json is not valid JSON"),
+    ("dataset", "--dataset", "pairs: []", "dataset.json is not valid JSON"),
 ]
 
 
@@ -191,7 +260,7 @@ def test_mistyped_json_files_are_usage_errors(isolated_config, tmp_path,
                                               capsys, kind, option, doc,
                                               field):
     path = isolated_config if option is None else tmp_path / f"{kind}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     files = {"--dataset": "set1", "--init": "initial"}
     if option is not None:
         files[option] = str(path)

@@ -99,7 +99,9 @@ def test_load_applies_caller_default_convention(tmp_path):
     path.write_text(json.dumps({"chunk_duration_ns": 75.0,
                                 "chunks": [[0.0] * 9] * 4}))
     assert load_schedule(path).convention.name == "plain"
-    assert load_schedule(path, CONVENTIONS["angular"]).convention.name == "angular"
+    assert load_schedule(path, "angular").convention is CONVENTIONS["angular"]
+    with pytest.raises(ValueError, match="one of angular, plain, got 'hertz'"):
+        load_schedule(path, "hertz")
 
 
 def test_bundled_schedules_present_and_well_formed():

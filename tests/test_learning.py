@@ -48,7 +48,7 @@ def test_training_pair_validation():
     spec = catalog("Bell_AB")
     with pytest.raises(ValueError):
         TrainingPair(spec, {})
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="XY"):
         TrainingPair(spec, {"XY": 0.5})
     with pytest.raises(ValueError):
         TrainingPair(spec, {"AB": 1.5})

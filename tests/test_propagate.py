@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from qnnwitness.errors import DivergenceError
 from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
 from qnnwitness.propagate import (
     DEFAULT_DT_NS,
+    RK4_STABLE_THETA,
     IntegratorConfig,
+    _stepped,
+    check_stable,
     evolve,
     evolve_batch_h,
     evolve_expm,
-    rk4_step,
 )
 from qnnwitness.states import catalog, mix
+from qnnwitness.superop import _quartic
 
 RNG = np.random.default_rng(13)
 
@@ -43,7 +47,8 @@ def test_single_qubit_drive_matches_rabi_formula():
     rho0[0, 0] = 1.0
     rho_f, traj = evolve(rho0, s, IntegratorConfig(0.25), record=True)
     omega = PLAIN.omega_per_MHz * k_mhz
-    for t, rho in zip(traj.times[::40], traj.states[::40]):
+    times = 0.25 * np.arange(len(traj.states))
+    for t, rho in zip(times[::40], traj.states[::40]):
         assert rho[4, 4].real == pytest.approx(np.sin(omega * t) ** 2,
                                                abs=1e-9)
 
@@ -120,7 +125,7 @@ def test_rk4_step_accuracy_against_exact_rotation():
     dt = 0.05
     u = (v * np.exp(-1j * w * dt)) @ v.conj().T
     exact = u @ BELL @ u.conj().T
-    stepped = rk4_step(BELL, h, dt)
+    stepped = _stepped(BELL, (h,), dt, 1)
     assert np.abs(stepped - exact).max() < 1e-12
 
 
@@ -128,9 +133,6 @@ def test_trajectory_recording():
     cfg = IntegratorConfig(0.25)
     rho_f, traj = evolve(BELL, SET1, cfg, record=True)
     n_steps = 4 * cfg.steps_per_chunk(75.0)
-    assert len(traj.times) == n_steps + 1
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(300.0)
     assert traj.states.shape == (n_steps + 1, 8, 8)
     assert np.array_equal(traj.states[0], BELL)
     assert np.array_equal(traj.states[-1], rho_f)
@@ -145,7 +147,8 @@ def test_recorded_states_are_rk4_steps():
     hs = SET1.hamiltonians()
     for n in (0, 1, steps - 1, steps, 4 * steps - 1):
         assert np.array_equal(traj.states[n + 1],
-                              rk4_step(traj.states[n], hs[n // steps], cfg.dt))
+                              _stepped(traj.states[n], (hs[n // steps],),
+                                       cfg.dt, 1))
 
 
 @pytest.mark.parametrize("n", [1, 7])
@@ -158,9 +161,25 @@ def test_rk4_step_adjoint_is_the_step_under_minus_h(n):
                                      + 1j * RNG.normal(size=(2, 8, 8))))
     forward, backward, same_sign = b, a, a
     for _ in range(n):
-        forward = rk4_step(forward, h, 0.1)
-        backward = rk4_step(backward, -h, 0.1)
-        same_sign = rk4_step(same_sign, h, 0.1)
+        forward = _stepped(forward, (h,), 0.1, 1)
+        backward = _stepped(backward, (-h,), 0.1, 1)
+        same_sign = _stepped(same_sign, (h,), 0.1, 1)
     lhs = np.trace(a @ forward).real
     assert lhs == pytest.approx(np.trace(backward @ b).real, abs=1e-12)
     assert abs(lhs - np.trace(same_sign @ b).real) > 1e-3
+
+
+def test_stability_limit_is_where_a_step_starts_to_grow():
+    """|P(i theta)| of one RK4 step is 1 at theta = 2*sqrt(2), below it
+    just under and above it just over; check_stable accepts the limit
+    itself and names the first chunk past it, over any batch axes."""
+    theta = RK4_STABLE_THETA
+    assert abs(_quartic(1j * theta)) == pytest.approx(1.0, abs=1e-14)
+    assert abs(_quartic(1j * theta * 0.99)) < 1.0 < abs(_quartic(1j * theta * 1.01))
+    w = np.zeros((3, 8))
+    w[:, -1] = [1.0, theta, 4.0]
+    check_stable(w[:2], 1.0)
+    for stack in (w, np.stack([w, 0.5 * w], axis=1)):
+        with pytest.raises(DivergenceError, match=r"chunk 2: dt 1\.0 ns .* "
+                           r"largest stable dt is 0\.7071 ns"):
+            check_stable(stack, 1.0)

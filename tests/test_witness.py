@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
 from qnnwitness.hamiltonian import Schedule, bundled_schedule
-from qnnwitness.ops import readout
+from qnnwitness.ops import OBSERVABLE_IDS, readout
 from qnnwitness.propagate import IntegratorConfig, evolve
 from qnnwitness.states import StateSpec, catalog, mix
 from qnnwitness.witness import (
@@ -27,11 +27,6 @@ def test_classify_thresholds():
     labels = classify({"AB": 0.05, "AC": 0.3, "BC": 0.95, "ABC": 0.1})
     assert labels == {"AB": "none", "AC": "partial",
                       "BC": "strong", "ABC": "partial"}
-
-
-def test_classify_custom_thresholds():
-    labels = classify({"AB": 0.5}, partial=0.2, strong=0.6)
-    assert labels["AB"] == "partial"
 
 
 def test_evaluate_accepts_name_spec_and_expression():
@@ -104,6 +99,33 @@ def test_outputs_are_bounded_phase_free_and_linear_in_weights(
     assert np.abs(eblend - (weight * ea + (1.0 - weight) * eb)).max() <= 1e-12
 
 
+# index of each qubit pair in the zeta block of PARAM_NAMES and in the
+# pairwise part of OBSERVABLE_IDS alike
+PAIR_INDEX = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(3)),
+       arrays(float, (4, 9), elements=st.floats(-6.0, 6.0)),
+       arrays(float, (2, 8), elements=st.floats(-1.0, 1.0)))
+def test_relabelling_the_qubits_permutes_the_outputs(perm, params, parts):
+    """New qubit i is old qubit perm[i]: with K, eps and zeta relabelled
+    to match, each pairwise output moves with its pair and ABC stays."""
+    ket = parts[0] + 1j * parts[1]
+    assume(np.linalg.norm(ket) > 1e-3)
+    rho = mix(StateSpec.pure(ket))
+    p = np.array(perm)
+    moved = [PAIR_INDEX[tuple(sorted(p[[i, j]]))] for i, j in PAIR_INDEX]
+    columns = np.concatenate([p, 3 + p, 6 + np.array(moved)])
+    axes = np.concatenate([p, 3 + p])
+    rho_relabelled = rho.reshape((2,) * 6).transpose(axes).reshape(8, 8)
+
+    out = evaluate_many(rho[None], Schedule(params), FAST)[0]
+    got = evaluate_many(rho_relabelled[None], Schedule(params[:, columns]),
+                        FAST)[0]
+    assert np.abs(got - out[moved + [3]]).max() <= 1e-10
+
+
 def test_calibration_selects_matching_convention():
     result = calibrate(bundled_schedule("set1"), cfg=FAST)
     assert set(result.scores) == {"plain", "angular"}
@@ -131,11 +153,11 @@ def test_sweep_grid_shape_and_corners():
     assert grid.outputs.shape == (5, 5, 4)
     assert np.allclose(grid.alphas, np.linspace(0.0, 1.0, 5))
     # the (alpha=0, beta=1) corner is the trained three-way state
-    corner = grid.cell(4, 0)
+    corner = dict(zip(OBSERVABLE_IDS, grid.outputs[4, 0]))
     direct = evaluate("GHZ_plus", s, FAST).outputs
     assert corner["ABC"] == pytest.approx(direct["ABC"], abs=1e-9)
     # the (0, 0) corner collapses to a product state: nothing fires
-    null = grid.cell(0, 0)
+    null = dict(zip(OBSERVABLE_IDS, grid.outputs[0, 0]))
     assert max(null["AB"], null["AC"], null["BC"]) < 0.05
 
 
@@ -158,8 +180,8 @@ def test_fig1_symmetry_at_full_mixing():
     the first two qubits, so the AB and AC outputs coincide."""
     s = bundled_schedule("trained_set1")
     grid = sweep("fig1", 3, s, FAST)
-    row = grid.cell(2, 1)  # beta = 1, alpha = 0.5
-    assert row["AB"] == pytest.approx(row["AC"], abs=0.05)
+    ab, ac = grid.outputs[2, 1, :2]  # beta = 1, alpha = 0.5
+    assert ab == pytest.approx(ac, abs=0.05)
 
 
 def test_crossing_rows_interpolate_between_grid_points():
