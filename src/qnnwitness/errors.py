@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one reader and the
 type checks of every JSON input file (config, schedule, dataset)."""
 import json
+import sys
 
 _JSON_KINDS = {float: "a number", int: "an integer", str: "a string",
                list: "an array", dict: "an object"}
@@ -16,12 +17,15 @@ def read_json(path):
 
 
 def json_value(value, kind: type, field: str):
-    """value if it is a JSON value of kind (float: any number; neither
+    """value if it is a JSON value of kind (float: any number a float holds
+    finitely, as json reads NaN, Infinity and 400-digit integers; neither
     number kind accepts a boolean), else a ValueError naming the field."""
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         raise ValueError(f"{field} must be {_JSON_KINDS[kind]}, "
                          f"got {value!r:.40}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{field} must be a finite number, got {value!r:.40}")
     return value
 
 
@@ -50,10 +54,6 @@ class NonFinite(QnnError, ValueError):
 
 class InvalidWeights(QnnError, ValueError):
     """Mixture weights are negative or do not sum to one."""
-
-
-class NonPhysical(InvalidWeights):
-    """A parsed state fails the physicality checks (bad mixture weights)."""
 
 
 class UnknownState(QnnError, KeyError):

@@ -72,9 +72,11 @@ class Schedule:
     def __post_init__(self):
         object.__setattr__(self, "chunks",
                            np.asarray(self.chunks, dtype=float).reshape(-1, 9))
+        if not self.n_chunks:
+            raise ValueError("chunks must hold at least one row")
         if not (np.isfinite(self.chunk_duration) and self.chunk_duration > 0):
-            raise QnnError(f"chunk duration must be a positive number of ns, "
-                           f"got {self.chunk_duration}")
+            raise ValueError(f"chunk_duration_ns must be a positive number of "
+                             f"ns, got {self.chunk_duration}")
 
     @property
     def n_chunks(self) -> int:

@@ -10,7 +10,8 @@ Grammar (whitespace insignificant):
     number  := decimal, optionally "i"-suffixed, or "sqrt(x)" / "1/sqrt(x)"
 
 Superpositions are normalized after parsing. Mixture weights are taken
-literally and must sum to 1; they are never rescaled.
+literally, never rescaled; StateSpec checks that they are non-negative and
+sum to 1.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import re
 
 import numpy as np
 
-from .errors import KetSyntaxError, NonPhysical
+from .errors import InvalidWeights, KetSyntaxError
 from .states import StateSpec, normalize
 
 _TOKEN = re.compile(r"""
@@ -94,9 +95,6 @@ class _Parser:
                 pairs.append(self.wterm())
             self.expect_op("}")
             self.take("end")
-            total = sum(w for w, _ in pairs)
-            if abs(total - 1.0) > 1e-9:
-                raise NonPhysical(f"mixture weights sum to {total!r}, not 1")
             return StateSpec.mixture(pairs)
         amps = self.sum()
         self.take("end")
@@ -110,9 +108,7 @@ class _Parser:
         kind, text, off = self.take("number")
         w = sign * _number_value(text, off)
         if w.imag != 0:
-            raise NonPhysical(f"mixture weight {text} is not a real number")
-        if w.real < 0:
-            raise NonPhysical(f"negative mixture weight {w.real!r}")
+            raise InvalidWeights(f"mixture weight {text} is not a real number")
         self.expect_op(":")
         return (w.real, normalize(self.sum()))
 

@@ -19,11 +19,6 @@ QUBITS = ("A", "B", "C")
 HERM_TOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the |q_A q_B q_C> index convention."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron3(a, b, c) -> np.ndarray:
     return np.kron(np.kron(np.asarray(a), np.asarray(b)), np.asarray(c))
 

@@ -8,6 +8,7 @@ so only ratios matter when defining a pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class StateSpec:
         if np.any(w < 0):
             raise InvalidWeights(f"negative mixture weight {w.min()}")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise InvalidWeights(f"mixture weights sum to {w.sum()!r}, not 1")
+            raise InvalidWeights(
+                f"mixture weights sum to {float(w.sum())!r}, not 1")
 
     @classmethod
     def pure(cls, ket) -> "StateSpec":
@@ -83,60 +85,38 @@ class StateSpec:
 
 
 def mix(spec: StateSpec) -> np.ndarray:
-    """Convex combination of rank-1 projectors; validates the weights."""
+    """Convex combination of rank-1 projectors."""
     rho = np.zeros((8, 8), dtype=complex)
     for w, ket in spec.components():
         rho += w * ket_to_density(ket)
     return rho
 
 
-def _embed_pair(pair: str, pattern: dict, spectator: np.ndarray) -> np.ndarray:
-    """Place two-qubit amplitudes on the named pair, spectator on the rest.
-
-    pattern maps (q1, q2) bit pairs to amplitudes; spectator is a 2-vector.
-    """
-    slots = {"AB": (0, 1, 2), "AC": (0, 2, 1), "BC": (1, 2, 0)}
-    s1, s2, sp = slots[pair]
-    amps = np.zeros(8, dtype=complex)
-    for (b1, b2), a in pattern.items():
-        for bs in (0, 1):
-            bits = [0, 0, 0]
-            bits[s1], bits[s2], bits[sp] = b1, b2, bs
-            amps[basis_index(*bits)] += a * spectator[bs]
-    return amps
-
-
 _ZERO = np.array([1.0, 0.0])
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
+# kind -> (spectator, 2x2 amplitudes [bit 1][bit 2] of the pair); an
+# optional argument's default is the pattern's own
+_PAIR_KINDS = {
+    "Bell": (_ZERO, lambda: [[1, 0], [0, 1]]),
+    "flat": (_ZERO, lambda: [[1, 1], [1, 1]]),
+    # classically correlated, not entangled: gamma|10> + |11>
+    "Cr": (_ZERO, lambda gamma=0.5: [[0, 0], [gamma, 1]]),
+    # partially entangled: |00> + |01> + |10>
+    "P": (_ZERO, lambda: [[1, 1], [1, 0]]),
+    "EPR": (_PLUS, lambda sign=1.0: [[0, 1], [sign, 0]]),
+    "Pprime": (_PLUS, lambda sign=1.0: [[1, 1], [sign, 0]]),
+}
 
-def _bell(pair):
-    # (|00> + |11>) on the pair, spectator |0>
-    return _embed_pair(pair, {(0, 0): 1.0, (1, 1): 1.0}, _ZERO)
-
-
-def _flat(pair):
-    return _embed_pair(pair, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, _ZERO)
-
-
-def _cr(pair, gamma=0.5):
-    # classically correlated, not entangled: (gamma|10> + |11>), spectator |0>
-    return _embed_pair(pair, {(1, 0): gamma, (1, 1): 1.0}, _ZERO)
-
-
-def _p(pair):
-    # partially entangled pattern |00> + |01> + |10>, spectator |0>
-    return _embed_pair(pair, {(0, 0): 1, (0, 1): 1, (1, 0): 1}, _ZERO)
+# pair -> the axes (of qubits A, B, C) that its two bits and the spectator take
+_SLOTS = {"AB": (0, 1, 2), "AC": (0, 2, 1), "BC": (1, 2, 0)}
 
 
-def _epr(pair, sign=1.0):
-    # (|01> +- |10>) on the pair, spectator in the superposition state
-    return _embed_pair(pair, {(0, 1): 1.0, (1, 0): sign}, _PLUS)
-
-
-def _pprime(pair, sign=1.0):
-    # the P pattern on the pair, spectator in the superposition state
-    return _embed_pair(pair, {(0, 0): 1, (0, 1): 1, (1, 0): sign}, _PLUS)
+def _pair_state(pair: str, kind: str, *args) -> np.ndarray:
+    """The kind's pattern on the named pair, its spectator on the rest."""
+    spectator, pattern = _PAIR_KINDS[kind]
+    amps = np.multiply.outer(np.asarray(pattern(*args)), spectator)
+    return np.moveaxis(amps, (0, 1, 2), _SLOTS[pair]).reshape(8)
 
 
 def _ghz(sign):
@@ -192,13 +172,10 @@ def _register(name, builder, required=0, defaults=()):
     _CATALOG[name] = (builder, required, defaults)
 
 
-for _pair in ("AB", "AC", "BC"):
-    _register(f"Bell_{_pair}", (lambda p: lambda: _bell(p))(_pair))
-    _register(f"flat_{_pair}", (lambda p: lambda: _flat(p))(_pair))
-    _register(f"Cr_{_pair}", (lambda p: lambda g=0.5: _cr(p, g))(_pair), 0, (0.5,))
-    _register(f"P_{_pair}", (lambda p: lambda: _p(p))(_pair))
-    _register(f"EPR_{_pair}", (lambda p: lambda s=1.0: _epr(p, s))(_pair), 0, (1.0,))
-    _register(f"Pprime_{_pair}", (lambda p: lambda s=1.0: _pprime(p, s))(_pair), 0, (1.0,))
+for _pair in _SLOTS:
+    for _kind, (_, _pattern) in _PAIR_KINDS.items():
+        _register(f"{_kind}_{_pair}", partial(_pair_state, _pair, _kind),
+                  defaults=_pattern.__defaults__ or ())
 
 _register("GHZ_plus", lambda: _ghz(+1.0))
 _register("GHZ_minus", lambda: _ghz(-1.0))

@@ -66,13 +66,13 @@ class CalibrationResult:
     scores: dict  # convention name -> mean absolute deviation
 
 
-def calibrate(s_set1: Schedule, reference=BELL_REFERENCE,
+def calibrate(s_set1: Schedule,
               cfg: IntegratorConfig = IntegratorConfig()) -> CalibrationResult:
     """Pick the unit convention that best replays the trained Bell outputs.
 
     Evaluates Bell_AB/AC/BC under both conventions with the stock
     set-1 parameters and compares each state's matching pairwise output
-    against the reference row. Deterministic and idempotent.
+    against BELL_REFERENCE. Deterministic and idempotent.
     """
     rhos = np.stack([mix(catalog(f"Bell_{p}")) for p in ("AB", "AC", "BC")])
     scores = {}
@@ -80,7 +80,7 @@ def calibrate(s_set1: Schedule, reference=BELL_REFERENCE,
         candidate = Schedule(s_set1.chunks, s_set1.chunk_duration, convention)
         out = evaluate_many(rhos, candidate, cfg)
         matching = np.array([out[i, i] for i in range(3)])
-        scores[name] = float(np.mean(np.abs(matching - np.asarray(reference))))
+        scores[name] = float(np.mean(np.abs(matching - BELL_REFERENCE)))
     best = min(scores, key=scores.get)
     if scores[best] > 0.2:
         raise CalibrationInconclusive(

@@ -207,6 +207,15 @@ ROW = [0.0] * 9
 # an unknown convention reads the same in the config and in a schedule
 HERTZ = "convention must be one of angular, plain, got 'hertz'"
 
+# schedules that parse but cannot be run, and the field each error names
+BAD_SCHEDULES = [
+    ({"chunks": []}, "chunks"),
+    ({"chunks": [ROW] * 4, "chunk_duration_ns": -5}, "chunk_duration_ns"),
+    ({"chunks": [ROW, [float("nan")] + ROW[1:]]}, "chunk value"),
+    ({"chunks": [ROW, [float("-inf")] + ROW[1:]]}, "chunk value"),
+    ({"chunks": [ROW, [10 ** 400] + ROW[1:]]}, "chunk value"),
+]
+
 # (kind, file option, document or raw file text, field or file the error
 # names): each is a usage error (exit 2) with nothing on stdout, never a
 # traceback or a silent reading of a missing or wrong-typed value
@@ -252,7 +261,7 @@ MISTYPED_FILES = [
     ("config", None, '{"dt": 0.25', "config.json is not valid JSON"),
     ("schedule", "--init", '{"chunks": [}', "schedule.json is not valid JSON"),
     ("dataset", "--dataset", "pairs: []", "dataset.json is not valid JSON"),
-]
+] + [("schedule", "--init", doc, field) for doc, field in BAD_SCHEDULES]
 
 
 @pytest.mark.parametrize("kind, option, doc, field", MISTYPED_FILES)
@@ -266,6 +275,16 @@ def test_mistyped_json_files_are_usage_errors(isolated_config, tmp_path,
         files[option] = str(path)
     code, out, err = run(capsys, "train", "--epochs", "1", "--dt", "0.25",
                          *(word for item in files.items() for word in item))
+    assert code == 2 and out == "" and field in err
+
+
+@pytest.mark.parametrize("doc, field", BAD_SCHEDULES)
+def test_evaluate_refuses_a_schedule_it_cannot_run(isolated_config, tmp_path,
+                                                   capsys, doc, field):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "evaluate", "--params", str(path),
+                         "--state", "W", "--dt", "0.25")
     assert code == 2 and out == "" and field in err
 
 

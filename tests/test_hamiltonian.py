@@ -65,8 +65,10 @@ def test_build_hamiltonian_broadcasts_over_chunks():
 def test_schedule_rejects_non_finite_values_and_bad_duration():
     chunks = RNG.normal(size=(4, 9))
     for duration in (0.0, -75.0, np.nan, np.inf):
-        with pytest.raises(QnnError):
+        with pytest.raises(ValueError, match="chunk_duration_ns"):
             Schedule(chunks, duration, PLAIN)
+    with pytest.raises(ValueError, match="chunks must hold at least one row"):
+        Schedule(chunks[:0], DEFAULT_CHUNK_NS, PLAIN)
     for bad in (np.nan, np.inf):
         corrupt = chunks.copy()
         corrupt[2, 5] = bad

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qnnwitness.errors import KetSyntaxError, NonPhysical
+from qnnwitness.errors import InvalidWeights, KetSyntaxError
 from qnnwitness.ketexpr import parse_state, render
 from qnnwitness.states import StateSpec, mix
 
@@ -49,10 +52,15 @@ def test_mixture_parses_and_checks_weights():
     rho = mix(spec)
     assert rho[0, 0] == pytest.approx(0.5) and rho[7, 7] == pytest.approx(0.5)
 
-    with pytest.raises(NonPhysical):
+    with pytest.raises(InvalidWeights, match=r"sum to 0\.6, not 1"):
         parse_state("mix{0.3: |000>, 0.3: |111>}")
-    with pytest.raises(NonPhysical):
+    with pytest.raises(InvalidWeights, match="negative mixture weight -0.5"):
         parse_state("mix{1.5: |000>, -0.5: |111>}")
+    with pytest.raises(InvalidWeights, match="0.5i is not a real number"):
+        parse_state("mix{0.5i: |000>, 0.5: |111>}")
+    # the weights are checked once the whole text has parsed
+    with pytest.raises(KetSyntaxError):
+        parse_state("mix{1.5: |000>, -0.5: |11>}")
 
 
 def test_mixture_components_are_normalized_independently():
@@ -84,6 +92,21 @@ def test_malformed_basis_label():
 def test_unterminated_mixture():
     with pytest.raises(KetSyntaxError):
         parse_state("mix{0.5: |000>, 0.5: |111>")
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(float, (3, 2, 8), elements=st.floats(-1.0, 1.0)),
+       arrays(float, 3, elements=st.floats(0.0, 1.0)), st.integers(1, 3))
+def test_render_then_parse_gives_the_same_density(parts, raw_weights, n):
+    """One component is a pure ket, two or three a mixture."""
+    kets = parts[:n, 0] + 1j * parts[:n, 1]
+    assume(np.linalg.norm(kets, axis=1).min() > 1e-3)
+    assume(raw_weights[:n].sum() > 0.1)
+    weights = raw_weights[:n] / raw_weights[:n].sum()
+    spec = StateSpec.mixture(list(zip(weights, kets)))
+    back = parse_state(render(spec))
+    assert back.is_pure == spec.is_pure
+    assert np.abs(mix(back) - mix(spec)).max() <= 1e-12
 
 
 def test_render_round_trips_random_states():

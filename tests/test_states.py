@@ -93,6 +93,30 @@ def test_epr_spectator_is_balanced():
     assert np.allclose(np.abs(psi[nz]), 0.5)
 
 
+# name, argument -> {basis index: amplitude} before normalization; Cr is
+# gamma|10> + |11> on the pair with the spectator in |0>, EPR |01> + s|10>
+# and Pprime |00> + |01> + s|10> with the spectator in |0> + |1>
+PAIRWISE_AT_AN_ARGUMENT = [
+    ("Cr_AB", 0.3, {4: 0.3, 6: 1}),
+    ("Cr_AC", 0.3, {4: 0.3, 5: 1}),
+    ("Cr_BC", 0.3, {2: 0.3, 3: 1}),
+    ("EPR_AB", -1.0, {2: 1, 3: 1, 4: -1, 5: -1}),
+    ("EPR_AC", -1.0, {1: 1, 3: 1, 4: -1, 6: -1}),
+    ("EPR_BC", -1.0, {1: 1, 5: 1, 2: -1, 6: -1}),
+    ("Pprime_AB", -1.0, {0: 1, 1: 1, 2: 1, 3: 1, 4: -1, 5: -1}),
+    ("Pprime_AC", -1.0, {0: 1, 2: 1, 1: 1, 3: 1, 4: -1, 6: -1}),
+    ("Pprime_BC", -1.0, {0: 1, 4: 1, 1: 1, 5: 1, 2: -1, 6: -1}),
+]
+
+
+@pytest.mark.parametrize("name, arg, support", PAIRWISE_AT_AN_ARGUMENT)
+def test_pairwise_states_at_an_argument(name, arg, support):
+    expected = np.zeros(8)
+    expected[list(support)] = list(support.values())
+    assert np.allclose(amplitudes(name, arg),
+                       expected / np.linalg.norm(expected), atol=1e-15)
+
+
 def test_ghz_signs():
     plus = amplitudes("GHZ_plus")
     minus = amplitudes("GHZ_minus")
