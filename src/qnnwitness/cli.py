@@ -98,7 +98,7 @@ def cmd_train(args) -> int:
         save_schedule(trained, args.out)
     if args.history:
         learning.history_csv(history, args.history)
-    start = history[0] if len(history) else float("nan")
+    start = history[0] if len(history) else final_rms
     print(f"dataset {dataset.name}: {len(history)} epochs, "
           f"rms {fmt(start)} -> {fmt(final_rms)}")
     if args.out:

@@ -56,8 +56,11 @@ def unit_convention(name) -> UnitConvention:
 
 
 def build_hamiltonian(params, convention: UnitConvention = DEFAULT_CONVENTION):
-    """H/hbar in rad/ns for (..., 9) parameter values in MHz; real symmetric."""
+    """H/hbar in rad/ns for (..., 9) parameter values in MHz; real symmetric.
+    Every route gets its matrices here, so non-finite values stop here."""
     values = np.asarray(params, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise QnnError("schedule parameters must be finite")
     return convention.omega_per_MHz * np.tensordot(values, GENERATORS, axes=(-1, 0))
 
 
@@ -85,12 +88,9 @@ class Schedule:
     def hamiltonians(self) -> np.ndarray:
         """(n_chunks, 8, 8) stack of H/hbar per chunk.
 
-        Every propagation route gets its matrices here, so non-finite
-        parameters are refused here; a schedule holding them can still be
-        built and inspected, as a diverged fit's result is.
+        build_hamiltonian refuses non-finite parameters; a schedule holding
+        them can still be built and inspected, as a diverged fit's result is.
         """
-        if not np.all(np.isfinite(self.chunks)):
-            raise QnnError("schedule parameters must be finite")
         return build_hamiltonian(self.chunks, self.convention)
 
     def flatten(self) -> np.ndarray:

@@ -12,12 +12,12 @@ loop under -H. The training loop instead calls the fast
 path in superop.py, which applies each chunk's n RK4 steps at once in
 the eigenbasis of its Hamiltonian and gets the same discrete adjoint
 from the divided-difference form of the derivative of that map; tests
-pin the two routes against each other and against central differences.
-rms_error, the stepped forward pass and readout, is the reference loss.
+pin the two routes against each other and against central differences
+of the loss in the parameters themselves.
 
 Every route reads a pair's targets through TrainingPair.arrays, which
 encodes them in OBSERVABLE_IDS order with a 0/1 mask for the ungraded
-outputs.
+outputs, and its loss, outputs and adjoint seed through ops.loss_terms.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import superop
+from . import hamiltonian, superop
 from .errors import (
     DivergenceError,
     KetSyntaxError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
-from .ops import OBSERVABLE_IDS, SIGNS, readout
+from .ops import OBSERVABLE_IDS, loss_terms
 from .propagate import (
     DEFAULT_DT_NS,
     IntegratorConfig,
@@ -189,12 +189,10 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     steps = cfg.steps_per_chunk(s.chunk_duration)
     rho0, targets, mask = pair.arrays()
     rho_f, traj = evolve(rho0, s, cfg, record=True)
-    y = readout(rho_f)
+    lam = np.diag(loss_terms(rho_f, targets, mask)[2]).astype(complex)
 
     hs = s.hamiltonians()
     u = s.convention.omega_per_MHz
-    # dE/drho(t_f) = sum_j -2 resid_j y_j P_j, a real diagonal matrix
-    lam = np.diag((-2.0 * (targets - y * y) * mask * y) @ SIGNS).astype(complex)
     grad = np.zeros((s.n_chunks, 9))
     lams = np.empty((steps + 1, 8, 8), dtype=complex)
     for k in range(s.n_chunks - 1, -1, -1):
@@ -221,40 +219,37 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
                 h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient, (E(p+h) - E(p-h)) / 2h per parameter.
 
-    All 72 perturbed forward evolutions run as one batch: each batch
-    element gets its own per-chunk Hamiltonian stack. h must be a
-    positive finite step.
+    The parameter sets p + h e_m and p - h e_m, for every entry m of the
+    flattened schedule, get their Hamiltonians from build_hamiltonian and
+    run as one batch. h must be a positive finite step.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be a positive "
                          f"finite number of MHz, got {h!r}")
     steps = cfg.steps_per_chunk(s.chunk_duration)
     n_par = s.n_chunks * 9
-    base = s.hamiltonians()
-    u = s.convention.omega_per_MHz
-
-    hs = np.repeat(base[:, None], 2 * n_par, axis=1).astype(complex)
-    for m in range(n_par):
-        k, q = divmod(m, 9)
-        hs[k, 2 * m] += h * u * GENERATORS[q]
-        hs[k, 2 * m + 1] -= h * u * GENERATORS[q]
-
+    # row 2m is p + h e_m, row 2m + 1 is p - h e_m
+    params = s.flatten() + h * np.kron(np.eye(n_par), [[1.0], [-1.0]])
+    hs = hamiltonian.build_hamiltonian(
+        params.reshape(2 * n_par, s.n_chunks, 9).swapaxes(0, 1), s.convention)
     rho, targets, mask = pair.arrays()
     rho_f = evolve_batch_h(np.broadcast_to(rho, (2 * n_par, 8, 8)), hs,
                            cfg.dt, steps)
-    expect = readout(rho_f)
-    resid = (targets - expect ** 2) * mask
-    energies = 0.5 * np.sum(resid * resid, axis=1)
+    energies, _, _ = loss_terms(rho_f, targets, mask)
     return (energies[0::2] - energies[1::2]) / (2 * h)
+
+
+def _rms(energy, mask) -> float:
+    """sqrt(2 E / number of graded outputs): the RMS residual."""
+    return float(np.sqrt(2.0 * energy / mask.sum()))
 
 
 def rms_error(ds: Dataset, s: Schedule,
               cfg: IntegratorConfig = IntegratorConfig()) -> float:
-    """sqrt(sum residual^2 / N_outputs) over the whole dataset."""
+    """RMS residual over the whole dataset, by the stepped forward pass."""
     rhos, targets, mask = load_dataset(ds).arrays()
     rho_f, _ = evolve(rhos, s, cfg)
-    resid = (targets - readout(rho_f) ** 2) * mask
-    return float(np.sqrt(np.sum(resid * resid) / mask.sum()))
+    return _rms(loss_terms(rho_f, targets, mask)[0].sum(), mask)
 
 
 def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
@@ -269,7 +264,6 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     ds = load_dataset(ds)
     cfg.integrator().steps_per_chunk(init.chunk_duration)
     rhos, targets, mask = ds.arrays()
-    n_out = mask.sum()
     flat = init.flatten()
     velocity = np.zeros_like(flat)
     history = np.empty(cfg.epochs)
@@ -280,7 +274,7 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
                 rhos, targets, mask, current, cfg.dt)
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
-        rms = float(np.sqrt(2.0 * energy / n_out))
+        rms = _rms(energy, mask)
         history[epoch] = rms
         if not (math.isfinite(rms) and np.all(np.isfinite(grad))):
             raise DivergenceError(

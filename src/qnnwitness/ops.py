@@ -59,13 +59,25 @@ def readout(rho: np.ndarray) -> np.ndarray:
     non-negligible imaginary part a corrupted (non-Hermitian) state.
     """
     tr = np.einsum("...ii,ki->...k", rho, SIGNS)
-    if not np.all(np.isfinite(tr)):
+    if not np.isfinite(tr).all():
         raise NonFinite("non-finite correlation: diverged or non-finite state")
     worst = np.max(np.abs(tr.imag))
     if worst >= HERM_TOL:
         raise ImaginaryTraceError(
             f"imaginary trace {worst:.3e} exceeds {HERM_TOL:.0e}")
     return tr.real
+
+
+def loss_terms(rho_f, targets, mask):
+    """The loss of every route: (..., 8, 8) final states, (..., 4) targets
+    and 0/1 mask -> per-input energies E = 1/2 sum resid^2, with resid =
+    mask (target - y^2) and y = readout(rho_f); the outputs y^2; and the
+    (..., 8) diagonal of the adjoint seed dE/drho(t_f) = -2 resid y SIGNS."""
+    y = readout(rho_f)
+    outputs = y * y
+    resid = (targets - outputs) * mask
+    return (0.5 * (resid * resid).sum(axis=-1), outputs,
+            (-2.0 * resid * y) @ SIGNS)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     """
     check_stable(np.linalg.eigvalsh(np.asarray(hs)), dt)
     n = 0
-    for h in hs:
+    for h in np.asarray(hs, dtype=complex):  # one cast, not one per product
         for _ in range(steps_per_chunk):
             k1 = rhs(h, rho)
             k2 = rhs(h, rho + (dt / 2) * k1)

@@ -40,8 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import GENERATORS, Schedule
-from .ops import SIGNS
-from .propagate import check_stable
+from .ops import loss_terms
+from .propagate import IntegratorConfig, check_stable
 
 
 def _quartic(z):
@@ -73,7 +73,7 @@ def _geometric_sum(x, y, n: int):
 
 def chunk_operators(s: Schedule, dt: float):
     """Per-chunk (V, mu, t, t^n), each (n_chunks, 8, 8), and n = steps."""
-    steps = round(s.chunk_duration / dt)
+    steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
     w, v = np.linalg.eigh(s.hamiltonians())
     check_stable(w, dt)
     mu = -1j * dt * (w[:, :, None] - w[:, None, :])
@@ -83,10 +83,10 @@ def chunk_operators(s: Schedule, dt: float):
 
 def propagate_vec(rhos: np.ndarray, s: Schedule, dt: float):
     """Evolve a (B, 8, 8) stack; returns the (n_chunks + 1, B, 8, 8)
-    states at the chunk boundaries and the chunk operators."""
+    states at the chunk boundaries and chunk_operators' result."""
     rho = np.asarray(rhos, dtype=complex)
-    ops, _ = chunk_operators(s, dt)
-    v, _, _, tn = ops
+    ops = chunk_operators(s, dt)
+    (v, _, _, tn), _ = ops
     boundaries = [rho]
     for vk, tk in zip(v, tn):
         rho = vk @ (tk * (vk.T @ rho @ vk)) @ vk.T
@@ -99,18 +99,12 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     """Loss, flattened gradient, and outputs for a whole training batch.
 
     targets and mask are (B, 4) in OBSERVABLE_IDS order; mask zeroes the
-    outputs a pair does not train on. The diagonal observables read only
-    the diagonals of the final density matrices.
+    outputs a pair does not train on. Loss, outputs and the adjoint seed
+    all come from ops.loss_terms.
     """
-    steps = round(s.chunk_duration / dt)
-    boundaries, (v, mu, t, tn) = propagate_vec(rhos, s, dt)
-    y = boundaries[-1].diagonal(axis1=1, axis2=2).real @ SIGNS.T  # pre-squared
-    outputs = y ** 2
-    resid = (targets - outputs) * mask
-    loss = 0.5 * float(np.sum(resid * resid))
-
-    # seed dE/drho at t_f: sum_j -2 resid_j y_j P_j, per batch element
-    lam = ((-2.0 * resid * y) @ SIGNS)[:, :, None] * np.eye(8)
+    boundaries, ((v, mu, t, tn), steps) = propagate_vec(rhos, s, dt)
+    energies, outputs, seed = loss_terms(boundaries[-1], targets, mask)
+    lam = seed[:, :, None] * np.eye(8)
     vt = v.transpose(0, 2, 1)
     lam_eig = np.empty((s.n_chunks,) + lam.shape, dtype=complex)
     for k in range(s.n_chunks - 1, -1, -1):
@@ -126,4 +120,4 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     dm = v @ left.imag @ vt
     grad = 2 * s.convention.omega_per_MHz * np.einsum(
         "qac,kac->kq", GENERATORS, dm)
-    return loss, grad.reshape(-1), outputs
+    return float(energies.sum()), grad.reshape(-1), outputs

@@ -338,6 +338,14 @@ def test_train_writes_schedule_and_history(isolated_config, tmp_path, capsys):
     assert "rms" in out
 
 
+def test_train_zero_epochs_starts_where_it_ends(isolated_config, capsys):
+    """With no epoch run, the start RMS is the final RMS, never NaN."""
+    code, out, _ = run(capsys, "train", "--dataset", "set1",
+                       "--epochs", "0", "--dt", "0.25")
+    assert code == 0
+    assert out.strip() == "dataset set1: 0 epochs, rms 0.0311886 -> 0.0311886"
+
+
 def test_train_divergence_exit(isolated_config, capsys):
     code, _, err = run(capsys, "train", "--dataset", "set1",
                        "--epochs", "500", "--lr", "50.0", "--dt", "0.25")

@@ -75,6 +75,8 @@ def test_schedule_rejects_non_finite_values_and_bad_duration():
         s = Schedule(corrupt, DEFAULT_CHUNK_NS, PLAIN)
         with pytest.raises(QnnError):
             s.hamiltonians()
+        with pytest.raises(QnnError):
+            build_hamiltonian(corrupt[None], PLAIN)
 
 
 def test_flatten_unflatten_round_trip():

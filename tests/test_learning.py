@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnnwitness import superop
-from qnnwitness.errors import DivergenceError, KetSyntaxError
+from qnnwitness import propagate, superop
+from qnnwitness.errors import DivergenceError, KetSyntaxError, QnnError
 from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
 from qnnwitness.learning import (
     P_STATE_TARGET,
@@ -122,6 +122,23 @@ def test_fd_gradient_needs_a_positive_finite_step():
     for h in (0.0, -1e-4, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive"):
             fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
+
+
+def test_gradient_routes_refuse_a_non_finite_schedule(monkeypatch):
+    """Both routes refuse NaN or infinite parameters before any evolution;
+    finite differences meet them in their perturbed parameter sets."""
+    def no_evolution(*args):
+        pytest.fail("an evolution ran on a non-finite schedule")
+
+    monkeypatch.setattr(propagate, "_stepped", no_evolution)
+    pair = TrainingPair(catalog("W"), dict(ZERO_TARGETS))
+    for bad in (np.nan, -np.inf):
+        chunks = bundled_schedule("set1").chunks.copy()
+        chunks[2, 5] = bad
+        s = Schedule(chunks, 75.0, PLAIN)
+        for route in (fd_gradient, backprop_gradient):
+            with pytest.raises(QnnError, match="must be finite"):
+                route(pair, s, IntegratorConfig(0.25))
 
 
 def test_gradient_for_mixed_input():

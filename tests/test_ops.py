@@ -11,6 +11,7 @@ from qnnwitness.ops import (
     dagger,
     embed_pauli,
     kron3,
+    loss_terms,
     readout,
 )
 
@@ -94,6 +95,50 @@ def test_readout_rejects_non_finite_correlations():
         for batch in (bad, np.stack([rho, bad])):
             with pytest.raises(NonFinite, match="diverged"):
                 readout(batch)
+
+
+# correlator signs from the bits of each basis index 4 q_A + 2 q_B + q_C:
+# sz reads +1 on bit 0 and -1 on bit 1
+PAIR_QUBITS = {"AB": (0, 1), "AC": (0, 2), "BC": (1, 2), "ABC": (0, 1, 2)}
+PARITY_SIGNS = np.array([[(-1.0) ** sum((i >> (2 - q)) & 1
+                                        for q in PAIR_QUBITS[k])
+                          for i in range(8)] for k in OBSERVABLE_IDS])
+
+
+def written_out_energy(diag, targets, mask):
+    """1/2 sum_k mask_k (target_k - y_k^2)^2, y_k = sum_i sign_ki diag_i."""
+    total = 0.0
+    for k in range(4):
+        y = sum(PARITY_SIGNS[k, i] * diag[i] for i in range(8))
+        total += 0.5 * mask[k] * (targets[k] - y * y) ** 2
+    return total
+
+
+def test_loss_terms_match_written_out_arithmetic():
+    """Energies and outputs are the explicit diag(rho) . sign sums, and
+    the seed is the derivative of the energy in diag(rho), by central
+    differences, on a random masked batch with two leading axes."""
+    rhos = np.stack([random_density() for _ in range(6)]).reshape(2, 3, 8, 8)
+    targets = RNG.uniform(0.0, 1.0, size=(2, 3, 4))
+    mask = (RNG.random((2, 3, 4)) < 0.6).astype(float)
+    assert 0 < mask.sum() < mask.size
+    energies, outputs, seed = loss_terms(rhos, targets, mask)
+    assert (energies.shape, outputs.shape, seed.shape) == (
+        (2, 3), (2, 3, 4), (2, 3, 8))
+    step = 1e-6
+    for idx in np.ndindex(2, 3):
+        diag = np.diag(rhos[idx]).real
+        for k in range(4):
+            y = sum(PARITY_SIGNS[k, i] * diag[i] for i in range(8))
+            assert outputs[idx][k] == pytest.approx(y * y, abs=1e-14)
+        assert energies[idx] == pytest.approx(
+            written_out_energy(diag, targets[idx], mask[idx]), abs=1e-14)
+        for j, step_j in enumerate(step * np.eye(8)):
+            numeric = (written_out_energy(diag + step_j, targets[idx],
+                                          mask[idx])
+                       - written_out_energy(diag - step_j, targets[idx],
+                                            mask[idx])) / (2 * step)
+            assert seed[idx][j] == pytest.approx(numeric, abs=1e-8)
 
 
 def test_commutator_of_commuting_operators_vanishes():

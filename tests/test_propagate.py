@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnnwitness.errors import DivergenceError
-from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
+from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
 from qnnwitness.propagate import (
     DEFAULT_DT_NS,
     RK4_STABLE_THETA,
@@ -14,7 +16,7 @@ from qnnwitness.propagate import (
     evolve_expm,
 )
 from qnnwitness.states import catalog, mix
-from qnnwitness.superop import _quartic
+from qnnwitness.superop import _quartic, propagate_vec
 
 RNG = np.random.default_rng(13)
 
@@ -98,6 +100,26 @@ def test_step_size_self_convergence():
     coarse, _ = evolve(BELL, SET1, IntegratorConfig(0.25))
     fine, _ = evolve(BELL, SET1, IntegratorConfig(0.05))
     assert np.abs(coarse - fine).max() < 1e-8
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_rk4_error_falls_sixteenfold_when_dt_halves(seed):
+    """RK4 is fourth order: from dt 0.25 to 0.125 the stepped loop's
+    distance from the exact exponential, 1e-8 to 1e-6 on uniform(-6, 6)
+    MHz angular schedules and so far above round-off, falls by about
+    2^4. The eigenbasis chunk map stays on the stepped loop at both."""
+    values = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(4, 9))
+    s = Schedule(values, 75.0, ANGULAR)
+    rhos = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
+    exact = evolve_expm(rhos, s)
+    errors = []
+    for dt in (0.25, 0.125):
+        stepped, _ = evolve(rhos, s, IntegratorConfig(dt))
+        errors.append(np.abs(stepped - exact).max())
+        boundaries, _ = propagate_vec(rhos, s, dt)
+        assert np.abs(boundaries[-1] - stepped).max() < 1e-12
+    assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 def test_evolve_is_batch_transparent():

@@ -112,9 +112,23 @@ def test_propagate_vec_matches_direct_integration():
         assert np.abs(final[i] - direct[i]).max() < 1e-12
 
 
+@pytest.mark.parametrize("dt", [0.4, 0.07])
+def test_engine_refuses_a_step_that_does_not_divide_the_chunk(dt):
+    """75 ns is 187.5 steps of 0.4 ns and 1071.4 of 0.07 ns; a rounded
+    step count would integrate 75.2 ns or 74.97 ns per chunk and return a
+    plausible answer."""
+    s = bundled_schedule("set1")
+    rhos, targets, mask = load_dataset("set1").arrays()
+    with pytest.raises(ValueError, match="integer multiple"):
+        propagate_vec(rhos, s, dt)
+    with pytest.raises(ValueError, match="integer multiple"):
+        dataset_loss_grad(rhos, targets, mask, s, dt)
+
+
 def test_outputs_match_squared_expectations():
-    """The training route reads the diagonals of the final states; its
-    outputs must equal the squared readout of the stepped route."""
+    """The training route's outputs, read by ops.loss_terms from the
+    eigenbasis engine's final states, must equal the squared readout of
+    the stepped route."""
     s = bundled_schedule("trained_set1")
     ds = load_dataset("set1")
     rhos, targets, mask = ds.arrays()
