@@ -2,8 +2,8 @@
 
 Subcommands: train, evaluate, sweep, grad-check, calibrate, catalog.
 Exit codes: 0 on success, 1 on domain errors (unphysical input, diverged
-training, inconclusive calibration, failed gradient check), 2 on usage or
-parse errors.
+training, inconclusive calibration, failed gradient check) and on paths
+that cannot be read or written, 2 on usage or parse errors.
 """
 
 import argparse
@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import learning, witness
-from .errors import ArityError, KetSyntaxError, QnnError, json_value, read_json
+from .errors import (ArityError, KetSyntaxError, QnnError, json_object,
+                     json_value, read_json)
 from .hamiltonian import (
     BUNDLED_SCHEDULES,
     PARAM_NAMES,
@@ -50,7 +51,7 @@ def load_config() -> dict:
         config = read_json(path)
     except FileNotFoundError:
         return {}
-    json_value(config, dict, f"config file {path}")
+    json_object(config, f"config file {path}", (*CONFIG_FIELDS, "convention"))
     for key, kind in CONFIG_FIELDS.items():
         if key in config:
             json_value(config[key], kind, key)
@@ -59,13 +60,11 @@ def load_config() -> dict:
     return config
 
 
-def save_config(updates: dict) -> Path:
+def save_config(config: dict) -> Path:
     path = config_path()
-    merged = dict(load_config())
-    merged.update(updates)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(merged, fh, indent=2)
+        json.dump(config, fh, indent=2)
         fh.write("\n")
     return path
 
@@ -74,23 +73,17 @@ def fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _settings(args, config: dict, fields) -> dict:
-    """The named fields from the flags, else from the config file; a
-    field that neither sets keeps its package default."""
+def _settings(args, config: dict, fields=("dt",)) -> dict:
+    """The named fields (by default the integrator's dt) from the flags,
+    else from the config file; a field neither sets keeps its default."""
     merged = {key: config[key] for key in fields if key in config}
     merged.update((key, getattr(args, key)) for key in fields
                   if getattr(args, key) is not None)
     return merged
 
 
-def _integrator(args, config: dict) -> IntegratorConfig:
-    return IntegratorConfig(**_settings(args, config, ("dt",)))
-
-
-def cmd_train(args) -> int:
-    config = load_config()
+def cmd_train(args, config: dict, init) -> int:
     dataset = load_dataset(args.dataset)
-    init = resolve_schedule(args.init, config.get("convention"))
     cfg = TrainConfig(**_settings(args, config, CONFIG_FIELDS))
     trained, history = learning.train(dataset, init, cfg)
     final_rms = learning.rms_error(dataset, trained, cfg.integrator())
@@ -106,11 +99,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = load_config()
-    schedule = resolve_schedule(args.params, config.get("convention"))
+def cmd_evaluate(args, config: dict, schedule) -> int:
     spec = learning.resolve_state(args.state)
-    report = witness.evaluate(spec, schedule, _integrator(args, config))
+    report = witness.evaluate(spec, schedule,
+                              IntegratorConfig(**_settings(args, config)))
     if args.json:
         doc = {
             "state": render(spec),
@@ -125,11 +117,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = load_config()
-    schedule = resolve_schedule(args.params, config.get("convention"))
+def cmd_sweep(args, config: dict, schedule) -> int:
     grid = witness.sweep(args.family, args.n, schedule,
-                         _integrator(args, config))
+                         IntegratorConfig(**_settings(args, config)))
     out = Path(args.out)
     witness.sweep_csv(grid, out)
     print(f"{args.family}: {args.n}x{args.n} grid written to {out}")
@@ -141,10 +131,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    config = load_config()
-    schedule = resolve_schedule(args.params, config.get("convention"))
-    cfg = _integrator(args, config)
+def cmd_grad_check(args, config: dict, schedule) -> int:
+    cfg = IntegratorConfig(**_settings(args, config))
     # Zero targets over all four observables give a loss with nonzero
     # gradient at any point where the outputs are nonzero.
     pair = TrainingPair(learning.resolve_state(args.state),
@@ -165,14 +153,13 @@ def cmd_grad_check(args) -> int:
     return 1
 
 
-def cmd_calibrate(args) -> int:
-    config = load_config()
-    schedule = resolve_schedule(args.params, config.get("convention"))
-    result = witness.calibrate(schedule, cfg=_integrator(args, config))
+def cmd_calibrate(args, config: dict, schedule) -> int:
+    result = witness.calibrate(
+        schedule, cfg=IntegratorConfig(**_settings(args, config)))
     for name, score in sorted(result.scores.items()):
         print(f"{name:<8} mean abs deviation {fmt(score)}")
     print(f"selected convention: {result.convention.name}")
-    path = save_config({"convention": result.convention.name})
+    path = save_config({**config, "convention": result.convention.name})
     print(f"recorded in {path}")
     return 0
 
@@ -185,7 +172,7 @@ def _catalog_line(name: str) -> str:
     return f"{name:<10} {render(spec)}"
 
 
-def cmd_catalog(_args) -> int:
+def cmd_catalog() -> int:
     for name in CATALOG_NAMES:
         print(_catalog_line(name))
     return 0
@@ -197,34 +184,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement witnessing with a trained three-qubit "
                     "network.")
     sub = parser.add_subparsers(dest="command", required=True)
+    dt = argparse.ArgumentParser(add_help=False)
+    dt.add_argument("--dt", type=float, help="integrator step in ns")
 
     schedule_help = ("schedule file or bundled name "
                      f"({', '.join(BUNDLED_SCHEDULES)})")
 
-    p = sub.add_parser("train", help="fit chunk parameters to a dataset")
+    p = sub.add_parser("train", parents=[dt],
+                       help="fit chunk parameters to a dataset")
     p.add_argument("--dataset", required=True,
                    help="dataset file or bundled name (set1, set2)")
-    p.add_argument("--init", default="initial", help=schedule_help)
+    p.add_argument("--init", dest="params", default="initial",
+                   help=schedule_help)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None,
-                   help="integrator step in ns")
     p.add_argument("--out", default=None, help="write trained schedule here")
     p.add_argument("--history", default=None,
                    help="write per-epoch rms CSV here")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate",
+    p = sub.add_parser("evaluate", parents=[dt],
                        help="run a state through the network")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--state", required=True,
                    help="catalog name, Name(a, b), ket sum or mix{...}")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="map outputs over a state family")
+    p = sub.add_parser("sweep", parents=[dt],
+                       help="map outputs over a state family")
     p.add_argument("--family", required=True, choices=("fig1", "fig2"))
     p.add_argument("--n", type=int, default=21,
                    help="grid points per axis")
@@ -232,48 +221,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="grid CSV path")
     p.add_argument("--crossing-out", default=None,
                    help="crossing locus CSV (default: <out>.crossing.csv)")
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("grad-check",
+    p = sub.add_parser("grad-check", parents=[dt],
                        help="compare the adjoint gradient against finite "
                             "differences")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--state", required=True)
     p.add_argument("--h", type=float, default=1e-4,
                    help="finite difference step in MHz")
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("calibrate",
+    p = sub.add_parser("calibrate", parents=[dt],
                        help="pick the unit convention that reproduces the "
                             "reference Bell outputs")
     p.add_argument("--params", default="set1", help=schedule_help)
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("catalog", help="list the named input states")
-    p.set_defaults(func=cmd_catalog)
+    sub.add_parser("catalog", help="list the named input states")
 
     return parser
 
 
 # exit code per failure, first match wins: 2 for unreadable state text and
-# any other bad flag or file value, 1 for domain errors and missing files
-EXIT_CODES = ((KetSyntaxError, 2), (QnnError, 1), (FileNotFoundError, 1),
+# any other bad flag or file value, 1 for domain errors and for files that
+# cannot be read or written
+EXIT_CODES = ((KetSyntaxError, 2), (QnnError, 1), (OSError, 1),
               (ValueError, 2))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Check the output paths, read config and schedule once, then run."""
+    args = build_parser().parse_args(argv)
+    if args.command == "catalog":
+        return cmd_catalog()
     try:
+        for path in map(vars(args).get, ("out", "history", "crossing_out")):
+            if path and not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"directory of {path} does not exist")
+        config = load_config()
+        schedule = resolve_schedule(args.params, config.get("convention"))
         # Every subcommand refuses a non-finite result (the readout raises
         # NonFinite, training DivergenceError), so numpy's overflow warnings
         # on the way there would only precede that message.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
-    except (QnnError, FileNotFoundError, ValueError) as exc:
+            return args.func(args, config, schedule)
+    except (QnnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 

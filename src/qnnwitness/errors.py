@@ -29,6 +29,16 @@ def json_value(value, kind: type, field: str):
     return value
 
 
+def json_object(doc, what: str, fields) -> dict:
+    """doc if it is a JSON object with no key outside fields, else a
+    ValueError naming what, or the unknown key and the allowed ones."""
+    for key in json_value(doc, dict, what):
+        if key not in fields:
+            raise ValueError(f"{what} has unknown field {key!r:.40}; "
+                             f"allowed: {', '.join(fields)}")
+    return doc
+
+
 def json_field(doc: dict, key: str, kind: type):
     """json_value of the required field doc[key], which must be there."""
     if key not in doc:

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import QnnError, json_field, json_value, read_json
+from .errors import QnnError, json_field, json_object, json_value, read_json
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -73,8 +73,11 @@ class Schedule:
     convention: UnitConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
-        object.__setattr__(self, "chunks",
-                           np.asarray(self.chunks, dtype=float).reshape(-1, 9))
+        chunks = np.asarray(self.chunks, dtype=float)
+        if chunks.ndim != 2 or chunks.shape[1] != len(PARAM_NAMES):
+            raise ValueError(f"chunks must have shape (n_chunks, "
+                             f"{len(PARAM_NAMES)}), got {chunks.shape}")
+        object.__setattr__(self, "chunks", chunks)
         if not self.n_chunks:
             raise ValueError("chunks must hold at least one row")
         if not (np.isfinite(self.chunk_duration) and self.chunk_duration > 0):
@@ -115,7 +118,7 @@ def save_schedule(s: Schedule, path) -> None:
 
 
 def _schedule_from_doc(doc: dict, default_convention=None) -> Schedule:
-    json_value(doc, dict, "schedule")
+    json_object(doc, "schedule", ("chunks", "chunk_duration_ns", "convention"))
     convention = unit_convention(doc.get(
         "convention", default_convention or DEFAULT_CONVENTION.name))
     chunks = json_field(doc, "chunks", list)
@@ -124,16 +127,12 @@ def _schedule_from_doc(doc: dict, default_convention=None) -> Schedule:
             raise ValueError(f"chunks row {i} must hold {len(PARAM_NAMES)} "
                              f"values, got {len(row)}")
     duration = doc.get("chunk_duration_ns", DEFAULT_CHUNK_NS)
-    return Schedule(np.array([[json_value(v, float, "chunk value")
-                               for v in row] for row in chunks], dtype=float),
+    values = np.array([[json_value(v, float, "chunk value") for v in row]
+                       for row in chunks], dtype=float)
+    # an empty list reads as no rows of 9 values, which Schedule refuses
+    return Schedule(values.reshape(-1, len(PARAM_NAMES)),
                     float(json_value(duration, float, "chunk_duration_ns")),
                     convention)
-
-
-def load_schedule(path, default_convention=None) -> Schedule:
-    """Read a schedule file; files without a convention field get the
-    caller's default convention name (or the package default)."""
-    return _schedule_from_doc(read_json(path), default_convention)
 
 
 BUNDLED_SCHEDULES = ("initial", "set1", "set2", "trained_set1", "trained_set2")
@@ -150,9 +149,11 @@ def bundled_schedule(name: str) -> Schedule:
 
 
 def resolve_schedule(source, default_convention=None) -> Schedule:
-    """Accept a Schedule, a bundled name, or a file path."""
+    """A Schedule as it is, a bundled name, or a schedule file path; a file
+    without a convention field gets the caller's default convention name
+    (or the package default)."""
     if isinstance(source, Schedule):
         return source
     if source in BUNDLED_SCHEDULES:
         return bundled_schedule(source)
-    return load_schedule(source, default_convention)
+    return _schedule_from_doc(read_json(source), default_convention)

@@ -34,6 +34,7 @@ from .errors import (
     DivergenceError,
     KetSyntaxError,
     json_field,
+    json_object,
     json_value,
     read_json,
 )
@@ -129,10 +130,10 @@ class Dataset:
 
 
 def _dataset_from_doc(doc: dict) -> Dataset:
-    json_value(doc, dict, "dataset")
+    json_object(doc, "dataset", ("name", "pairs"))
     pairs = []
     for entry in json_field(doc, "pairs", list):
-        json_value(entry, dict, "pair")
+        json_object(entry, "pair", ("state", "targets"))
         targets = json_field(entry, "targets", dict)
         pairs.append(TrainingPair(
             resolve_state(json_field(entry, "state", str)),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qnnwitness import propagate
+from qnnwitness import learning, propagate, witness
 from qnnwitness.cli import main
 from qnnwitness.errors import ArityError, DivergenceError, KetSyntaxError
 from qnnwitness.hamiltonian import (
@@ -41,6 +41,7 @@ def run(capsys, *argv):
 
 
 def test_catalog_lists_every_named_state(isolated_config, capsys):
+    isolated_config.write_text("{")  # catalog never reads the config
     code, out, _ = run(capsys, "catalog")
     assert code == 0
     for name in ("Bell_AB", "GHZ_minus", "W", "M", "fig2"):
@@ -263,6 +264,21 @@ MISTYPED_FILES = [
     ("dataset", "--dataset", "pairs: []", "dataset.json is not valid JSON"),
 ] + [("schedule", "--init", doc, field) for doc, field in BAD_SCHEDULES]
 
+# a field no reader knows is named, never dropped for a plausible answer
+PAIR = {"state": "W", "targets": {"AB": 1.0}}
+MISTYPED_FILES += [
+    ("config", None, {"lr": 0.5, "epoch": 1}, "unknown field 'lr'"),
+    ("schedule", "--init", {"chunks": [ROW] * 4, "convension": "angular"},
+     "unknown field 'convension'; allowed: chunks, chunk_duration_ns, "
+     "convention"),
+    ("schedule", "--init", {"chunks": [ROW] * 4, "chunk_duration": 50},
+     "unknown field 'chunk_duration'"),
+    ("dataset", "--dataset", {"pairs": [PAIR], "shuffle": True},
+     "unknown field 'shuffle'"),
+    ("dataset", "--dataset", {"pairs": [{**PAIR, "weight": 5}]},
+     "unknown field 'weight'"),
+]
+
 
 @pytest.mark.parametrize("kind, option, doc, field", MISTYPED_FILES)
 def test_mistyped_json_files_are_usage_errors(isolated_config, tmp_path,
@@ -286,6 +302,43 @@ def test_evaluate_refuses_a_schedule_it_cannot_run(isolated_config, tmp_path,
     code, out, err = run(capsys, "evaluate", "--params", str(path),
                          "--state", "W", "--dt", "0.25")
     assert code == 2 and out == "" and field in err
+
+
+def test_unreadable_paths_are_failures_not_tracebacks(isolated_config,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+    """A directory where a file belongs is exit 1 with one error line."""
+    folder = str(tmp_path)
+    for argv in (("evaluate", "--params", folder, "--state", "W"),
+                 ("train", "--dataset", folder, "--epochs", "0"),
+                 ("sweep", "--family", "fig1", "--n", "2", "--params", "set1",
+                  "--out", folder)):
+        code, out, err = run(capsys, *argv, "--dt", "0.25")
+        assert code == 1 and out == "" and err.startswith("error:")
+        assert folder in err and "Traceback" not in err
+    monkeypatch.setenv("QNNWITNESS_CONFIG", folder)
+    code, out, err = run(capsys, "evaluate", "--params", "set1",
+                         "--state", "W", "--dt", "0.25")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert folder in err and "Traceback" not in err
+
+
+def test_missing_output_directory_is_refused_before_the_run(
+        isolated_config, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("the run started before its output paths were checked")
+
+    monkeypatch.setattr(learning, "train", no_run)
+    monkeypatch.setattr(witness, "sweep", no_run)
+    missing = tmp_path / "missing" / "file.csv"
+    grid = ("sweep", "--family", "fig2", "--params", "set1")
+    for argv in (("train", "--dataset", "set1", "--out", missing),
+                 ("train", "--dataset", "set1", "--history", missing),
+                 grid + ("--out", missing),
+                 grid + ("--out", tmp_path / "g.csv", "--crossing-out",
+                         missing)):
+        code, out, err = run(capsys, *map(str, argv))
+        assert code == 1 and out == "" and str(missing) in err
 
 
 # state text -> the state it names, or (API error, CLI exit code, stderr word)

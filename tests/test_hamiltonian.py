@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from qnnwitness.hamiltonian import (
     Schedule,
     build_hamiltonian,
     bundled_schedule,
-    load_schedule,
     resolve_schedule,
     save_schedule,
     unflatten,
@@ -79,6 +79,15 @@ def test_schedule_rejects_non_finite_values_and_bad_duration():
             build_hamiltonian(corrupt[None], PLAIN)
 
 
+def test_schedule_refuses_chunks_that_are_not_n_by_9():
+    """Chunks of another shape are refused, never reshaped into rows of 9."""
+    for bad in (np.arange(36.0).reshape(9, 4), np.zeros(18),
+                np.zeros((1, 4, 9))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"chunks must have shape (n_chunks, 9), got {bad.shape}")):
+            Schedule(bad, DEFAULT_CHUNK_NS, PLAIN)
+
+
 def test_flatten_unflatten_round_trip():
     s = Schedule(RNG.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
     flat = s.flatten()
@@ -92,7 +101,7 @@ def test_save_load_round_trip(tmp_path):
     s = Schedule(RNG.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
     path = tmp_path / "sched.json"
     save_schedule(s, path)
-    back = load_schedule(path)
+    back = resolve_schedule(path)
     assert np.allclose(back.chunks, s.chunks)
     assert back.chunk_duration == s.chunk_duration
     assert back.convention.name == "plain"
@@ -102,10 +111,11 @@ def test_load_applies_caller_default_convention(tmp_path):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"chunk_duration_ns": 75.0,
                                 "chunks": [[0.0] * 9] * 4}))
-    assert load_schedule(path).convention.name == "plain"
-    assert load_schedule(path, "angular").convention is CONVENTIONS["angular"]
+    assert resolve_schedule(path).convention.name == "plain"
+    angular = resolve_schedule(path, "angular")
+    assert angular.convention is CONVENTIONS["angular"]
     with pytest.raises(ValueError, match="one of angular, plain, got 'hertz'"):
-        load_schedule(path, "hertz")
+        resolve_schedule(path, "hertz")
 
 
 def test_bundled_schedules_present_and_well_formed():
