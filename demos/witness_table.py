@@ -7,7 +7,8 @@ partially entangled P states land in between.
 """
 import argparse
 
-from qnnwitness import IntegratorConfig, bundled_schedule, evaluate
+from qnnwitness import IntegratorConfig, evaluate
+from qnnwitness.hamiltonian import resolve_schedule
 
 ROWS = [
     "Bell_AB", "Bell_AC", "Bell_BC",
@@ -25,7 +26,7 @@ def main():
     ap.add_argument("--dt", type=float, default=0.05)
     args = ap.parse_args()
 
-    s = bundled_schedule(args.schedule)
+    s = resolve_schedule(args.schedule)
     cfg = IntegratorConfig(args.dt)
 
     print(f"{'state':<10} {'AB':>8} {'AC':>8} {'BC':>8} {'ABC':>8}")

@@ -16,10 +16,6 @@ from .errors import ArityError, InvalidWeights, NonFinite, UnknownState, ZeroVec
 
 WEIGHT_TOL = 1e-9
 
-# index of |q_A q_B q_C>
-def basis_index(q_a: int, q_b: int, q_c: int) -> int:
-    return 4 * q_a + 2 * q_b + q_c
-
 
 def normalize(raw) -> np.ndarray:
     """Scale 8 amplitudes to unit Euclidean norm."""
@@ -119,48 +115,12 @@ def _pair_state(pair: str, kind: str, *args) -> np.ndarray:
     return np.moveaxis(amps, (0, 1, 2), _SLOTS[pair]).reshape(8)
 
 
-def _ghz(sign):
+def _amps(entries) -> np.ndarray:
+    """{basis index 4*q_A + 2*q_B + q_C: amplitude} as 8 amplitudes."""
     amps = np.zeros(8, dtype=complex)
-    amps[0], amps[7] = 1.0, sign
+    for index, value in entries.items():
+        amps[index] = value
     return amps
-
-
-def _w_state():
-    amps = np.zeros(8, dtype=complex)
-    amps[basis_index(0, 0, 1)] = 1.0
-    amps[basis_index(0, 1, 0)] = 1.0
-    amps[basis_index(1, 0, 0)] = 1.0
-    return amps
-
-
-def _f3():
-    a = np.array([0.8, 1.0])
-    b = np.array([0.0, 1.0])
-    c = np.array([1.0, 0.7])
-    return np.einsum("i,j,k->ijk", a, b, c).reshape(8)
-
-
-def fig1(alpha: float, beta: float) -> np.ndarray:
-    """alpha|000> + beta|001> + |010> + |100>, normalized.
-
-    Corners: (0,0) is the EPR pair in A,B with C in |0>; (0,1) is the W
-    state; the beta=1 edge is symmetric under exchanging B and C.
-    """
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = alpha
-    amps[1] = beta
-    amps[2] = 1.0
-    amps[4] = 1.0
-    return normalize(amps)
-
-
-def fig2(alpha: float, beta: float) -> np.ndarray:
-    """alpha|110> + beta|111> + |000>, normalized; (0,1) is the GHZ state."""
-    amps = np.zeros(8, dtype=complex)
-    amps[6] = alpha
-    amps[7] = beta
-    amps[0] = 1.0
-    return normalize(amps)
 
 
 # name -> (builder returning amplitudes or StateSpec, required arg count,
@@ -177,18 +137,27 @@ for _pair in _SLOTS:
         _register(f"{_kind}_{_pair}", partial(_pair_state, _pair, _kind),
                   defaults=_pattern.__defaults__ or ())
 
-_register("GHZ_plus", lambda: _ghz(+1.0))
-_register("GHZ_minus", lambda: _ghz(-1.0))
-_register("W", _w_state)
-_register("F1", lambda: np.ones(8, dtype=complex))
-_register("F2", lambda: np.eye(8, dtype=complex)[0])
-_register("F3", _f3)
+_register("GHZ_plus", lambda: _amps({0: 1, 7: 1}))
+_register("GHZ_minus", lambda: _amps({0: 1, 7: -1}))
+_register("W", lambda: _amps({1: 1, 2: 1, 4: 1}))
+_register("F1", lambda: _amps(dict.fromkeys(range(8), 1)))
+_register("F2", lambda: _amps({0: 1}))
+# (0.8|0> + |1>)|1>(|0> + 0.7|1>)
+_register("F3", lambda: _amps({2: 0.8, 3: 0.8 * 0.7, 6: 1, 7: 0.7}))
 _register("M", lambda: StateSpec.mixture(
-    [(0.5, np.eye(8)[0]), (0.5, np.eye(8)[7])]))
-_register("fig1", fig1, 2)
-_register("fig2", fig2, 2)
+    [(0.5, _amps({0: 1})), (0.5, _amps({7: 1}))]))
+# (0,0) is the EPR pair in A,B with C in |0>; (0,1) is the W state; the
+# beta=1 edge is symmetric under exchanging B and C
+_register("fig1", lambda alpha, beta: normalize(
+    _amps({0: alpha, 1: beta, 2: 1, 4: 1})), 2)
+# (0,1) is the GHZ state. Both families normalize before `catalog` does;
+# normalizing once would move the last bits of some grid densities
+_register("fig2", lambda alpha, beta: normalize(
+    _amps({0: 1, 6: alpha, 7: beta})), 2)
 
 CATALOG_NAMES = tuple(_CATALOG)
+# the two-argument (alpha, beta) families that `witness.sweep` maps
+FAMILIES = tuple(n for n, (_, required, _) in _CATALOG.items() if required)
 
 
 def catalog(name: str, *args: float) -> StateSpec:

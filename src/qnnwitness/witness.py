@@ -17,7 +17,7 @@ from .hamiltonian import CONVENTIONS, Schedule, UnitConvention
 from .learning import resolve_state
 from .ops import OBSERVABLE_IDS, readout
 from .propagate import IntegratorConfig, evolve
-from .states import catalog, mix
+from .states import FAMILIES, catalog, mix
 
 # reporting thresholds; acceptance logic pins raw outputs, not labels
 THRESHOLD_PARTIAL = 0.1
@@ -25,6 +25,9 @@ THRESHOLD_STRONG = 0.7
 
 # trained Bell outputs used as the calibration reference
 BELL_REFERENCE = (0.9943, 0.9930, 0.9945)
+
+# the one sweep family whose out_AB/out_ABC crossing locus is located
+CROSSING_FAMILY = "fig2"
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class SweepGrid:
     alphas: np.ndarray
     betas: np.ndarray
     outputs: np.ndarray  # (n_beta, n_alpha, 4)
-    crossing: tuple = ()  # fig2 only: (beta, alpha_star) rows
+    crossing: tuple = ()  # CROSSING_FAMILY only: (beta, alpha_star) rows
 
 
 def _crossing_locus(alphas, betas, outputs):
@@ -122,8 +125,8 @@ def _crossing_locus(alphas, betas, outputs):
 
 def sweep(family: str, n: int, s: Schedule,
           cfg: IntegratorConfig = IntegratorConfig()) -> SweepGrid:
-    """Evaluate the fig1/fig2 state family on an n x n grid over [0,1]^2."""
-    if family not in ("fig1", "fig2"):
+    """Evaluate a two-argument catalog family on an n x n grid over [0,1]^2."""
+    if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
@@ -133,7 +136,8 @@ def sweep(family: str, n: int, s: Schedule,
         mix(catalog(family, alpha, beta))
         for beta in betas for alpha in alphas])
     outputs = evaluate_many(rhos, s, cfg).reshape(n, n, 4)
-    crossing = _crossing_locus(alphas, betas, outputs) if family == "fig2" else ()
+    crossing = (_crossing_locus(alphas, betas, outputs)
+                if family == CROSSING_FAMILY else ())
     return SweepGrid(family, alphas, betas, outputs, crossing)
 
 

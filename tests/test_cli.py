@@ -8,6 +8,7 @@ from qnnwitness import learning, propagate, witness
 from qnnwitness.cli import main
 from qnnwitness.errors import ArityError, DivergenceError, KetSyntaxError
 from qnnwitness.hamiltonian import (
+    PARAM_NAMES,
     PLAIN,
     Schedule,
     bundled_schedule,
@@ -330,15 +331,17 @@ def test_missing_output_directory_is_refused_before_the_run(
 
     monkeypatch.setattr(learning, "train", no_run)
     monkeypatch.setattr(witness, "sweep", no_run)
-    missing = tmp_path / "missing" / "file.csv"
     grid = ("sweep", "--family", "fig2", "--params", "set1")
-    for argv in (("train", "--dataset", "set1", "--out", missing),
-                 ("train", "--dataset", "set1", "--history", missing),
-                 grid + ("--out", missing),
-                 grid + ("--out", tmp_path / "g.csv", "--crossing-out",
-                         missing)):
-        code, out, err = run(capsys, *map(str, argv))
-        assert code == 1 and out == "" and str(missing) in err
+    # a path in a missing directory, and a path that is a directory
+    for bad in (tmp_path / "missing" / "file.csv", tmp_path):
+        for argv in (("train", "--dataset", "set1", "--out", bad),
+                     ("train", "--dataset", "set1", "--history", bad),
+                     grid + ("--out", bad),
+                     grid + ("--out", tmp_path / "g.csv", "--crossing-out",
+                             bad)):
+            code, out, err = run(capsys, *map(str, argv))
+            assert code == 1 and out == "" and str(bad) in err
+            assert "directory" in err
 
 
 # state text -> the state it names, or (API error, CLI exit code, stderr word)
@@ -422,9 +425,15 @@ def test_sweep_writes_grid_and_crossing(isolated_config, tmp_path, capsys):
 
 def test_sweep_fig1_skips_crossing_file(isolated_config, tmp_path, capsys):
     grid_path = tmp_path / "g1.csv"
-    code, *_ = run(capsys, "sweep", "--family", "fig1", "--n", "3",
-                   "--params", "trained_set1", "--out", str(grid_path),
-                   "--dt", "0.25")
+    argv = ("sweep", "--family", "fig1", "--n", "3", "--params",
+            "trained_set1", "--out", str(grid_path), "--dt", "0.25")
+    # fig1 has no crossing locus: asking for its file is a usage error,
+    # refused before the grid runs
+    code, out, err = run(capsys, *argv,
+                         "--crossing-out", str(tmp_path / "c.csv"))
+    assert code == 2 and out == "" and "crossing" in err
+    assert not grid_path.exists() and not (tmp_path / "c.csv").exists()
+    code, *_ = run(capsys, *argv)
     assert code == 0
     assert grid_path.exists()
     assert not (tmp_path / "g1.crossing.csv").exists()
@@ -435,7 +444,26 @@ def test_grad_check_passes_on_healthy_build(isolated_config, capsys):
                        "--state", "W", "--dt", "0.25")
     assert code == 0
     assert "passed" in out
-    assert "max rel deviation" in out
+    assert "worst deviation" in out
+
+
+def test_grad_check_allows_the_round_off_of_differences(isolated_config,
+                                                         capsys, monkeypatch):
+    """Each component may deviate by 1e-6 of its size plus 1e-9: 3e-11 on
+    a 1e-5 component passes, 1e-5 relative on the largest one fails."""
+    numeric = np.geomspace(1e-5, 1.0, 4 * len(PARAM_NAMES))
+    small, large = numeric.copy(), numeric.copy()
+    small[0] += 3e-11
+    large[-1] *= 1 + 1e-5
+    monkeypatch.setattr(learning, "fd_gradient", lambda *a, **k: numeric)
+    for exact, expected, verdict in ((small, 0, "passed"),
+                                     (large, 1, "FAILED")):
+        monkeypatch.setattr(learning, "backprop_gradient",
+                            lambda *a, **k: exact)
+        code, out, _ = run(capsys, "grad-check", "--params", "set1",
+                           "--state", "W")
+        assert code == expected and f"gradient check {verdict}" in out
+    assert f"(chunk 3, {PARAM_NAMES[-1]})" in out
 
 
 def test_calibrate_records_convention(isolated_config, capsys):

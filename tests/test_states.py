@@ -10,11 +10,9 @@ from qnnwitness.errors import (
 )
 from qnnwitness.states import (
     CATALOG_NAMES,
+    FAMILIES,
     StateSpec,
-    basis_index,
     catalog,
-    fig1,
-    fig2,
     ket_to_density,
     mix,
     normalize,
@@ -30,11 +28,15 @@ def amplitudes(name, *args):
 
 
 def test_basis_index_orders_qubit_a_most_significant():
-    assert basis_index(0, 0, 0) == 0
-    assert basis_index(0, 0, 1) == 1
-    assert basis_index(0, 1, 0) == 2
-    assert basis_index(1, 0, 0) == 4
-    assert basis_index(1, 1, 1) == 7
+    """Index 4*q_A + 2*q_B + q_C: a product state is the Kronecker product
+    of its qubits in the order A, B, C."""
+    expected = np.kron(np.kron([0.8, 1.0], [0.0, 1.0]), [1.0, 0.7])
+    assert np.allclose(amplitudes("F3"), expected / np.linalg.norm(expected))
+    # fig1 puts beta on |001>, fig2 alpha on |110> and beta on |111>
+    for args, support in ((("fig1", 0.0, 0.5), [1, 2, 4]),
+                          (("fig2", 0.5, 0.0), [0, 6]),
+                          (("fig2", 0.0, 0.5), [0, 7])):
+        assert list(np.flatnonzero(amplitudes(*args))) == support
 
 
 def test_normalize_rejects_zero_vector():
@@ -65,11 +67,7 @@ def test_global_phase_leaves_density_alone():
 
 def test_catalog_states_are_normalized():
     for name in CATALOG_NAMES:
-        try:
-            spec = catalog(name)
-        except ArityError:
-            spec = catalog(name, 0.3, 0.8)
-        rho = mix(spec)
+        rho = mix(catalog(name, *((0.3, 0.8) if name in FAMILIES else ())))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12), name
         assert np.allclose(rho, rho.conj().T), name
 
@@ -77,11 +75,11 @@ def test_catalog_states_are_normalized():
 def test_bell_pairs_occupy_expected_basis_states():
     psi = amplitudes("Bell_AB")
     assert psi[0] == pytest.approx(S2)
-    assert psi[basis_index(1, 1, 0)] == pytest.approx(S2)
+    assert psi[0b110] == pytest.approx(S2)
     psi = amplitudes("Bell_AC")
-    assert psi[basis_index(1, 0, 1)] == pytest.approx(S2)
+    assert psi[0b101] == pytest.approx(S2)
     psi = amplitudes("Bell_BC")
-    assert psi[basis_index(0, 1, 1)] == pytest.approx(S2)
+    assert psi[0b011] == pytest.approx(S2)
 
 
 def test_epr_spectator_is_balanced():
@@ -126,7 +124,7 @@ def test_ghz_signs():
 
 def test_w_state_uniform_over_single_excitations():
     psi = amplitudes("W")
-    support = {basis_index(0, 0, 1), basis_index(0, 1, 0), basis_index(1, 0, 0)}
+    support = {0b001, 0b010, 0b100}
     assert set(np.flatnonzero(np.abs(psi) > 1e-12)) == support
     assert np.allclose(psi[sorted(support)], 1.0 / np.sqrt(3.0))
 
@@ -144,16 +142,16 @@ def test_mixed_reference_state_is_even_classical_mixture():
 def test_family_one_limits():
     # alpha scales |000>, beta scales |001>; at (0, 1) the three
     # single-excitation-or-less terms become the W pattern
-    w = normalize(fig1(0.0, 1.0))
+    w = amplitudes("fig1", 0.0, 1.0)
     assert np.allclose(np.abs(w), np.abs(amplitudes("W")))
-    edge = normalize(fig1(0.7, 1.0))
+    edge = amplitudes("fig1", 0.7, 1.0)
     assert edge[1] == pytest.approx(edge[2]) and edge[2] == pytest.approx(edge[4])
 
 
 def test_family_two_limits():
-    ghz = normalize(fig2(0.0, 1.0))
+    ghz = amplitudes("fig2", 0.0, 1.0)
     assert np.allclose(ghz, amplitudes("GHZ_plus"))
-    lone = normalize(fig2(0.0, 0.0))
+    lone = amplitudes("fig2", 0.0, 0.0)
     assert lone[0] == pytest.approx(1.0)
 
 

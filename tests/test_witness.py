@@ -8,7 +8,7 @@ from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
 from qnnwitness.hamiltonian import Schedule, bundled_schedule
 from qnnwitness.ops import OBSERVABLE_IDS, readout
 from qnnwitness.propagate import IntegratorConfig, evolve
-from qnnwitness.states import StateSpec, catalog, mix
+from qnnwitness.states import FAMILIES, StateSpec, catalog, mix
 from qnnwitness.witness import (
     BELL_REFERENCE,
     calibrate,
@@ -162,9 +162,12 @@ def test_sweep_grid_shape_and_corners():
 
 
 def test_sweep_validates_arguments():
+    # the sweep families are the catalog rows that require arguments
+    assert FAMILIES == ("fig1", "fig2")
     s = bundled_schedule("trained_set2")
-    with pytest.raises(ValueError):
-        sweep("fig3", 5, s, FAST)
+    for family in ("fig3", "W", "Cr_AB"):
+        with pytest.raises(ValueError, match="unknown sweep family"):
+            sweep(family, 5, s, FAST)
     with pytest.raises(ValueError):
         sweep("fig2", 1, s, FAST)
 
