@@ -1,10 +1,9 @@
 """Sweep the alpha|110> + beta|111> + |000> family and locate where the
 pairwise detector hands over to the three-way one."""
 import argparse
-from pathlib import Path
 
 from qnnwitness import IntegratorConfig, bundled_schedule, sweep
-from qnnwitness.witness import crossing_csv, sweep_csv
+from qnnwitness.witness import crossing_csv, crossing_path, sweep_csv
 
 
 def main():
@@ -17,11 +16,10 @@ def main():
     s = bundled_schedule("trained_set2")
     grid = sweep("fig2", args.n, s, IntegratorConfig(args.dt))
 
-    out = Path(args.out)
-    sweep_csv(grid, out)
-    locus = out.with_name(out.stem + ".crossing.csv")
+    sweep_csv(grid, args.out)
+    locus = crossing_path(args.out)
     crossing_csv(grid, locus)
-    print(f"wrote {out} and {locus}")
+    print(f"wrote {args.out} and {locus}")
 
     # for this family the handover should sit near alpha = beta
     print(f"\n{'beta':>6} {'alpha*':>8} {'|alpha*-beta|':>14}")

@@ -10,13 +10,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import learning, witness
 from .errors import (KetSyntaxError, QnnError, json_object, json_value,
-                     read_json)
+                     read_json, write_json)
 from .hamiltonian import (
     BUNDLED_SCHEDULES,
     PARAM_NAMES,
@@ -63,9 +64,7 @@ def load_config() -> dict:
 def save_config(config: dict) -> Path:
     path = config_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2)
-        fh.write("\n")
+    write_json(path, config)
     return path
 
 
@@ -73,18 +72,8 @@ def fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _settings(args, config: dict, fields=("dt",)) -> dict:
-    """The named fields (by default the integrator's dt) from the flags,
-    else from the config file; a field neither sets keeps its default."""
-    merged = {key: config[key] for key in fields if key in config}
-    merged.update((key, getattr(args, key)) for key in fields
-                  if getattr(args, key) is not None)
-    return merged
-
-
-def cmd_train(args, config: dict, init) -> int:
+def cmd_train(args, cfg: TrainConfig, init, config: dict) -> int:
     dataset = load_dataset(args.dataset)
-    cfg = TrainConfig(**_settings(args, config, CONFIG_FIELDS))
     trained, history = learning.train(dataset, init, cfg)
     final_rms = learning.rms_error(dataset, trained, cfg.integrator())
     if args.out:
@@ -99,10 +88,9 @@ def cmd_train(args, config: dict, init) -> int:
     return 0
 
 
-def cmd_evaluate(args, config: dict, schedule) -> int:
+def cmd_evaluate(args, cfg: IntegratorConfig, schedule, config: dict) -> int:
     spec = learning.resolve_state(args.state)
-    report = witness.evaluate(spec, schedule,
-                              IntegratorConfig(**_settings(args, config)))
+    report = witness.evaluate(spec, schedule, cfg)
     if args.json:
         doc = {
             "state": render(spec),
@@ -117,24 +105,18 @@ def cmd_evaluate(args, config: dict, schedule) -> int:
     return 0
 
 
-def cmd_sweep(args, config: dict, schedule) -> int:
-    if args.crossing_out and args.family != witness.CROSSING_FAMILY:
-        raise ValueError(f"--crossing-out: no crossing locus in {args.family}")
-    grid = witness.sweep(args.family, args.n, schedule,
-                         IntegratorConfig(**_settings(args, config)))
-    out = Path(args.out)
-    witness.sweep_csv(grid, out)
-    print(f"{args.family}: {args.n}x{args.n} grid written to {out}")
-    if grid.family == witness.CROSSING_FAMILY:
-        cross_path = (Path(args.crossing_out) if args.crossing_out
-                      else out.with_name(out.stem + ".crossing.csv"))
-        witness.crossing_csv(grid, cross_path)
-        print(f"{len(grid.crossing)} crossing rows written to {cross_path}")
+def cmd_sweep(args, cfg: IntegratorConfig, schedule, config: dict) -> int:
+    grid = witness.sweep(args.family, args.n, schedule, cfg)
+    witness.sweep_csv(grid, args.out)
+    print(f"{args.family}: {args.n}x{args.n} grid written to {args.out}")
+    if args.crossing_out:
+        witness.crossing_csv(grid, args.crossing_out)
+        print(f"{len(grid.crossing)} crossing rows written to "
+              f"{args.crossing_out}")
     return 0
 
 
-def cmd_grad_check(args, config: dict, schedule) -> int:
-    cfg = IntegratorConfig(**_settings(args, config))
+def cmd_grad_check(args, cfg: IntegratorConfig, schedule, config: dict) -> int:
     # Zero targets over all four observables give a loss with nonzero
     # gradient at any point where the outputs are nonzero.
     pair = TrainingPair(learning.resolve_state(args.state),
@@ -156,9 +138,8 @@ def cmd_grad_check(args, config: dict, schedule) -> int:
     return 1
 
 
-def cmd_calibrate(args, config: dict, schedule) -> int:
-    result = witness.calibrate(
-        schedule, cfg=IntegratorConfig(**_settings(args, config)))
+def cmd_calibrate(args, cfg: IntegratorConfig, schedule, config: dict) -> int:
+    result = witness.calibrate(schedule, cfg)
     for name, score in sorted(result.scores.items()):
         print(f"{name:<8} mean abs deviation {fmt(score)}")
     print(f"selected convention: {result.convention.name}")
@@ -252,23 +233,39 @@ EXIT_CODES = ((KetSyntaxError, 2), (QnnError, 1), (OSError, 1),
 
 
 def main(argv=None) -> int:
-    """Check the output paths, read config and schedule once, then run."""
+    """Resolve outputs, config, schedule and settings once, then run."""
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
         return cmd_catalog()
     try:
-        for path in map(vars(args).get, ("out", "history", "crossing_out")):
+        if vars(args).get("family") == witness.CROSSING_FAMILY:
+            args.crossing_out = (args.crossing_out
+                                 or witness.crossing_path(args.out))
+        elif vars(args).get("crossing_out"):
+            raise ValueError(f"--crossing-out: no crossing locus in "
+                             f"{args.family}")
+        owners = {}
+        for flag in ("--out", "--history", "--crossing-out"):
+            path = vars(args).get(flag[2:].replace("-", "_"))
             if path and not Path(path).parent.is_dir():
                 raise FileNotFoundError(f"directory of {path} does not exist")
             if path and Path(path).is_dir():
                 raise IsADirectoryError(f"{path} is a directory, not a file")
+            if path and owners.setdefault(Path(path).resolve(), flag) != flag:
+                raise ValueError(f"{owners[Path(path).resolve()]} and {flag} "
+                                 f"both name {path}")
         config = load_config()
         schedule = resolve_schedule(args.params, config.get("convention"))
+        settings = TrainConfig if args.command == "train" else IntegratorConfig
+        given = {**config, **{key: value for key, value in vars(args).items()
+                              if value is not None}}
+        cfg = settings(**{f.name: given[f.name] for f in fields(settings)
+                          if f.name in given})
         # Every subcommand refuses a non-finite result (the readout raises
         # NonFinite, training DivergenceError), so numpy's overflow warnings
         # on the way there would only precede that message.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, config, schedule)
+            return args.func(args, cfg, schedule, config)
     except (QnnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

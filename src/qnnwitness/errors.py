@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one reader and the
-type checks of every JSON input file (config, schedule, dataset)."""
+"""Exception types shared across the package, the one reader and the type
+checks of every JSON input file, and the one writer of every output file."""
+import csv
 import json
 import sys
 
@@ -14,6 +15,18 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
+
+
+def write_json(path, doc) -> None:
+    """doc as JSON at path, indented by one space, with a final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The header row, then rows, as CSV at path; every row ends in \\n."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def json_value(value, kind: type, field: str):

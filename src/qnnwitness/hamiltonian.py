@@ -10,13 +10,13 @@ outputs selects "plain", which is the package default.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .errors import QnnError, json_field, json_object, json_value, read_json
+from .errors import (QnnError, json_field, json_object, json_value,
+                     read_json, write_json)
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -107,14 +107,11 @@ def unflatten(flat, like: Schedule) -> Schedule:
 
 
 def save_schedule(s: Schedule, path) -> None:
-    doc = {
+    write_json(path, {
         "chunk_duration_ns": s.chunk_duration,
         "convention": s.convention.name,
         "chunks": [[float(v) for v in row] for row in s.chunks],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def _schedule_from_doc(doc: dict, default_convention=None) -> Schedule:

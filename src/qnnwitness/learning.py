@@ -21,7 +21,6 @@ outputs, and its loss, outputs and adjoint seed through ops.loss_terms.
 """
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -37,6 +36,7 @@ from .errors import (
     json_object,
     json_value,
     read_json,
+    write_csv,
 )
 from .hamiltonian import GENERATORS, Schedule, unflatten
 from .ketexpr import parse_state
@@ -291,8 +291,5 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
 
 
 def history_csv(history, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "rms"])
-        for epoch, rms in enumerate(history):
-            writer.writerow([epoch, f"{rms:.12g}"])
+    write_csv(path, ["epoch", "rms"],
+              ([epoch, f"{rms:.12g}"] for epoch, rms in enumerate(history)))

@@ -112,8 +112,10 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     """Propagate rho0 through the whole schedule.
 
     Returns (rho_f, Trajectory or None). rho0 may carry leading batch
-    axes. Recording stores every step boundary, which is all the
-    reference adjoint in learning.py needs.
+    axes; callers must pass Hermitian, trace-1, positive semidefinite
+    density matrices, which this hot path does not check. Recording stores
+    every step boundary, which is all the reference adjoint in learning.py
+    needs.
     """
     rho = np.asarray(rho0, dtype=complex)
     steps = cfg.steps_per_chunk(s.chunk_duration)

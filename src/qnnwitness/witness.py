@@ -7,12 +7,12 @@ pair is unentangled, and the ABC output flags three-way entanglement.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationInconclusive
+from .errors import CalibrationInconclusive, write_csv
 from .hamiltonian import CONVENTIONS, Schedule, UnitConvention
 from .learning import resolve_state
 from .ops import OBSERVABLE_IDS, readout
@@ -50,7 +50,11 @@ def classify(outputs: dict) -> dict:
 
 def evaluate_many(rhos: np.ndarray, s: Schedule,
                   cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """(B, 4) squared outputs for a stack of density matrices."""
+    """(B, 4) squared outputs for a stack of density matrices.
+
+    Callers must pass Hermitian, trace-1, positive semidefinite matrices:
+    nothing here checks them (every state from text or a dataset file
+    passes StateSpec's checks first)."""
     rho_f, _ = evolve(rhos, s, cfg)
     return readout(rho_f) ** 2
 
@@ -143,18 +147,18 @@ def sweep(family: str, n: int, s: Schedule,
 
 def sweep_csv(grid: SweepGrid, path) -> None:
     """One row per cell, ordered by (beta, alpha)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta"] + [f"out_{k}" for k in OBSERVABLE_IDS])
-        for i, beta in enumerate(grid.betas):
-            for j, alpha in enumerate(grid.alphas):
-                writer.writerow([f"{alpha:.6g}", f"{beta:.6g}"]
-                                + [f"{v:.12g}" for v in grid.outputs[i, j]])
+    write_csv(path, ["alpha", "beta"] + [f"out_{k}" for k in OBSERVABLE_IDS],
+              ([f"{alpha:.6g}", f"{beta:.6g}"] + [f"{v:.12g}" for v in out]
+               for beta, row in zip(grid.betas, grid.outputs)
+               for alpha, out in zip(grid.alphas, row)))
+
+
+def crossing_path(grid_path) -> Path:
+    """The default locus file of a grid at grid_path: <stem>.crossing.csv."""
+    return Path(grid_path).with_name(Path(grid_path).stem + ".crossing.csv")
 
 
 def crossing_csv(grid: SweepGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "alpha_star"])
-        for beta, alpha_star in grid.crossing:
-            writer.writerow([f"{beta:.6g}", f"{alpha_star:.12g}"])
+    write_csv(path, ["beta", "alpha_star"],
+              ([f"{beta:.6g}", f"{alpha_star:.12g}"]
+               for beta, alpha_star in grid.crossing))

@@ -342,6 +342,32 @@ def test_missing_output_directory_is_refused_before_the_run(
             code, out, err = run(capsys, *map(str, argv))
             assert code == 1 and out == "" and str(bad) in err
             assert "directory" in err
+    # the locus path that --out implies is checked like a named one
+    locus = tmp_path / "g.crossing.csv"
+    locus.mkdir()
+    code, out, err = run(capsys,
+                         *map(str, grid + ("--out", tmp_path / "g.csv")))
+    assert code == 1 and out == "" and f"{locus} is a directory" in err
+
+
+def test_two_outputs_naming_one_file_are_refused(isolated_config, tmp_path,
+                                                  capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        pytest.fail("the run started before its output paths were checked")
+
+    monkeypatch.setattr(learning, "train", no_run)
+    monkeypatch.setattr(witness, "sweep", no_run)
+    monkeypatch.chdir(tmp_path)
+    for argv, flags in (
+            (("sweep", "--family", "fig2", "--n", "3", "--params",
+              "trained_set2", "--out", "g.csv", "--crossing-out", "./g.csv"),
+             "--out and --crossing-out"),
+            (("train", "--dataset", "set1", "--epochs", "2", "--out",
+              "t.json", "--history", str(tmp_path / "t.json")),
+             "--out and --history")):
+        code, out, err = run(capsys, *argv, "--dt", "0.25")
+        assert code == 2 and out == "" and flags in err
+    assert not list(tmp_path.iterdir())
 
 
 # state text -> the state it names, or (API error, CLI exit code, stderr word)

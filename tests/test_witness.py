@@ -11,6 +11,7 @@ from qnnwitness.propagate import IntegratorConfig, evolve
 from qnnwitness.states import FAMILIES, StateSpec, catalog, mix
 from qnnwitness.witness import (
     BELL_REFERENCE,
+    SweepGrid,
     calibrate,
     classify,
     crossing_csv,
@@ -216,3 +217,15 @@ def test_sweep_csv_layout(tmp_path):
     clines = cpath.read_text().strip().splitlines()
     assert clines[0] == "beta,alpha_star"
     assert len(clines) == 1 + len(grid.crossing)
+
+    # exact bytes, rows ending in \n, of a grid whose values are known
+    grid = SweepGrid("fig2", np.array([0.0, 1.0]), np.array([0.0, 0.5]),
+                     np.arange(16).reshape(2, 2, 4) / 8, ((0.5, 1 / 3),))
+    sweep_csv(grid, gpath)
+    crossing_csv(grid, cpath)
+    assert gpath.read_bytes() == (b"alpha,beta,out_AB,out_AC,out_BC,out_ABC\n"
+                                  b"0,0,0,0.125,0.25,0.375\n"
+                                  b"1,0,0.5,0.625,0.75,0.875\n"
+                                  b"0,0.5,1,1.125,1.25,1.375\n"
+                                  b"1,0.5,1.5,1.625,1.75,1.875\n")
+    assert cpath.read_bytes() == b"beta,alpha_star\n0.5,0.333333333333\n"
