@@ -76,14 +76,14 @@ def cmd_train(args, cfg: TrainConfig, init, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     trained, history = learning.train(dataset, init, cfg)
     final_rms = learning.rms_error(dataset, trained, cfg.integrator())
-    if args.out:
+    if args.out is not None:
         save_schedule(trained, args.out)
-    if args.history:
+    if args.history is not None:
         learning.history_csv(history, args.history)
     start = history[0] if len(history) else final_rms
     print(f"dataset {dataset.name}: {len(history)} epochs, "
           f"rms {fmt(start)} -> {fmt(final_rms)}")
-    if args.out:
+    if args.out is not None:
         print(f"schedule written to {args.out}")
     return 0
 
@@ -109,7 +109,7 @@ def cmd_sweep(args, cfg: IntegratorConfig, schedule, config: dict) -> int:
     grid = witness.sweep(args.family, args.n, schedule, cfg)
     witness.sweep_csv(grid, args.out)
     print(f"{args.family}: {args.n}x{args.n} grid written to {args.out}")
-    if args.crossing_out:
+    if args.crossing_out is not None:
         witness.crossing_csv(grid, args.crossing_out)
         print(f"{len(grid.crossing)} crossing rows written to "
               f"{args.crossing_out}")
@@ -202,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--out", required=True, help="grid CSV path")
     p.add_argument("--crossing-out", default=None,
-                   help="crossing locus CSV (default: <out>.crossing.csv)")
+                   help="crossing locus CSV (default: the --out path with "
+                        "its last extension, if any, replaced by "
+                        ".crossing.csv; g.csv gives g.crossing.csv)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("grad-check", parents=[dt],
@@ -238,20 +240,27 @@ def main(argv=None) -> int:
     if args.command == "catalog":
         return cmd_catalog()
     try:
+        outputs = {flag: vars(args).get(flag[2:].replace("-", "_"))
+                   for flag in ("--out", "--history", "--crossing-out")}
+        for flag, path in outputs.items():
+            if path == "":
+                raise ValueError(f"{flag}: the path is empty")
         if vars(args).get("family") == witness.CROSSING_FAMILY:
-            args.crossing_out = (args.crossing_out
-                                 or witness.crossing_path(args.out))
-        elif vars(args).get("crossing_out"):
+            if args.crossing_out is None:
+                args.crossing_out = witness.crossing_path(args.out)
+            outputs["--crossing-out"] = args.crossing_out
+        elif outputs["--crossing-out"] is not None:
             raise ValueError(f"--crossing-out: no crossing locus in "
                              f"{args.family}")
         owners = {}
-        for flag in ("--out", "--history", "--crossing-out"):
-            path = vars(args).get(flag[2:].replace("-", "_"))
-            if path and not Path(path).parent.is_dir():
+        for flag, path in outputs.items():
+            if path is None:
+                continue
+            if not Path(path).parent.is_dir():
                 raise FileNotFoundError(f"directory of {path} does not exist")
-            if path and Path(path).is_dir():
+            if Path(path).is_dir():
                 raise IsADirectoryError(f"{path} is a directory, not a file")
-            if path and owners.setdefault(Path(path).resolve(), flag) != flag:
+            if owners.setdefault(Path(path).resolve(), flag) != flag:
                 raise ValueError(f"{owners[Path(path).resolve()]} and {flag} "
                                  f"both name {path}")
         config = load_config()

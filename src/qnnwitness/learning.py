@@ -44,10 +44,11 @@ from .ops import OBSERVABLE_IDS, loss_terms
 from .propagate import (
     DEFAULT_DT_NS,
     IntegratorConfig,
+    _flow,
+    _right_i,
     _stepped,
     evolve,
     evolve_batch_h,
-    rhs,
 )
 from .states import CATALOG_NAMES, StateSpec, catalog, mix
 
@@ -178,12 +179,14 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
 
     With H constant, an RK4 step is P(dt F) for a real-coefficient quartic
     P and F x = -i[H, x]; F+ = -F, so the adjoint of a step is the same
-    step under -H, and that of the re-Hermitization after it is itself.
-    The stepped loop thus walks the adjoint state back a chunk at a time,
-    recording it at every step. From those records and the recomputed
-    stage inputs x_1..x_4, the stage adjoints w_4..w_1 of all of a chunk's
-    steps are built at once; stage i adds Im tr(G [x_i, w_i]) to generator
-    G's derivative, which is 2 Im tr(G x_i w_i) because x_i, w_i are
+    step under -H. The stepped loop thus walks the adjoint state back a
+    chunk at a time, recording it at every step. From those records and
+    the stage inputs x_2..x_4, recomputed from the recorded x_1 on the
+    whole (steps, 8, 8) stack, the stage adjoints w_4..w_1 of all of a
+    chunk's steps are built at once; both use the stepped loop's
+    one-product commutator (propagate._flow), since every x_i and w_i is
+    Hermitian. Stage i adds Im tr(G [x_i, w_i]) to generator G's
+    derivative, which is 2 Im tr(G x_i w_i) because x_i, w_i are
     Hermitian and G real symmetric.
     """
     dt = cfg.dt
@@ -199,17 +202,17 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     for k in range(s.n_chunks - 1, -1, -1):
         h = hs[k]
         x1 = traj.states[k * steps:(k + 1) * steps]
-        x2 = x1 + (dt / 2) * rhs(h, x1)
-        x3 = x1 + (dt / 2) * rhs(h, x2)
-        x4 = x1 + dt * rhs(h, x3)
-        lams[0] = lam
+        m = _right_i((dt / 2) * h)
+        x2 = x1 + _flow(x1, m)
+        x3 = x1 + _flow(x2, m)
+        x4 = x1 + 2 * _flow(x3, m)
         lam = _stepped(lam, (-h,), dt, steps, lams)
         back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
         w = (dt / 6) * back
         c = np.einsum("nij,njk->ik", x4, w)
         for x, a, b in ((x3, dt / 3, dt), (x2, dt / 3, dt / 2),
                         (x1, dt / 6, dt / 2)):
-            w = a * back + b * rhs(-h, w)
+            w = a * back + _flow(w, _right_i(-b * h))  # a back + b rhs(-h, w)
             c += np.einsum("nij,njk->ik", x, w)
         grad[k] = 2 * u * np.einsum("qij,ji->q", GENERATORS, c).imag
     return grad.reshape(-1)

@@ -4,9 +4,10 @@ drho/dt = -i [H/hbar, rho]
 
 Steps never straddle a chunk boundary (chunk_duration/dt must be an
 integer), so every step sees a constant H and each 75 ns sub-integration
-is autonomous. The state is re-Hermitized after every step; the trace is
-deliberately NOT renormalized, so trace drift stays visible as a
-correctness signal.
+is autonomous. The input is Hermitized once, into a fresh array; from
+there every RK4 stage is exactly Hermitian by construction (see _flow),
+so no step needs re-Hermitizing. The trace is deliberately NOT
+renormalized, so trace drift stays visible as a correctness signal.
 
 evolve and evolve_batch_h share one stepping loop, which refuses a dt past
 RK4's stability limit, holds the RK4 stage arithmetic and broadcasts over
@@ -74,33 +75,87 @@ def check_stable(w, dt: float) -> None:
 
 
 def rhs(h_over_hbar: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """-i [H/hbar, rho]; Hermitian whenever rho is."""
+    """-i [H/hbar, rho] for any rho, by two products; Hermitian whenever
+    rho is. The stepped loop takes the one-product _flow instead."""
     return -1j * (h_over_hbar @ rho - rho @ h_over_hbar)
 
 
-def _rehermitize(rho: np.ndarray) -> np.ndarray:
-    return 0.5 * (rho + dagger(rho))
+def _right_i(ch):
+    """The real (2n, 2n) matrix m with x.view(float) @ m equal to
+    (x @ (i ch)).view(float), for real ch of shape (..., n, n) and any
+    complex x: multiplying by i maps each (re, im) pair to (-im, re)."""
+    return np.kron(ch, [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _flow(x, m, b=None, out=None):
+    """-i c [H, x] for Hermitian x, given m = _right_i(c H) for real
+    symmetric H, from one product.
+
+    With B = x (i c H), B+ = -i c H x, so the commutator is B + B+ where
+    rhs takes two products. The sum is exactly Hermitian in floating
+    point, since entry (j, k) and the conjugate of entry (k, j) add the
+    same two numbers. B is one real product on x's float view, faster than
+    the complex one: a single m multiplies the whole batch as one
+    (batch*n, 2n) gemm, and a stack of m matching x's batch axes is a
+    stacked product. The stepped loop passes its own C-contiguous work
+    arrays b and out, and x of their shape; without them, both are
+    allocated and the result is a new array.
+    """
+    if out is None:
+        x = np.ascontiguousarray(x, dtype=complex)
+        shape = np.broadcast_shapes(x.shape, m.shape[:-2] + x.shape[-2:])
+        b, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    n = x.shape[-1]
+    xf, bf = x.view(float), b.view(float)
+    if m.ndim == 2:
+        np.matmul(xf.reshape(-1, 2 * n), m, out=bf.reshape(-1, 2 * n))
+    else:
+        np.matmul(xf, m, out=bf)
+    np.conjugate(b.swapaxes(-1, -2), out=out)
+    out += b
+    return out
 
 
 def _stepped(rho, hs, dt, steps_per_chunk, states=None):
-    """steps_per_chunk re-Hermitized RK4 steps under each H of hs in turn;
-    step n's result goes to states[n + 1] when states is given.
+    """steps_per_chunk RK4 steps under each H of hs in turn; the Hermitized
+    input goes to states[0] and step n's result to states[n + 1] when
+    states is given.
 
-    The stages are computed here rather than in a per-step call so that
-    k1..k4 stay bound until the next step replaces them. Freeing all four
-    at every step boundary lets the C allocator return large-batch
-    buffers to the OS and fault them in again on the next step, which
-    makes batched sweeps measurably slower.
+    rho is Hermitized once, into a fresh array, so neither the caller's
+    array nor a recorded row is ever written through. Each stage is one
+    _flow, and the stage sums are real combinations of Hermitian arrays,
+    so every step stays exactly Hermitian. The stages work in four buffers
+    allocated once per call and updated in place: a freshly allocated
+    large-batch array at every stage would be returned to the OS and
+    faulted in again at the next, which makes batched sweeps measurably
+    slower.
     """
-    check_stable(np.linalg.eigvalsh(np.asarray(hs)), dt)
+    hs = np.asarray(hs)
+    check_stable(np.linalg.eigvalsh(hs), dt)
+    shape = np.broadcast_shapes(np.shape(rho), hs.shape[1:])
+    x, b, k, acc = (np.empty(shape, dtype=complex) for _ in range(4))
+    rho = np.add(rho, dagger(rho), out=np.empty(shape, dtype=complex))
+    rho *= 0.5
+    if states is not None:
+        states[0] = rho
     n = 0
-    for h in np.asarray(hs, dtype=complex):  # one cast, not one per product
+    for m in _right_i((dt / 2) * hs):
+        m2 = 2 * m
         for _ in range(steps_per_chunk):
-            k1 = rhs(h, rho)
-            k2 = rhs(h, rho + (dt / 2) * k1)
-            k3 = rhs(h, rho + (dt / 2) * k2)
-            k4 = rhs(h, rho + dt * k3)
-            rho = _rehermitize(rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+            # with h_i = (dt/2) k_i, the step adds (h1 + 2 h2 + 2 h3 + h4)/3
+            _flow(rho, m, b, acc)  # h1
+            np.add(rho, acc, out=x)
+            _flow(x, m, b, k)  # h2
+            np.add(rho, k, out=x)
+            k *= 2
+            acc += k
+            _flow(x, m2, b, k)  # 2 h3
+            np.add(rho, k, out=x)
+            acc += k
+            _flow(x, m, b, k)  # h4
+            acc += k
+            acc /= 3
+            rho += acc
             n += 1
             if states is not None:
                 states[n] = rho
@@ -117,14 +172,13 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     every step boundary, which is all the reference adjoint in learning.py
     needs.
     """
-    rho = np.asarray(rho0, dtype=complex)
+    rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
     hs = s.hamiltonians()
     if not record:
         return _stepped(rho, hs, cfg.dt, steps), None
     total = steps * s.n_chunks
     states = np.empty((total + 1,) + rho.shape, dtype=complex)
-    states[0] = rho
     rho = _stepped(rho, hs, cfg.dt, steps, states)
     return rho, Trajectory(states)
 
@@ -137,7 +191,7 @@ def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
     Used by the finite-difference gradient, which perturbs one schedule
     entry per batch element.
     """
-    return _stepped(np.asarray(rho0, dtype=complex), hs, dt, steps_per_chunk)
+    return _stepped(np.asarray(rho0), hs, dt, steps_per_chunk)
 
 
 def evolve_expm(rho0, s: Schedule) -> np.ndarray:

@@ -370,6 +370,35 @@ def test_two_outputs_naming_one_file_are_refused(isolated_config, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("train", "--dataset", "set1", "--epochs", "1", "--out", "",
+      "--history", ""), "--out"),
+    (("sweep", "--family", "fig1", "--n", "3", "--params", "trained_set2",
+      "--out", ""), "--out"),
+    (("sweep", "--family", "fig2", "--n", "3", "--params", "trained_set2",
+      "--out", ""), "--out"),
+])
+def test_empty_output_path_is_refused_before_the_run(
+        isolated_config, tmp_path, capsys, monkeypatch, argv, flag):
+    def no_run(*args, **kwargs):
+        pytest.fail("the run started before its output paths were checked")
+
+    monkeypatch.setattr(learning, "train", no_run)
+    monkeypatch.setattr(witness, "sweep", no_run)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--dt", "0.25")
+    assert code == 2 and out == "" and f"{flag}: the path is empty" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_crossing_out_help_states_the_default_rule(capsys):
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "g.csv gives g.crossing.csv" in help_text
+    assert "<out>.crossing.csv" not in help_text
+
+
 # state text -> the state it names, or (API error, CLI exit code, stderr word)
 STATE_TEXTS = [
     ("W", catalog("W")),

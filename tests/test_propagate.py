@@ -14,14 +14,19 @@ from qnnwitness.propagate import (
     evolve,
     evolve_batch_h,
     evolve_expm,
+    rhs,
 )
-from qnnwitness.states import catalog, mix
+from qnnwitness.ops import dagger
+from qnnwitness.states import CATALOG_NAMES, FAMILIES, catalog, mix
 from qnnwitness.superop import _quartic, propagate_vec
 
 RNG = np.random.default_rng(13)
 
 SET1 = bundled_schedule("set1")
 BELL = mix(catalog("Bell_AB"))
+# the 25 fixed catalog states, one batch
+CATALOG_BATCH = np.stack([mix(catalog(n)) for n in CATALOG_NAMES
+                          if n not in FAMILIES])
 
 
 def random_schedule(scale=6.0):
@@ -139,6 +144,80 @@ def test_batched_per_element_hamiltonians():
     out = evolve_batch_h(rho0, hs, cfg.dt, steps)
     ref, _ = evolve(BELL, s, cfg)
     assert np.abs(out - ref).max() < 1e-13
+
+
+def two_product_rk4(rho, h, dt, steps):
+    """steps RK4 steps on the general two-product rhs, each re-Hermitized:
+    the reference for the stepped loop's one-product stages."""
+    for _ in range(steps):
+        k1 = rhs(h, rho)
+        k2 = rhs(h, rho + (dt / 2) * k1)
+        k3 = rhs(h, rho + (dt / 2) * k2)
+        k4 = rhs(h, rho + dt * k3)
+        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        rho = 0.5 * (rho + dagger(rho))
+    return rho
+
+
+def random_hamiltonians(n):
+    g = RNG.uniform(-1.0, 1.0, size=(n, 8, 8))
+    return g + g.swapaxes(-1, -2)
+
+
+def test_stepped_states_are_exactly_hermitian():
+    cfg = IntegratorConfig(0.25)
+    rho_f, traj = evolve(CATALOG_BATCH, SET1, cfg, record=True)
+    assert np.array_equal(rho_f, dagger(rho_f))
+    assert np.array_equal(traj.states, dagger(traj.states))
+    hs = SET1.hamiltonians()[:, None] + 0.1 * random_hamiltonians(
+        len(CATALOG_BATCH))
+    out = evolve_batch_h(CATALOG_BATCH, hs, cfg.dt,
+                         cfg.steps_per_chunk(SET1.chunk_duration))
+    assert np.array_equal(out, dagger(out))
+
+
+def test_one_product_stages_match_the_two_product_step():
+    """Over one chunk at dt 0.25, the one-product stages agree with RK4 on
+    rhs plus re-Hermitization, for one H over the batch (the flat product)
+    and for one H per batch element (the stacked product)."""
+    dt, steps = 0.25, IntegratorConfig(0.25).steps_per_chunk(75.0)
+    h = SET1.hamiltonians()[0]
+    hs = h + 0.5 * random_hamiltonians(len(CATALOG_BATCH))
+    for stepped, ref in (
+            (_stepped(CATALOG_BATCH, (h,), dt, steps),
+             two_product_rk4(CATALOG_BATCH, h, dt, steps)),
+            (evolve_batch_h(CATALOG_BATCH, hs[None], dt, steps),
+             two_product_rk4(CATALOG_BATCH, hs, dt, steps))):
+        assert np.abs(stepped - ref).max() < 1e-13
+
+
+def test_evolve_never_writes_into_its_input():
+    cfg = IntegratorConfig(0.25)
+    rho0 = CATALOG_BATCH.copy()
+    rho0[0] += 1e-3 * (1 + 1j) * np.triu(np.ones((8, 8)), 1)  # not Hermitian
+    before = rho0.copy()
+    for record in (False, True):
+        evolve(rho0, SET1, cfg, record=record)
+        assert np.array_equal(rho0, before)
+    # a read-only broadcast, like the one fd_gradient passes
+    shared = np.broadcast_to(BELL, (3, 8, 8))
+    single, _ = evolve(BELL, SET1, cfg)
+    hs = np.repeat(SET1.hamiltonians()[:, None], 3, axis=1)
+    for out in (evolve(shared, SET1, cfg)[0],
+                evolve_batch_h(shared, hs, cfg.dt, cfg.steps_per_chunk(75.0))):
+        assert np.abs(out - single).max() < 1e-13
+
+
+def test_recorded_states_are_not_aliased():
+    rho0 = CATALOG_BATCH[:2].copy()
+    rho_f, traj = evolve(rho0, SET1, IntegratorConfig(0.25), record=True)
+    assert not np.shares_memory(rho_f, traj.states)
+    assert not np.shares_memory(rho0, traj.states)
+    rows = list(traj.states)
+    assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:]))
+    final = traj.states[-1].copy()
+    rho_f += 1.0
+    assert np.array_equal(traj.states[-1], final)
 
 
 def test_rk4_step_accuracy_against_exact_rotation():

@@ -29,8 +29,9 @@ RNG = np.random.default_rng(17)
 
 
 def classical_rk4_step(rho, h, dt):
-    """One RK4 step of rho' = -i[h, rho] on any 8 x 8 matrix, without the
-    re-Hermitization that the package's stepped routes apply."""
+    """One RK4 step of rho' = -i[h, rho] on any 8 x 8 matrix, by the
+    general two-product rhs; the package's stepped routes take one product
+    per stage, which holds for Hermitian matrices only."""
     k1 = rhs(h, rho)
     k2 = rhs(h, rho + (dt / 2) * k1)
     k3 = rhs(h, rho + (dt / 2) * k2)
