@@ -7,13 +7,27 @@ one RK4 step is exactly the degree-4 Taylor polynomial
     T = P(dt F),   P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
 F is diagonal on the matrix units V e_j e_k^T V^T, with eigenvalue
--i (w_j - w_k), so T^n is elementwise there:
+-i (w_j - w_k), so in the chunk's eigenbasis T^n is elementwise:
 
-    rho -> V (t^n o V^T rho V) V^T,   t_jk = P(mu_jk),  mu_jk = -i dt (w_j - w_k),
+    rho~ -> t^n o rho~,   t_jk = P(mu_jk),  mu_jk = -i dt (w_j - w_k).
 
-and the adjoint state goes back through lam -> V (conj(t^n) o V^T lam V) V^T.
 One 8 x 8 eigh per chunk thus reproduces the n stepped RK4 steps to
 rounding error, at any dt within RK4's stability limit (checked on w).
+
+Each state lives in the eigenbasis of the chunk it is in. The input is
+rotated into chunk 0's basis once, every chunk boundary is crossed with
+the real 8 x 8 overlap O_k = V_{k+1}^T V_k,
+
+    rho~_{k+1} = O_k (t_k^n o rho~_k) O_k^T,
+
+and only the final state is rotated back to the lab frame, for
+ops.loss_terms. The adjoint state walks back through the same overlaps,
+
+    lam~_k = O_k^T (conj(t_{k+1}^n) o lam~_{k+1}) O_k,
+
+from lam~ = V^T diag(seed) V of the last chunk. So the per-chunk rho~ and
+lam~ that the gradient contracts come out of the two walks as they are.
+Each crossing is two real products on the states' float view.
 
 The gradient is the divided-difference (Daleckii-Krein) form of the
 derivative of T^n = f(F), f(z) = P(dt z)^n. In the eigenbasis
@@ -23,12 +37,16 @@ d(T^n) = Phi o dF, with, for index pairs a = (j, k) and b,
 
 where P[x, y] is the divided difference of the quartic and
 S_n(x, y) = sum_m x^m y^(n-1-m); both are written without division, so
-degenerate spectra need no special case. A generator G enters dF as
+degenerate spectra need no special case. S_n comes from one binary walk
+that powers the per-chunk 8 x 8 t itself, so the walk's last power is
+the t^n the propagation needs. A generator G enters dF as
 -i u (g x I - I x g) with g = V^T G V, so only the faces
 Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] enter, contracted with lam and rho
 into L and R. V is real and lam, rho are Hermitian (a real diagonal seed,
 inputs from mix, and a map with t_kj = conj(t_jk)), so R = conj(L) and
 V (L - R) V^T = 2i V (Im L) V^T: one face and one contraction suffice.
+The face is symmetric in j and l, so its 36 pairs j <= l per row are
+computed and then spread.
 
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
@@ -48,50 +66,107 @@ def _quartic(z):
     return 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
 
 
-def _quartic_divided_difference(x, y):
-    """(P(x) - P(y)) / (x - y), expanded so that x == y needs no limit."""
-    return (1 + (x + y) / 2 + (x * x + x * y + y * y) / 6
-            + (x + y) * (x * x + y * y) / 24)
+def _quartic_divided_difference(s, q):
+    """(P(x) - P(y)) / (x - y) for x = -i a and y = -i b on the imaginary
+    axis, from s = a + b and q = a^2 + b^2. Expanded, it is
+    1 + (x + y)/2 + (x^2 + xy + y^2)/6 + (x + y)(x^2 + y^2)/24
+    = 1 - (s^2 + q)/12 - i s (1/2 - q/24), so x == y needs no limit."""
+    out = np.empty(np.shape(s), dtype=complex)
+    out.real = 1 - (s * s + q) / 12
+    out.imag = s * (q / 24 - 1 / 2)
+    return out
 
 
-def _geometric_sum(x, y, n: int):
-    """sum_{m<n} x^m y^(n-1-m) elementwise, by binary powering of the
-    upper-triangular pair [[x, 1], [0, y]], whose n-th power carries it."""
-    px, py = np.broadcast_arrays(x, y)
-    ps = np.ones_like(px)
-    total = np.zeros_like(px)
-    ry = np.ones_like(px)
-    while n:
-        if n & 1:
-            total = px * total + ps * ry
-            ry = py * ry
-        ps = px * ps + ps * py
-        px, py = px * px, py * py
-        n >>= 1
-    return total
+def _real_factor(m):
+    """The real (..., 2p, 2q) matrix r = kron(m, I_2) of a real (..., p, q)
+    m: x.view(float) @ r equals (x @ m).view(float) for any complex x,
+    since m acts on the real and imaginary parts alike. Filled in place,
+    as np.kron takes several times longer on these sizes."""
+    p, q = m.shape[-2:]
+    r = np.zeros(m.shape[:-2] + (p, 2, q, 2))
+    r[..., :, 0, :, 0] = r[..., :, 1, :, 1] = m
+    return r.reshape(m.shape[:-2] + (2 * p, 2 * q))
+
+
+# The face is symmetric in its two indices, so it is computed on the 36
+# pairs j <= l of a row and then spread to (8, 8) through _PAIR. A row x
+# of 8 values gives its pairs' sums x_j + x_l as the product x @ _INCIDENCE,
+# the 0/1 incidence of values in pairs.
+_J, _L = np.array([(j, l) for j in range(8) for l in range(j, 8)]).T
+_PAIR = np.empty((8, 8), dtype=int)
+_PAIR[_J, _L] = _PAIR[_L, _J] = range(len(_J))
+_INCIDENCE = np.eye(8)[:, _J] + np.eye(8)[:, _L]
+
+
+def _geometric_sum(t, n: int):
+    """S_n(t_j, t_l) = sum_{m<n} t_j^m t_l^(n-1-m) for every pair (j, l),
+    j <= l, of the last axis of a (..., 8) t, as (..., 36); and t^n.
+
+    Walks the bits of n from the top, with S_2m = S_m (x^m + y^m) and
+    S_(m+1) = x S_m + y^m. The powers t^m are taken on t itself, beside
+    S, so t^n comes out of the same walk."""
+    x, tm = t[..., _J], t
+    total = np.ones(x.shape, dtype=complex)
+    for bit in bin(n)[3:]:
+        total *= tm @ _INCIDENCE
+        tm = tm * tm
+        if bit == "1":
+            total *= x
+            total += tm[..., _L]
+            tm = tm * t
+    return total, tm
 
 
 def chunk_operators(s: Schedule, dt: float):
-    """Per-chunk (V, mu, t, t^n), each (n_chunks, 8, 8), and n = steps."""
+    """Per-chunk operators and n = steps.
+
+    Returns, stacked over chunks:
+    - V, the eigenvectors;
+    - the n_chunks + 1 crossings A_k = V_k^T V_{k-1}, with V = I before
+      the first chunk and after the last: into chunk 0's eigenbasis, the
+      overlaps between chunks, and back to the lab frame;
+    - their real factors _real_factor(A_k^T), for products on the right;
+    - t^n;
+    - the face Phi in the layout [c, k, j, l] = Phi[(j,k),(l,k)] of
+      chunk c. Its row k pairs mu_jk with mu_lk, so it is built from
+      row k of mu^T.
+    """
     steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
     w, v = np.linalg.eigh(s.hamiltonians())
     check_stable(w, dt)
-    mu = -1j * dt * (w[:, :, None] - w[:, None, :])
-    t = _quartic(mu)
-    return (v, mu, t, t ** steps), steps
+    a = dt * (w[:, None, :] - w[:, :, None])  # i mu^T
+    face, tn = _geometric_sum(_quartic(-1j * a), steps)
+    face *= dt * _quartic_divided_difference(a @ _INCIDENCE,
+                                             (a * a) @ _INCIDENCE)
+    frames = np.concatenate([np.eye(8)[None], v, np.eye(8)[None]])
+    crossings = frames[1:].transpose(0, 2, 1) @ frames[:-1]
+    right = _real_factor(crossings.transpose(0, 2, 1))
+    return (v, crossings, right, tn.transpose(0, 2, 1),
+            face[..., _PAIR]), steps
+
+
+def _turn(a, r, x, out):
+    """out = a x a^T for real a, r = _real_factor(a^T) and a C-contiguous
+    (B, 8, 8) complex x: the left product is a real one on x's float
+    view, the right one a single (B*8, 16) gemm."""
+    np.matmul((a @ x.view(float)).reshape(-1, 16), r,
+              out=out.view(float).reshape(-1, 16))
+    return out
 
 
 def propagate_vec(rhos: np.ndarray, s: Schedule, dt: float):
-    """Evolve a (B, 8, 8) stack; returns the (n_chunks + 1, B, 8, 8)
-    states at the chunk boundaries and chunk_operators' result."""
-    rho = np.asarray(rhos, dtype=complex)
+    """Evolve a (B, 8, 8) stack. Returns the (n_chunks, B, 8, 8) states
+    at each chunk's start in that chunk's eigenbasis, the lab-frame
+    (B, 8, 8) final states, and chunk_operators' result. Every crossing
+    and the t^n of every chunk come from chunk_operators."""
     ops = chunk_operators(s, dt)
-    (v, _, _, tn), _ = ops
-    boundaries = [rho]
-    for vk, tk in zip(v, tn):
-        rho = vk @ (tk * (vk.T @ rho @ vk)) @ vk.T
-        boundaries.append(rho)
-    return np.stack(boundaries), ops
+    (_, crossings, right, tn, _), _ = ops
+    x = np.ascontiguousarray(rhos, dtype=complex)
+    states = np.empty((len(tn),) + x.shape, dtype=complex)
+    for k, state in enumerate(states):
+        x = tn[k] * _turn(crossings[k], right[k], x, state)
+    final = _turn(crossings[-1], right[-1], x, np.empty_like(x))
+    return states, final, ops
 
 
 def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
@@ -102,22 +177,23 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     outputs a pair does not train on. Loss, outputs and the adjoint seed
     all come from ops.loss_terms.
     """
-    boundaries, ((v, mu, t, tn), steps) = propagate_vec(rhos, s, dt)
-    energies, outputs, seed = loss_terms(boundaries[-1], targets, mask)
-    lam = seed[:, :, None] * np.eye(8)
-    vt = v.transpose(0, 2, 1)
-    lam_eig = np.empty((s.n_chunks,) + lam.shape, dtype=complex)
-    for k in range(s.n_chunks - 1, -1, -1):
-        lam_eig[k] = vt[k] @ lam @ v[k]
-        lam = v[k] @ (tn[k].conj() * lam_eig[k]) @ vt[k]
-    rho_eig = vt[:, None] @ boundaries[:-1] @ v[:, None]
+    rho_eig, final, ((v, crossings, right, tn, face), _) = propagate_vec(
+        rhos, s, dt)
+    energies, outputs, seed = loss_terms(final, targets, mask)
+    lam_eig = np.empty_like(rho_eig)
+    last = crossings[-1]
+    lam_eig[-1] = (last.T * seed[:, None, :]) @ last
+    for k in range(s.n_chunks - 2, -1, -1):
+        _turn(crossings[k + 1].T, right[k + 1].T,
+              tn[k + 1].conj() * lam_eig[k + 1], lam_eig[k])
 
-    # face [c, j, l, k] = Phi[(j,k),(l,k)]; the other face's contraction
-    # is the conjugate of this one, so V (L - R) V^T = 2i V (Im L) V^T
-    phi = (dt * _quartic_divided_difference(mu[:, :, None], mu[:, None])
-           * _geometric_sum(t[:, :, None], t[:, None], steps))
-    left = np.einsum("cjlk,cbjk,cblk->cjl", phi, lam_eig.conj(), rho_eig)
-    dm = v @ left.imag @ vt
+    # L[c, j, l] = sum_k Phi[(j,k),(l,k)] sum_b conj(lam_b)_jk (rho_b)_lk,
+    # with conj(lam_b)_jk = (lam_b)_kj: a product over b for each (c, k).
+    # The other face's contraction is the conjugate of this one, so
+    # V (L - R) V^T = 2i V (Im L) V^T
+    lam_rho = lam_eig.transpose(0, 2, 3, 1) @ rho_eig.transpose(0, 3, 1, 2)
+    left = (face * lam_rho).sum(axis=1)
+    dm = v @ left.imag @ v.transpose(0, 2, 1)
     grad = 2 * s.convention.omega_per_MHz * np.einsum(
         "qac,kac->kq", GENERATORS, dm)
     return float(energies.sum()), grad.reshape(-1), outputs

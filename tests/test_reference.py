@@ -3,10 +3,11 @@
 reference_values.json holds the squared outputs of stepped
 propagate.evolve plus ops.readout for every named state and both sweep
 families, the set2 RMS error computed from those outputs, and the
-reference adjoint gradients of three fixed pairs. Each production route
-must reproduce them within 1e-11, and the gradients within 1e-11 of their
-largest component, whatever forward code the route runs on. The file
-changes only with a CHANGES.md entry that says what moved and why.
+reference adjoint gradients of three fixed pairs. Each production route,
+the training engine's loss and gradient included, must reproduce them
+within 1e-11, and the gradients within 1e-11 of their largest component,
+whatever forward code the route runs on. The file changes only with a
+CHANGES.md entry that says what moved and why.
 
 Regenerate the file from the repository root with
 
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnnwitness import witness
+from qnnwitness import superop, witness
 from qnnwitness.cli import main
 from qnnwitness.hamiltonian import resolve_schedule
 from qnnwitness.learning import (TrainingPair, backprop_gradient, load_dataset,
@@ -113,6 +114,25 @@ def test_rms_error_matches_reference(ref, dt):
 def test_gradients_match_reference(ref, index):
     want = np.array(ref["gradients"][index])
     got = pair_gradient(*PAIRS[index])
+    assert np.abs(got - want).max() <= TOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dt", DTS)
+def test_training_engine_rms_matches_reference(ref, dt):
+    """The engine that train runs, read as sqrt(2E / graded outputs)."""
+    rhos, targets, mask = load_dataset("set2").arrays()
+    energy, _, _ = superop.dataset_loss_grad(
+        rhos, targets, mask, resolve_schedule("trained_set2"), float(dt))
+    assert abs(np.sqrt(2 * energy / mask.sum()) - ref["rms_error"][dt]) <= TOL
+
+
+@pytest.mark.parametrize("index", range(len(PAIRS)))
+def test_training_engine_gradients_match_reference(ref, index):
+    text, targets, schedule = PAIRS[index]
+    rho, target, mask = TrainingPair(resolve_state(text), targets).arrays()
+    _, got, _ = superop.dataset_loss_grad(
+        rho[None], target[None], mask[None], resolve_schedule(schedule), 0.25)
+    want = np.array(ref["gradients"][index])
     assert np.abs(got - want).max() <= TOL * np.abs(want).max()
 
 

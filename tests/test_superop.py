@@ -15,10 +15,11 @@ from qnnwitness.learning import (
     load_dataset,
     rms_error,
 )
-from qnnwitness.ops import readout
+from qnnwitness.ops import dagger, readout
 from qnnwitness.propagate import evolve, evolve_expm, rhs
 from qnnwitness.states import catalog, mix
 from qnnwitness.superop import (
+    _PAIR,
     _geometric_sum,
     chunk_operators,
     dataset_loss_grad,
@@ -48,7 +49,7 @@ def test_chunk_map_reproduces_rk4():
     dt, n = 1.5, 50
     h = s.hamiltonians()[0]
     rho = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
-    (v, _, _, tn), steps = chunk_operators(s, dt)
+    (v, _, _, tn, _), steps = chunk_operators(s, dt)
     assert steps == n
     via_map = v[0] @ (tn[0] * (v[0].T @ rho @ v[0])) @ v[0].T
     stepped = rho
@@ -60,15 +61,20 @@ def test_chunk_map_reproduces_rk4():
 
 @pytest.mark.parametrize("n", [1, 2, 13, 300])
 def test_geometric_sum(n):
-    """_geometric_sum(x, y, n) is sum_m x^m y^(n-1-m), also where x == y
-    or |x - y| = 1e-12, where (x^n - y^n)/(x - y) would cancel."""
-    x = np.exp(1j * RNG.uniform(-0.5, 0.5, size=6)) * RNG.uniform(0.9, 1.0, size=6)
-    y = np.concatenate([x[:2], x[2:4] + 1e-12, RNG.normal(size=2) * 0.5])
-    ref = np.array([sum(a ** m * b ** (n - 1 - m) for m in range(n))
-                    for a, b in zip(x, y)])
-    got = _geometric_sum(x, y, n)
-    assert np.abs(got - ref).max() < np.abs(ref).max() * 1e-12
-    assert np.abs(got[:2] - n * x[:2] ** (n - 1)).max() < n * 1e-12
+    """_geometric_sum(t, n) is sum_m x^m y^(n-1-m) over the pairs (x, y)
+    = (t_j, t_l), j <= l, also where x == y or |x - y| = 1e-12, where
+    (x^n - y^n)/(x - y) would cancel; and its walk's last power is t^n."""
+    x = np.exp(1j * RNG.uniform(-0.5, 0.5, size=4)) * RNG.uniform(0.9, 1.0, size=4)
+    t = np.concatenate([x[:1], x[:1], x[1:2], x[1:2] + 1e-12, x[2:],
+                        RNG.normal(size=2) * 0.5])
+    got, tn = _geometric_sum(t, n)
+    assert got.shape == (36,)
+    ref = np.array([[sum(a ** m * b ** (n - 1 - m) for m in range(n))
+                     for b in t] for a in t])
+    assert np.abs(got[_PAIR] - ref).max() < np.abs(ref).max() * 1e-12
+    for j, l in [(0, 1), (5, 5)]:
+        assert abs(got[_PAIR[j, l]] - n * t[j] ** (n - 1)) < n * 1e-12
+    assert np.abs(tn - t ** n).max() < np.abs(t ** n).max() * 1e-12
 
 
 def summed_stagewise(ds, s, cfg):
@@ -88,6 +94,74 @@ DEGENERATE = {
 }
 
 
+# uniform(-6, 6) chunks mixed with the degenerate ones, in either unit
+# convention, and a batch of random pure input states
+chunk_rows = st.one_of(arrays(float, 9, elements=st.floats(-6.0, 6.0)),
+                       st.sampled_from(sorted(DEGENERATE.values(), key=str)))
+schedules = st.builds(
+    lambda rows, convention: Schedule(np.array(rows, dtype=float), 75.0,
+                                      convention),
+    st.lists(chunk_rows, min_size=1, max_size=4),
+    st.sampled_from([PLAIN, ANGULAR]))
+
+
+def pure_states(seed, batch=3):
+    rng = np.random.default_rng(seed)
+    kets = rng.normal(size=(batch, 8)) + 1j * rng.normal(size=(batch, 8))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    return kets[:, :, None] * kets[:, None, :].conj()
+
+
+def chunk_ends(s, dt, seed):
+    """Each chunk's state at its start and at its end, in its eigenbasis;
+    the state at its end in the lab frame, after the crossing (the next
+    chunk's start rotated back, or the final state); the chunk's t^n."""
+    states, final, ((v, _, _, tn, _), _) = propagate_vec(
+        pure_states(seed), s, dt)
+    crossed = v[1:, None] @ states[1:] @ v[1:].transpose(0, 2, 1)[:, None]
+    return (states, tn[:, None] * states,
+            np.concatenate([crossed, final[None]]), tn)
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedules, st.sampled_from([0.25, 0.05]), st.integers(0, 2 ** 32 - 1))
+def test_engine_states_keep_trace_and_hermiticity(s, dt, seed):
+    """Every state the engine holds, at a chunk's start and end and after
+    each crossing, has trace 1 and is Hermitian."""
+    starts, ends, crossed, _ = chunk_ends(s, dt, seed)
+    for rho in (starts, ends, crossed):
+        assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1).max() < 1e-12
+        assert np.abs(rho - dagger(rho)).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedules, st.sampled_from([0.25, 0.05]), st.integers(0, 2 ** 32 - 1))
+def test_engine_conserves_each_chunks_energy(s, dt, seed):
+    """tr(rho H_k) = sum_j w_kj rho~_jj is the same at chunk k's start and
+    end, since the map multiplies the diagonal by P(0)^n = 1, and the
+    crossing to the next chunk's eigenbasis keeps it."""
+    starts, ends, crossed, _ = chunk_ends(s, dt, seed)
+    hs = s.hamiltonians()
+    w = np.linalg.eigvalsh(hs)
+    energy = [np.einsum("cbjj,cj->cb", rho, w).real for rho in (starts, ends)]
+    energy.append(np.einsum("cbjk,ckj->cb", crossed, hs).real)
+    assert np.abs(energy[1] - energy[0]).max() < 1e-12
+    assert np.abs(energy[2] - energy[0]).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(schedules, st.sampled_from([0.25, 0.05]), st.integers(0, 2 ** 32 - 1))
+def test_engine_never_raises_the_purity_of_pure_inputs(s, dt, seed):
+    """Purity is sum |rho~_jk|^2 in any eigenbasis, and inside RK4's
+    stability limit every |t_jk^n| <= 1."""
+    starts, ends, _, tn = chunk_ends(s, dt, seed)
+    assert np.abs(tn).max() <= 1 + 1e-12
+    purity = [(np.abs(rho) ** 2).sum(axis=(-2, -1)) for rho in (starts, ends)]
+    assert np.abs(purity[0][0] - 1).max() < 1e-12
+    assert (purity[1] <= purity[0] + 1e-12).all()
+    assert (purity[0][1:] <= purity[1][:-1] + 1e-12).all()
+
+
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
 def test_degenerate_spectra_agree_with_stagewise_route(name):
     s = Schedule(np.tile(DEGENERATE[name], (2, 1)), 75.0, PLAIN)
@@ -103,14 +177,18 @@ def test_degenerate_spectra_agree_with_stagewise_route(name):
 
 
 def test_propagate_vec_matches_direct_integration():
-    s = bundled_schedule("set1")
-    names = ("Bell_AB", "W", "GHZ_minus")
-    rhos = np.stack([mix(catalog(n)) for n in names])
-    mats, _ = propagate_vec(rhos, s, 0.25)
-    direct, _ = evolve(rhos, s, IntegratorConfig(0.25))
-    final = mats[-1]  # batch x 8 x 8
-    for i in range(len(names)):
-        assert np.abs(final[i] - direct[i]).max() < 1e-12
+    """The per-chunk eigenbasis states, rotated back to the lab frame, are
+    the stepped loop's states at every chunk boundary, and the final
+    state is its last."""
+    rhos = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
+    for name in ("set1", "trained_set2"):
+        s = bundled_schedule(name)
+        for dt in (0.25, 0.05):
+            states, final, ((v, *_), steps) = propagate_vec(rhos, s, dt)
+            _, traj = evolve(rhos, s, IntegratorConfig(dt), record=True)
+            lab = v[:, None] @ states @ v.transpose(0, 2, 1)[:, None]
+            assert np.abs(lab - traj.states[:-1:steps]).max() < 1e-12
+            assert np.abs(final - traj.states[-1]).max() < 1e-12
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.07])
