@@ -9,10 +9,11 @@ Grammar (whitespace insignificant):
     basis   := "|" [01]{3} ">"
     number  := decimal, optionally "i"-suffixed, or "sqrt(x)" / "1/sqrt(x)"
 
-Superpositions are normalized after parsing. Mixture weights are taken
-literally, never rescaled; StateSpec checks that they are non-negative and
-sum to 1.
-"""
+StateSpec normalizes each superposition and checks the mixture weights
+(never rescaled) once the whole text has parsed. render prints each real
+or imaginary part by one rule that parse_state inverts: left out exactly
+when its magnitude prints as 0.0, a bare ket (1i* if imaginary) exactly
+when it prints as 1.0."""
 from __future__ import annotations
 
 import re
@@ -20,7 +21,7 @@ import re
 import numpy as np
 
 from .errors import InvalidWeights, KetSyntaxError
-from .states import StateSpec, normalize
+from .states import StateSpec
 
 _TOKEN = re.compile(r"""
     (?P<ws>\s+)
@@ -98,7 +99,7 @@ class _Parser:
             return StateSpec.mixture(pairs)
         amps = self.sum()
         self.take("end")
-        return StateSpec.pure(normalize(amps))
+        return StateSpec.pure(amps)
 
     def wterm(self):
         sign = 1.0
@@ -110,7 +111,7 @@ class _Parser:
         if w.imag != 0:
             raise InvalidWeights(f"mixture weight {text} is not a real number")
         self.expect_op(":")
-        return (w.real, normalize(self.sum()))
+        return (w.real, self.sum())
 
     def sum(self) -> np.ndarray:
         amps = np.zeros(8, dtype=complex)
@@ -163,14 +164,13 @@ def _render_sum(amps: np.ndarray) -> str:
         a = amps[idx]
         basis = f"|{idx >> 2 & 1}{idx >> 1 & 1}{idx & 1}>"
         for value, suffix in ((a.real, ""), (a.imag, "i")):
-            if abs(value) < 1e-12:
+            mag = _fmt_number(abs(value))
+            if mag == "0.0":
                 continue
-            sign = "-" if value < 0 else "+"
-            mag = abs(value)
-            coeff = "" if abs(mag - 1.0) < 1e-12 else f"{_fmt_number(mag)}{suffix}*"
-            if coeff == "" and suffix == "i":
-                coeff = "1i*"
-            parts.append((sign, f"{coeff}{basis}"))
+            coeff = f"{mag}{suffix}*"
+            if mag == "1.0":
+                coeff = "1i*" if suffix else ""
+            parts.append(("-" if value < 0 else "+", f"{coeff}{basis}"))
     first_sign, first = parts[0]
     text = (first if first_sign == "+" else f"-{first}")
     for sign, part in parts[1:]:

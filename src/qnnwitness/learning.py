@@ -210,9 +210,11 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
         back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
         w = (dt / 6) * back
         c = np.einsum("nij,njk->ik", x4, w)
-        for x, a, b in ((x3, dt / 3, dt), (x2, dt / 3, dt / 2),
-                        (x1, dt / 6, dt / 2)):
-            w = a * back + _flow(w, _right_i(-b * h))  # a back + b rhs(-h, w)
+        # w = a back + b rhs(-h, w) for b = dt, dt/2, dt/2, and b rhs(-h, w)
+        # is -_flow(w, (2b/dt) m) exactly: scaling by 2 and by -1 is exact
+        for x, a, mb in ((x3, dt / 3, 2 * m), (x2, dt / 3, m),
+                         (x1, dt / 6, m)):
+            w = a * back - _flow(w, mb)
             c += np.einsum("nij,njk->ik", x, w)
         grad[k] = 2 * u * np.einsum("qij,ji->q", GENERATORS, c).imag
     return grad.reshape(-1)

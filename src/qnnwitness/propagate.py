@@ -98,13 +98,11 @@ def _flow(x, m, b=None, out=None):
     the complex one: a single m multiplies the whole batch as one
     (batch*n, 2n) gemm, and a stack of m matching x's batch axes is a
     stacked product. The stepped loop passes its own C-contiguous work
-    arrays b and out, and x of their shape; without them, both are
-    allocated and the result is a new array.
+    arrays b and out of x's shape; without them, both are allocated.
     """
     if out is None:
         x = np.ascontiguousarray(x, dtype=complex)
-        shape = np.broadcast_shapes(x.shape, m.shape[:-2] + x.shape[-2:])
-        b, out = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        b, out = np.empty_like(x), np.empty_like(x)
     n = x.shape[-1]
     xf, bf = x.view(float), b.view(float)
     if m.ndim == 2:

@@ -2,8 +2,8 @@
 
 Pairwise states follow the spectator conventions used throughout: for
 Bell/Cr/P patterns the unpaired qubit sits in |0>, for EPR/Pprime test
-states it sits in (|0>+|1>)/sqrt(2). Amplitudes are stored normalized,
-so only ratios matter when defining a pattern.
+states it sits in (|0>+|1>)/sqrt(2). StateSpec normalizes every ket,
+however it is built, so only ratios matter when defining a pattern.
 """
 from __future__ import annotations
 
@@ -18,15 +18,21 @@ WEIGHT_TOL = 1e-9
 
 
 def normalize(raw) -> np.ndarray:
-    """Scale 8 amplitudes to unit Euclidean norm."""
-    amps = np.asarray(raw, dtype=complex).reshape(8)
+    """Scale 8 amplitudes to unit Euclidean norm, dividing twice: one
+    division can leave the norm an ulp off 1, which the second takes out.
+    One division would leave Bell and GHZ amplitudes an ulp below the
+    double nearest 1/sqrt(2): `catalog` would print ...547, not ...548."""
+    amps = np.asarray(raw, dtype=complex)
+    if amps.size != 8:
+        raise ValueError(f"a ket holds 8 amplitudes, got {amps.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(amps)
     if not np.isfinite(norm):
         raise NonFinite("amplitudes must be finite, with a norm below ~1e154")
     if norm < 1e-150:
         raise ZeroVector("cannot normalize the zero vector")
-    return amps / norm
+    amps = amps.reshape(8) / norm
+    return amps / np.linalg.norm(amps)
 
 
 def ket_to_density(ket: np.ndarray) -> np.ndarray:
@@ -36,7 +42,7 @@ def ket_to_density(ket: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A pure ket or an explicit convex mixture of kets."""
+    """A pure ket or an explicit convex mixture of kets, each normalized."""
 
     weights: tuple = (1.0,)
     kets: tuple = ()
@@ -47,23 +53,22 @@ class StateSpec:
         w = np.asarray(self.weights, dtype=float)
         if not np.all(np.isfinite(w)):
             raise InvalidWeights(f"mixture weights must be finite, got {w}")
-        if not np.isfinite(np.asarray(self.kets, dtype=complex)).all():
-            raise NonFinite("ket amplitudes must be finite")
         if np.any(w < 0):
             raise InvalidWeights(f"negative mixture weight {w.min()}")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise InvalidWeights(
                 f"mixture weights sum to {float(w.sum())!r}, not 1")
+        object.__setattr__(self, "kets",
+                           tuple(tuple(normalize(k)) for k in self.kets))
 
     @classmethod
     def pure(cls, ket) -> "StateSpec":
-        return cls(weights=(1.0,), kets=(tuple(normalize(ket)),))
+        return cls(weights=(1.0,), kets=(ket,))
 
     @classmethod
     def mixture(cls, pairs) -> "StateSpec":
-        weights = tuple(float(w) for w, _ in pairs)
-        kets = tuple(tuple(normalize(k)) for _, k in pairs)
-        return cls(weights=weights, kets=kets)
+        return cls(weights=tuple(float(w) for w, _ in pairs),
+                   kets=tuple(k for _, k in pairs))
 
     @property
     def is_pure(self) -> bool:
@@ -148,12 +153,10 @@ _register("M", lambda: StateSpec.mixture(
     [(0.5, _amps({0: 1})), (0.5, _amps({7: 1}))]))
 # (0,0) is the EPR pair in A,B with C in |0>; (0,1) is the W state; the
 # beta=1 edge is symmetric under exchanging B and C
-_register("fig1", lambda alpha, beta: normalize(
-    _amps({0: alpha, 1: beta, 2: 1, 4: 1})), 2)
-# (0,1) is the GHZ state. Both families normalize before `catalog` does;
-# normalizing once would move the last bits of some grid densities
-_register("fig2", lambda alpha, beta: normalize(
-    _amps({0: 1, 6: alpha, 7: beta})), 2)
+_register("fig1", lambda alpha, beta: _amps(
+    {0: alpha, 1: beta, 2: 1, 4: 1}), 2)
+# (0,1) is the GHZ state
+_register("fig2", lambda alpha, beta: _amps({0: 1, 6: alpha, 7: beta}), 2)
 
 CATALOG_NAMES = tuple(_CATALOG)
 # the two-argument (alpha, beta) families that `witness.sweep` maps
@@ -175,6 +178,4 @@ def catalog(name: str, *args: float) -> StateSpec:
         raise ArityError(
             f"{name} takes {required}..{max_args} argument(s), got {len(args)}")
     out = builder(*args)
-    if isinstance(out, StateSpec):
-        return out
-    return StateSpec.pure(normalize(out))
+    return out if isinstance(out, StateSpec) else StateSpec.pure(out)

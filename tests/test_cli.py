@@ -47,6 +47,18 @@ def test_catalog_lists_every_named_state(isolated_config, capsys):
     assert code == 0
     for name in ("Bell_AB", "GHZ_minus", "W", "M", "fig2"):
         assert name in out
+    lines = out.splitlines()
+    for line in (
+        "Bell_AB    0.707106781186548*|000> + 0.707106781186548*|110>",
+        "GHZ_minus  0.707106781186548*|000> - 0.707106781186548*|111>",
+        "EPR_AC     0.5*|001> + 0.5*|011> + 0.5*|100> + 0.5*|110>",
+        "W          0.577350269189626*|001> + 0.577350269189626*|010>"
+        " + 0.577350269189626*|100>",
+        "F3         0.511770123546744*|010> + 0.358239086482721*|011>"
+        " + 0.63971265443343*|110> + 0.447798858103401*|111>",
+        "M          mix{0.5: |000>, 0.5: |111>}",
+    ):
+        assert line in lines
 
 
 def test_evaluate_text_output(isolated_config, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qnnwitness.errors import InvalidWeights, KetSyntaxError
+from qnnwitness.errors import InvalidWeights, KetSyntaxError, ZeroVector
 from qnnwitness.ketexpr import parse_state, render
 from qnnwitness.states import StateSpec, mix
 
@@ -63,6 +63,17 @@ def test_mixture_parses_and_checks_weights():
         parse_state("mix{1.5: |000>, -0.5: |11>}")
 
 
+def test_zero_component_is_refused_after_the_text_parses():
+    # StateSpec normalizes the components, so a text that does not parse
+    # is a syntax error even when one of its components is zero
+    with pytest.raises(KetSyntaxError):
+        parse_state("mix{0.5: 0*|000>, 0.5: |111>")
+    with pytest.raises(ZeroVector):
+        parse_state("mix{0.5: 0*|000>, 0.5: |111>}")
+    with pytest.raises(ZeroVector):
+        parse_state("|000> - |000>")
+
+
 def test_mixture_components_are_normalized_independently():
     spec = parse_state("mix{0.5: |000> + |001>, 0.5: |111>}")
     rho = mix(spec)
@@ -94,9 +105,19 @@ def test_unterminated_mixture():
         parse_state("mix{0.5: |000>, 0.5: |111>")
 
 
+def _small_parts(fill):
+    """(3, 2, 8) parts, all fill except parts[0, 0, 0] = parts[0, 1, 0] = 1."""
+    parts = np.full((3, 2, 8), fill)
+    parts[0, :, 0] = 1.0
+    return parts
+
+
 @settings(max_examples=60, deadline=None)
 @given(arrays(float, (3, 2, 8), elements=st.floats(-1.0, 1.0)),
        arrays(float, 3, elements=st.floats(0.0, 1.0)), st.integers(1, 3))
+# 1 + 1i on |000> and fourteen small parts, each of which must print
+@example(_small_parts(1e-12), np.ones(3), 1)
+@example(_small_parts(1.2e-12), np.ones(3), 1)
 def test_render_then_parse_gives_the_same_density(parts, raw_weights, n):
     """One component is a pure ket, two or three a mixture."""
     kets = parts[:n, 0] + 1j * parts[:n, 1]

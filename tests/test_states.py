@@ -8,6 +8,8 @@ from qnnwitness.errors import (
     UnknownState,
     ZeroVector,
 )
+from qnnwitness.hamiltonian import bundled_schedule
+from qnnwitness.propagate import IntegratorConfig
 from qnnwitness.states import (
     CATALOG_NAMES,
     FAMILIES,
@@ -17,6 +19,7 @@ from qnnwitness.states import (
     mix,
     normalize,
 )
+from qnnwitness.witness import evaluate
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -50,6 +53,27 @@ def test_normalize_rejects_non_finite_amplitudes():
         amps[3] = bad
         with pytest.raises(NonFinite):
             normalize(amps)
+
+
+def test_direct_construction_normalizes_every_ket():
+    ket = np.zeros(8)
+    ket[[0, 3]] = 0.6  # 0.6 (|000> + |011>)
+    spec = StateSpec(weights=(1.0,), kets=(tuple(ket),))
+    bell = catalog("Bell_BC")
+    assert np.abs(mix(spec) - mix(bell)).max() <= 1e-15
+    s, cfg = bundled_schedule("trained_set1"), IntegratorConfig(0.25)
+    got, want = evaluate(spec, s, cfg), evaluate(bell, s, cfg)
+    assert got.labels == want.labels
+    assert got.outputs == pytest.approx(want.outputs, abs=1e-12)
+
+
+def test_direct_construction_refuses_bad_kets():
+    with pytest.raises(ZeroVector):
+        StateSpec(weights=(1.0,), kets=(tuple(np.zeros(8)),))
+    with pytest.raises(ValueError, match="8 amplitudes, got 3"):
+        StateSpec(weights=(1.0,), kets=((1.0, 0.0, 0.0),))
+    with pytest.raises(ZeroVector):
+        StateSpec.mixture([(0.5, np.eye(8)[0]), (0.5, np.zeros(8))])
 
 
 def test_ket_to_density_is_projector():
