@@ -35,15 +35,8 @@ CONFIG_ENV = "QNNWITNESS_CONFIG"
 
 
 def config_path() -> Path:
-    override = os.environ.get(CONFIG_ENV)
-    if override:
-        return Path(override)
-    return Path.home() / ".config" / "qnnwitness.json"
-
-
-# the config file's TrainConfig fields and the JSON kind each must have
-CONFIG_FIELDS = {"epochs": int, "learning_rate": float, "momentum": float,
-                 "dt": float}
+    return Path(os.environ.get(CONFIG_ENV)
+                or Path.home() / ".config" / "qnnwitness.json")
 
 
 def load_config() -> dict:
@@ -52,8 +45,10 @@ def load_config() -> dict:
         config = read_json(path)
     except FileNotFoundError:
         return {}
-    json_object(config, f"config file {path}", (*CONFIG_FIELDS, "convention"))
-    for key, kind in CONFIG_FIELDS.items():
+    # TrainConfig's fields, each of its default's JSON kind, and convention
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+    json_object(config, f"config file {path}", (*kinds, "convention"))
+    for key, kind in kinds.items():
         if key in config:
             json_value(config[key], kind, key)
     if "convention" in config:
@@ -75,7 +70,7 @@ def fmt(x: float) -> str:
 def cmd_train(args, cfg: TrainConfig, init, config: dict) -> int:
     dataset = load_dataset(args.dataset)
     trained, history = learning.train(dataset, init, cfg)
-    final_rms = learning.rms_error(dataset, trained, cfg.integrator())
+    final_rms = learning.rms_error(dataset, trained, cfg)
     if args.out is not None:
         save_schedule(trained, args.out)
     if args.history is not None:
@@ -160,6 +155,14 @@ def cmd_catalog() -> int:
     return 0
 
 
+# A settings flag wins over the config file, which wins over TrainConfig();
+# the flag's type is that of the field's default, as in the config file.
+def _add_setting(parser, flag: str, field: str, text: str) -> None:
+    default = getattr(TrainConfig(), field)
+    parser.add_argument(flag, dest=field, type=type(default), help=(
+        f"{text} (default: the config file's {field}, else {default})"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnnwitness",
@@ -167,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "network.")
     sub = parser.add_subparsers(dest="command", required=True)
     dt = argparse.ArgumentParser(add_help=False)
-    dt.add_argument("--dt", type=float, help="integrator step in ns")
+    _add_setting(dt, "--dt", "dt", "integrator step in ns")
 
     schedule_help = ("schedule file or bundled name "
                      f"({', '.join(BUNDLED_SCHEDULES)})")
@@ -178,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset file or bundled name (set1, set2)")
     p.add_argument("--init", dest="params", default="initial",
                    help=schedule_help)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
+    _add_setting(p, "--epochs", "epochs", "gradient descent epochs")
+    _add_setting(p, "--lr", "learning_rate", "gradient descent step size")
+    _add_setting(p, "--momentum", "momentum", "momentum, in [0, 1)")
     p.add_argument("--out", default=None, help="write trained schedule here")
     p.add_argument("--history", default=None,
                    help="write per-epoch rms CSV here")

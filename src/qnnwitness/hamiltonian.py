@@ -64,6 +64,14 @@ def build_hamiltonian(params, convention: UnitConvention = DEFAULT_CONVENTION):
     return convention.omega_per_MHz * np.tensordot(values, GENERATORS, axes=(-1, 0))
 
 
+# dE/dp_q = u sum_ij G_q,ij M_ij for M = dE/d(H/hbar): both exact gradients
+# reach the parameters through this map
+def parameter_gradient(dh, convention: UnitConvention = DEFAULT_CONVENTION):
+    """build_hamiltonian's transpose: (..., 8, 8) dE/dH -> (..., 9) dE/dp."""
+    return convention.omega_per_MHz * np.einsum("qij,...ij->...q",
+                                                GENERATORS, dh)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Ordered parameter chunks, each held for chunk_duration ns."""

@@ -38,11 +38,10 @@ from .errors import (
     read_json,
     write_csv,
 )
-from .hamiltonian import GENERATORS, Schedule, unflatten
+from .hamiltonian import Schedule, parameter_gradient, unflatten
 from .ketexpr import parse_state
 from .ops import OBSERVABLE_IDS, loss_terms
 from .propagate import (
-    DEFAULT_DT_NS,
     IntegratorConfig,
     _flow,
     _right_i,
@@ -154,23 +153,24 @@ def load_dataset(source) -> Dataset:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(IntegratorConfig):
+    # dt, its default and its check come from IntegratorConfig. The type of
+    # each default is the kind the CLI's config file and flag take for it.
     epochs: int = 5000
     learning_rate: float = 1e-3
     momentum: float = 0.9
-    dt: float = DEFAULT_DT_NS
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        super().__post_init__()
+        # a bool is an int too, but not of type int
+        if type(self.epochs) is not int or self.epochs < 0:
+            raise ValueError(f"epochs must be a non-negative integer, "
+                             f"got {self.epochs!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive finite "
                              f"number, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(dt=self.dt)
 
 
 def backprop_gradient(pair: TrainingPair, s: Schedule,
@@ -196,8 +196,7 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     lam = np.diag(loss_terms(rho_f, targets, mask)[2]).astype(complex)
 
     hs = s.hamiltonians()
-    u = s.convention.omega_per_MHz
-    grad = np.zeros((s.n_chunks, 9))
+    cs = np.empty((s.n_chunks, 8, 8), dtype=complex)
     lams = np.empty((steps + 1, 8, 8), dtype=complex)
     for k in range(s.n_chunks - 1, -1, -1):
         h = hs[k]
@@ -209,15 +208,14 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
         lam = _stepped(lam, (-h,), dt, steps, lams)
         back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
         w = (dt / 6) * back
-        c = np.einsum("nij,njk->ik", x4, w)
+        c = np.einsum("nij,njk->ik", x4, w, out=cs[k])
         # w = a back + b rhs(-h, w) for b = dt, dt/2, dt/2, and b rhs(-h, w)
         # is -_flow(w, (2b/dt) m) exactly: scaling by 2 and by -1 is exact
         for x, a, mb in ((x3, dt / 3, 2 * m), (x2, dt / 3, m),
                          (x1, dt / 6, m)):
             w = a * back - _flow(w, mb)
             c += np.einsum("nij,njk->ik", x, w)
-        grad[k] = 2 * u * np.einsum("qij,ji->q", GENERATORS, c).imag
-    return grad.reshape(-1)
+    return parameter_gradient(2 * cs.imag, s.convention).reshape(-1)
 
 
 def fd_gradient(pair: TrainingPair, s: Schedule,
@@ -267,9 +265,8 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     chunk duration is rejected before epoch 0, and a non-finite RMS or
     gradient raises DivergenceError.
     """
-    ds = load_dataset(ds)
-    cfg.integrator().steps_per_chunk(init.chunk_duration)
-    rhos, targets, mask = ds.arrays()
+    rhos, targets, mask = load_dataset(ds).arrays()
+    cfg.steps_per_chunk(init.chunk_duration)
     flat = init.flatten()
     velocity = np.zeros_like(flat)
     history = np.empty(cfg.epochs)

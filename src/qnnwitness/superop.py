@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import GENERATORS, Schedule
+from .hamiltonian import Schedule, parameter_gradient
 from .ops import loss_terms
 from .propagate import IntegratorConfig, check_stable
 
@@ -194,6 +194,5 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     lam_rho = lam_eig.transpose(0, 2, 3, 1) @ rho_eig.transpose(0, 3, 1, 2)
     left = (face * lam_rho).sum(axis=1)
     dm = v @ left.imag @ v.transpose(0, 2, 1)
-    grad = 2 * s.convention.omega_per_MHz * np.einsum(
-        "qac,kac->kq", GENERATORS, dm)
+    grad = parameter_gradient(2 * dm, s.convention)
     return float(energies.sum()), grad.reshape(-1), outputs

@@ -411,6 +411,16 @@ def test_crossing_out_help_states_the_default_rule(capsys):
     assert "<out>.crossing.csv" not in help_text
 
 
+def test_train_help_names_each_setting_fallback(capsys):
+    with pytest.raises(SystemExit):
+        main(["train", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    defaults = TrainConfig()
+    for field in ("dt", "epochs", "learning_rate", "momentum"):
+        assert (f"(default: the config file's {field}, else "
+                f"{getattr(defaults, field)})") in help_text
+
+
 # state text -> the state it names, or (API error, CLI exit code, stderr word)
 STATE_TEXTS = [
     ("W", catalog("W")),

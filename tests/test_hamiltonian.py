@@ -16,6 +16,7 @@ from qnnwitness.hamiltonian import (
     Schedule,
     build_hamiltonian,
     bundled_schedule,
+    parameter_gradient,
     resolve_schedule,
     save_schedule,
     unflatten,
@@ -52,6 +53,19 @@ def test_convention_scales_frequency():
     assert ratio == pytest.approx(2.0 * np.pi)
     assert np.allclose(build_hamiltonian(v, ANGULAR),
                        ratio * build_hamiltonian(v, PLAIN))
+
+
+@pytest.mark.parametrize("convention", [PLAIN, ANGULAR])
+def test_parameter_gradient_is_the_transpose_of_build_hamiltonian(convention):
+    """<T(M), p> = <M, H(p)> for the linear map H = build_hamiltonian and
+    its transpose T = parameter_gradient, on random stacks."""
+    for _ in range(5):
+        p = RNG.normal(size=(4, 9))
+        m = RNG.normal(size=(4, 8, 8))
+        lhs = np.sum(parameter_gradient(m, convention) * p)
+        rhs = np.sum(m * build_hamiltonian(p, convention))
+        assert abs(lhs - rhs) <= 1e-14
+    assert parameter_gradient(m[0], convention).shape == (9,)
 
 
 def test_build_hamiltonian_broadcasts_over_chunks():

@@ -211,7 +211,25 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-3)
     with pytest.raises(ValueError, match="dt"):
-        TrainConfig(dt=np.nan).integrator()
+        TrainConfig(dt=np.nan)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", np.nan), ("dt", 0.0), ("dt", -1.0),
+    ("epochs", 2.5), ("epochs", True), ("epochs", -1),
+])
+def test_train_config_refuses_bad_settings_when_built(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_is_an_integrator_config():
+    """dt, its default, its check and steps_per_chunk come from
+    IntegratorConfig alone."""
+    assert isinstance(TrainConfig(), IntegratorConfig)
+    assert TrainConfig().dt == IntegratorConfig().dt
+    assert TrainConfig(dt=0.25).steps_per_chunk(75.0) == 300
+    assert not hasattr(TrainConfig, "integrator")
 
 
 def test_train_raises_on_divergence():
