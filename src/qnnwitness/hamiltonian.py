@@ -31,6 +31,8 @@ GENERATORS = np.stack([
     embed_pauli("z", "A"), embed_pauli("z", "B"), embed_pauli("z", "C"),
     OBSERVABLES["AB"], OBSERVABLES["AC"], OBSERVABLES["BC"],
 ])
+# one generator per row, so that the map and its transpose are products
+_GENERATOR_ROWS = GENERATORS.reshape(len(GENERATORS), 64)
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,21 @@ def build_hamiltonian(params, convention: UnitConvention = DEFAULT_CONVENTION):
     """H/hbar in rad/ns for (..., 9) parameter values in MHz; real symmetric.
     Every route gets its matrices here, so non-finite values stop here."""
     values = np.asarray(params, dtype=float)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise QnnError("schedule parameters must be finite")
-    return convention.omega_per_MHz * np.tensordot(values, GENERATORS, axes=(-1, 0))
+    h = values @ _GENERATOR_ROWS
+    h *= convention.omega_per_MHz
+    return h.reshape(values.shape[:-1] + (8, 8))
 
 
 # dE/dp_q = u sum_ij G_q,ij M_ij for M = dE/d(H/hbar): both exact gradients
 # reach the parameters through this map
 def parameter_gradient(dh, convention: UnitConvention = DEFAULT_CONVENTION):
     """build_hamiltonian's transpose: (..., 8, 8) dE/dH -> (..., 9) dE/dp."""
-    return convention.omega_per_MHz * np.einsum("qij,...ij->...q",
-                                                GENERATORS, dh)
+    dh = np.asarray(dh)
+    grad = dh.reshape(dh.shape[:-2] + (64,)) @ _GENERATOR_ROWS.T
+    grad *= convention.omega_per_MHz
+    return grad
 
 
 @dataclass(frozen=True)

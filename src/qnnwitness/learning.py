@@ -48,8 +48,9 @@ from .propagate import (
     _stepped,
     evolve,
     evolve_batch_h,
+    real_setting,
 )
-from .states import CATALOG_NAMES, StateSpec, catalog, mix
+from .states import CATALOG_NAMES, StateSpec, catalog, mix, mix_many
 
 P_STATE_TARGET = 0.44317  # originally trained partial-entanglement value
 
@@ -107,11 +108,18 @@ class TrainingPair:
     def arrays(self):
         """(rho, targets, mask): the (8, 8) input density and (4,) target
         and 0/1 mask rows in OBSERVABLE_IDS order."""
-        targets = np.array([self.targets.get(k, 0.0) for k in OBSERVABLE_IDS],
-                           dtype=float)
-        mask = np.array([k in self.targets for k in OBSERVABLE_IDS],
-                        dtype=float)
-        return mix(self.state), targets, mask
+        targets, mask = _target_rows((self,))
+        return mix(self.state), targets[0], mask[0]
+
+
+def _target_rows(pairs):
+    """(B, 4) target and 0/1 mask rows of the pairs, in OBSERVABLE_IDS
+    order; an ungraded output has target 0 and mask 0."""
+    targets = np.array([[p.targets.get(k, 0.0) for k in OBSERVABLE_IDS]
+                        for p in pairs], dtype=float)
+    mask = np.array([[k in p.targets for k in OBSERVABLE_IDS]
+                     for p in pairs], dtype=float)
+    return targets, mask
 
 
 @dataclass(frozen=True)
@@ -124,9 +132,11 @@ class Dataset:
             raise ValueError(f"dataset {self.name!r} has no pairs")
 
     def arrays(self):
-        """(rhos, targets, mask) stacks in OBSERVABLE_IDS order."""
-        rhos, targets, mask = zip(*(p.arrays() for p in self.pairs))
-        return np.stack(rhos), np.stack(targets), np.stack(mask)
+        """(rhos, targets, mask) stacks in OBSERVABLE_IDS order, each
+        built in one pass over the pairs: the rows TrainingPair.arrays
+        gives, stacked."""
+        return (mix_many([p.state for p in self.pairs]),
+                *_target_rows(self.pairs))
 
 
 def _dataset_from_doc(doc: dict) -> Dataset:
@@ -165,12 +175,15 @@ class TrainConfig(IntegratorConfig):
         # a bool is an int too, but not of type int
         if type(self.epochs) is not int or self.epochs < 0:
             raise ValueError(f"epochs must be a non-negative integer, "
-                             f"got {self.epochs!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+                             f"got {self.epochs!r:.40}")
+        if not (math.isfinite(real_setting(self.learning_rate,
+                                           "learning_rate"))
+                and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a positive finite "
                              f"number, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+        if not 0.0 <= real_setting(self.momentum, "momentum") < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), "
+                             f"got {self.momentum}")
 
 
 def backprop_gradient(pair: TrainingPair, s: Schedule,
@@ -243,9 +256,9 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     return (energies[0::2] - energies[1::2]) / (2 * h)
 
 
-def _rms(energy, mask) -> float:
+def _rms(energy, graded) -> float:
     """sqrt(2 E / number of graded outputs): the RMS residual."""
-    return float(np.sqrt(2.0 * energy / mask.sum()))
+    return math.sqrt(2.0 * energy / graded)
 
 
 def rms_error(ds: Dataset, s: Schedule,
@@ -253,7 +266,7 @@ def rms_error(ds: Dataset, s: Schedule,
     """RMS residual over the whole dataset, by the stepped forward pass."""
     rhos, targets, mask = load_dataset(ds).arrays()
     rho_f, _ = evolve(rhos, s, cfg)
-    return _rms(loss_terms(rho_f, targets, mask)[0].sum(), mask)
+    return _rms(loss_terms(rho_f, targets, mask)[0].sum(), mask.sum())
 
 
 def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
@@ -266,6 +279,7 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     gradient raises DivergenceError.
     """
     rhos, targets, mask = load_dataset(ds).arrays()
+    graded = mask.sum()
     cfg.steps_per_chunk(init.chunk_duration)
     flat = init.flatten()
     velocity = np.zeros_like(flat)
@@ -277,16 +291,17 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
                 rhos, targets, mask, current, cfg.dt)
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
-        rms = _rms(energy, mask)
+        rms = _rms(energy, graded)
         history[epoch] = rms
-        if not (math.isfinite(rms) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(rms) and np.isfinite(grad).all()):
             raise DivergenceError(
                 f"non-finite RMS or gradient at epoch {epoch}")
         if rms > 10.0 * history[0]:
             raise DivergenceError(
                 f"RMS {rms:.3e} exceeds 10x initial {history[0]:.3e} "
                 f"at epoch {epoch}; lower the learning rate")
-        velocity = cfg.momentum * velocity - cfg.learning_rate * grad
+        velocity *= cfg.momentum
+        velocity -= cfg.learning_rate * grad
         flat = flat + velocity
         current = unflatten(flat, like=init)
     return current, history

@@ -19,6 +19,7 @@ adjoint recomputes each step's RK4 stages from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,20 @@ DEFAULT_DT_NS = 0.05
 RK4_STABLE_THETA = 2 * math.sqrt(2)
 
 
+def real_setting(value, field: str):
+    """value if it is a real number, else a ValueError naming the field;
+    a bool is refused, although Python counts it as a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a real number, got {value!r:.40}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float = DEFAULT_DT_NS
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (math.isfinite(real_setting(self.dt, "dt")) and self.dt > 0):
             raise ValueError(
                 f"dt must be a positive finite number of ns, got {self.dt}")
 

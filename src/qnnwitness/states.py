@@ -87,10 +87,20 @@ class StateSpec:
 
 def mix(spec: StateSpec) -> np.ndarray:
     """Convex combination of rank-1 projectors."""
-    rho = np.zeros((8, 8), dtype=complex)
-    for w, ket in spec.components():
-        rho += w * ket_to_density(ket)
-    return rho
+    return mix_many((spec,))[0]
+
+
+def mix_many(specs) -> np.ndarray:
+    """(B, 8, 8) stack of mix(spec) over a sequence of specs, in one pass:
+    every component's weighted projector at once, each added into its
+    spec's density in component order."""
+    owner = [i for i, spec in enumerate(specs) for _ in spec.kets]
+    weights = np.array([w for spec in specs for w in spec.weights])
+    kets = np.array([k for spec in specs for k in spec.kets], dtype=complex)
+    terms = weights[:, None, None] * (kets[:, :, None] * kets[:, None, :].conj())
+    rhos = np.zeros((len(specs), 8, 8), dtype=complex)
+    np.add.at(rhos, owner, terms)
+    return rhos
 
 
 _ZERO = np.array([1.0, 0.0])

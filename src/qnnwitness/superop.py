@@ -27,7 +27,8 @@ ops.loss_terms. The adjoint state walks back through the same overlaps,
 
 from lam~ = V^T diag(seed) V of the last chunk. So the per-chunk rho~ and
 lam~ that the gradient contracts come out of the two walks as they are.
-Each crossing is two real products on the states' float view.
+Each crossing is two real products on the states' float view, written
+into arrays each walk allocates once; the inputs are only read.
 
 The gradient is the divided-difference (Daleckii-Krein) form of the
 derivative of T^n = f(F), f(z) = P(dt z)^n. In the eigenbasis
@@ -38,8 +39,10 @@ d(T^n) = Phi o dF, with, for index pairs a = (j, k) and b,
 where P[x, y] is the divided difference of the quartic and
 S_n(x, y) = sum_m x^m y^(n-1-m); both are written without division, so
 degenerate spectra need no special case. S_n comes from one binary walk
-that powers the per-chunk 8 x 8 t itself, so the walk's last power is
-the t^n the propagation needs. A generator G enters dF as
+over a (2, n_chunks, 8, 36) pair array: for every chunk, row k and pair
+j <= l it holds the powers (t^m at (j,k), t^m at (l,k)), squared and
+multiplied in place, and its pairs (j, j) end as the t^n the propagation
+needs. A generator G enters dF as
 -i u (g x I - I x g) with g = V^T G V, so only the faces
 Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] enter, contracted with lam and rho
 into L and R. V is real and lam, rho are Hermitian (a real diagonal seed,
@@ -47,6 +50,11 @@ inputs from mix, and a map with t_kj = conj(t_jk)), so R = conj(L) and
 V (L - R) V^T = 2i V (Im L) V^T: one face and one contraction suffice.
 The face is symmetric in j and l, so its 36 pairs j <= l per row are
 computed and then spread.
+
+Per call, chunk_operators makes one eigh of all the chunks' H, evaluates
+the quartic and its divided difference in real arithmetic, and runs the
+one walk; dataset_loss_grad conjugates t^n once for the adjoint walk.
+Nothing is kept from one call to the next.
 
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
@@ -62,18 +70,26 @@ from .ops import loss_terms
 from .propagate import IntegratorConfig, check_stable
 
 
-def _quartic(z):
-    return 1 + z * (1 + z * (1 / 2 + z * (1 / 6 + z / 24)))
+def _quartic(a):
+    """P(-i a) for real a, in real arithmetic: its real part 1 - a^2/2 +
+    a^4/24 is even in a and its imaginary part a (a^2/6 - 1) odd, so
+    P(i a) is exactly the conjugate of P(-i a)."""
+    a2 = a * a
+    out = np.empty(np.shape(a), dtype=complex)
+    real = np.multiply(a2, a2 / 24 - 1 / 2, out=out.real)
+    real += 1
+    np.multiply(a, a2 / 6 - 1, out=out.imag)
+    return out
 
 
-def _quartic_divided_difference(s, q):
-    """(P(x) - P(y)) / (x - y) for x = -i a and y = -i b on the imaginary
-    axis, from s = a + b and q = a^2 + b^2. Expanded, it is
+def _quartic_divided_difference(s, q, scale):
+    """scale (P(x) - P(y)) / (x - y) for x = -i a and y = -i b on the
+    imaginary axis, from s = a + b and q = a^2 + b^2. Expanded, it is
     1 + (x + y)/2 + (x^2 + xy + y^2)/6 + (x + y)(x^2 + y^2)/24
     = 1 - (s^2 + q)/12 - i s (1/2 - q/24), so x == y needs no limit."""
-    out = np.empty(np.shape(s), dtype=complex)
-    out.real = 1 - (s * s + q) / 12
-    out.imag = s * (q / 24 - 1 / 2)
+    out = np.empty(s.shape, dtype=complex)
+    np.add((s * s + q) * (-scale / 12), scale, out=out.real)
+    np.multiply(s, q * (scale / 24) - scale / 2, out=out.imag)
     return out
 
 
@@ -89,13 +105,17 @@ def _real_factor(m):
 
 
 # The face is symmetric in its two indices, so it is computed on the 36
-# pairs j <= l of a row and then spread to (8, 8) through _PAIR. A row x
-# of 8 values gives its pairs' sums x_j + x_l as the product x @ _INCIDENCE,
-# the 0/1 incidence of values in pairs.
-_J, _L = np.array([(j, l) for j in range(8) for l in range(j, 8)]).T
+# pairs j <= l of a row and then spread to (8, 8) through _PAIR. _JL holds
+# the two indices of every pair, _DIAG the pairs (j, j). A row x of 8
+# values gives its pairs' sums x_j + x_l as the real product
+# x @ _INCIDENCE, the 0/1 incidence of values in pairs.
+_JL = np.array([(j, l) for j in range(8) for l in range(j, 8)]).T
 _PAIR = np.empty((8, 8), dtype=int)
-_PAIR[_J, _L] = _PAIR[_L, _J] = range(len(_J))
-_INCIDENCE = np.eye(8)[:, _J] + np.eye(8)[:, _L]
+_PAIR[_JL[0], _JL[1]] = _PAIR[_JL[1], _JL[0]] = range(_JL.shape[1])
+_DIAG = _PAIR[range(8), range(8)]
+_INCIDENCE = np.eye(8)[:, _JL[0]] + np.eye(8)[:, _JL[1]]
+# the lab frame, before the first chunk and after the last
+_LAB = np.eye(8)[None]
 
 
 def _geometric_sum(t, n: int):
@@ -103,18 +123,22 @@ def _geometric_sum(t, n: int):
     j <= l, of the last axis of a (..., 8) t, as (..., 36); and t^n.
 
     Walks the bits of n from the top, with S_2m = S_m (x^m + y^m) and
-    S_(m+1) = x S_m + y^m. The powers t^m are taken on t itself, beside
-    S, so t^n comes out of the same walk."""
-    x, tm = t[..., _J], t
-    total = np.ones(x.shape, dtype=complex)
+    S_(m+1) = x S_m + y^m, on one contiguous (2, ..., 36) array of the
+    pairs' powers (x^m, y^m), squared and multiplied in place; t^n is
+    read from the pairs (j, j) at the end."""
+    base = t[..., _JL].transpose(-2, *range(t.ndim - 1), -1).copy()
+    powers = base.copy()
+    xm, ym = powers
+    total = np.ones(xm.shape, dtype=complex)
+    both = np.empty_like(total)
     for bit in bin(n)[3:]:
-        total *= tm @ _INCIDENCE
-        tm = tm * tm
+        total *= np.add(xm, ym, out=both)
+        powers *= powers
         if bit == "1":
-            total *= x
-            total += tm[..., _L]
-            tm = tm * t
-    return total, tm
+            total *= base[0]
+            total += ym
+            powers *= base
+    return total, xm[..., _DIAG]
 
 
 def chunk_operators(s: Schedule, dt: float):
@@ -135,37 +159,60 @@ def chunk_operators(s: Schedule, dt: float):
     w, v = np.linalg.eigh(s.hamiltonians())
     check_stable(w, dt)
     a = dt * (w[:, None, :] - w[:, :, None])  # i mu^T
-    face, tn = _geometric_sum(_quartic(-1j * a), steps)
-    face *= dt * _quartic_divided_difference(a @ _INCIDENCE,
-                                             (a * a) @ _INCIDENCE)
-    frames = np.concatenate([np.eye(8)[None], v, np.eye(8)[None]])
+    face, tn = _geometric_sum(_quartic(a), steps)
+    face *= _quartic_divided_difference(a @ _INCIDENCE, (a * a) @ _INCIDENCE,
+                                        dt)
+    frames = np.concatenate([_LAB, v, _LAB])
     crossings = frames[1:].transpose(0, 2, 1) @ frames[:-1]
     right = _real_factor(crossings.transpose(0, 2, 1))
-    return (v, crossings, right, tn.transpose(0, 2, 1),
-            face[..., _PAIR]), steps
+    # the walk gives t^n in the layout of mu^T; t^n is conjugate
+    # symmetric, so its transpose is its conjugate
+    return (v, crossings, right, tn.conj(), face[..., _PAIR]), steps
 
 
-def _turn(a, r, x, out):
-    """out = a x a^T for real a, r = _real_factor(a^T) and a C-contiguous
-    (B, 8, 8) complex x: the left product is a real one on x's float
-    view, the right one a single (B*8, 16) gemm."""
-    np.matmul((a @ x.view(float)).reshape(-1, 16), r,
-              out=out.view(float).reshape(-1, 16))
-    return out
+class _Walk:
+    """Work arrays for walking a (B, 8, 8) complex stack through chunk
+    crossings, allocated once per walk. turn(a, r, x, out) sets out =
+    a x a^T for real a and r = _real_factor(a^T), from x's (B, 8, 16)
+    float view into out's (B*8, 16) float view: the left product is a
+    real one, the right one a single gemm."""
+
+    def __init__(self, shape):
+        self.work = np.empty(shape, dtype=complex)
+        self.work_f = self.work.view(float)
+        self.half = np.empty(self.work_f.shape)
+        self.half_rows = self.half.reshape(-1, 16)
+
+    def turn(self, a, r, x, out):
+        np.matmul(a, x, out=self.half)
+        np.matmul(self.half_rows, r, out=out)
+
+
+def _rows(x):
+    """The (..., B*8, 16) float view of a C-contiguous (..., B, 8, 8)
+    complex stack."""
+    return x.view(float).reshape(x.shape[:-3] + (-1, 16))
 
 
 def propagate_vec(rhos: np.ndarray, s: Schedule, dt: float):
     """Evolve a (B, 8, 8) stack. Returns the (n_chunks, B, 8, 8) states
     at each chunk's start in that chunk's eigenbasis, the lab-frame
     (B, 8, 8) final states, and chunk_operators' result. Every crossing
-    and the t^n of every chunk come from chunk_operators."""
+    and the t^n of every chunk come from chunk_operators. rhos is only
+    read."""
     ops = chunk_operators(s, dt)
     (_, crossings, right, tn, _), _ = ops
     x = np.ascontiguousarray(rhos, dtype=complex)
     states = np.empty((len(tn),) + x.shape, dtype=complex)
-    for k, state in enumerate(states):
-        x = tn[k] * _turn(crossings[k], right[k], x, state)
-    final = _turn(crossings[-1], right[-1], x, np.empty_like(x))
+    final = np.empty_like(x)
+    walk = _Walk(x.shape)
+    x = x.view(float)
+    for a, r, t, state, out in zip(crossings, right, tn, states,
+                                   _rows(states)):
+        walk.turn(a, r, x, out)
+        np.multiply(t, state, out=walk.work)
+        x = walk.work_f
+    walk.turn(crossings[-1], right[-1], x, _rows(final))
     return states, final, ops
 
 
@@ -183,16 +230,20 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     lam_eig = np.empty_like(rho_eig)
     last = crossings[-1]
     lam_eig[-1] = (last.T * seed[:, None, :]) @ last
+    walk = _Walk(final.shape)
+    back, back_right, tn_conj = (crossings.transpose(0, 2, 1),
+                                 right.transpose(0, 2, 1), tn.conj())
+    lam_rows = _rows(lam_eig)
     for k in range(s.n_chunks - 2, -1, -1):
-        _turn(crossings[k + 1].T, right[k + 1].T,
-              tn[k + 1].conj() * lam_eig[k + 1], lam_eig[k])
+        np.multiply(tn_conj[k + 1], lam_eig[k + 1], out=walk.work)
+        walk.turn(back[k + 1], back_right[k + 1], walk.work_f, lam_rows[k])
 
     # L[c, j, l] = sum_k Phi[(j,k),(l,k)] sum_b conj(lam_b)_jk (rho_b)_lk,
     # with conj(lam_b)_jk = (lam_b)_kj: a product over b for each (c, k).
     # The other face's contraction is the conjugate of this one, so
     # V (L - R) V^T = 2i V (Im L) V^T
     lam_rho = lam_eig.transpose(0, 2, 3, 1) @ rho_eig.transpose(0, 3, 1, 2)
-    left = (face * lam_rho).sum(axis=1)
+    left = np.multiply(face, lam_rho, out=lam_rho).sum(axis=1)
     dm = v @ left.imag @ v.transpose(0, 2, 1)
     grad = parameter_gradient(2 * dm, s.convention)
     return float(energies.sum()), grad.reshape(-1), outputs

@@ -215,8 +215,9 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("dt", np.nan), ("dt", 0.0), ("dt", -1.0),
+    ("dt", np.nan), ("dt", 0.0), ("dt", -1.0), ("dt", "0.25"), ("dt", True),
     ("epochs", 2.5), ("epochs", True), ("epochs", -1),
+    ("learning_rate", "0.1"), ("learning_rate", True), ("momentum", None),
 ])
 def test_train_config_refuses_bad_settings_when_built(field, value):
     with pytest.raises(ValueError, match=field):

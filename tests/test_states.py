@@ -17,6 +17,7 @@ from qnnwitness.states import (
     catalog,
     ket_to_density,
     mix,
+    mix_many,
     normalize,
 )
 from qnnwitness.witness import evaluate
@@ -201,6 +202,27 @@ def test_mixture_density_is_weighted_sum():
     spec = StateSpec.mixture([(0.25, a), (0.75, b)])
     assert np.allclose(mix(spec),
                        0.25 * ket_to_density(a) + 0.75 * ket_to_density(b))
+
+
+def test_mix_many_is_the_loop_over_components():
+    """The one-pass stack equals, bit for bit, the loop that adds each
+    weighted projector to a zero density in component order, for pure
+    states and mixtures of one to three kets in one batch."""
+    rng = np.random.default_rng(8)
+    specs = [catalog(n, *((0.3, 0.8) if n in FAMILIES else ()))
+             for n in CATALOG_NAMES]
+    for parts in (1, 2, 3):
+        kets = rng.normal(size=(parts, 8)) + 1j * rng.normal(size=(parts, 8))
+        specs.append(StateSpec.mixture(
+            list(zip(rng.dirichlet(np.ones(parts)), kets))))
+    loop = []
+    for spec in specs:
+        rho = np.zeros((8, 8), dtype=complex)
+        for w, ket in spec.components():
+            rho += w * ket_to_density(ket)
+        loop.append(rho)
+    assert np.array_equal(mix_many(specs), np.stack(loop))
+    assert np.array_equal(mix(specs[-1]), loop[-1])
 
 
 def test_catalog_rejects_unknown_and_bad_arity():

@@ -191,6 +191,32 @@ def test_propagate_vec_matches_direct_integration():
             assert np.abs(final - traj.states[-1]).max() < 1e-12
 
 
+def test_engine_only_reads_its_inputs():
+    """propagate_vec and dataset_loss_grad never write through rhos,
+    targets or mask. Dataset.arrays' stack is already contiguous complex,
+    so np.ascontiguousarray hands the engine that very array, and an
+    in-place first product would corrupt the training set between epochs
+    while every output stayed plausible. On read-only inputs a write
+    raises; two calls must also agree bit for bit and leave the inputs
+    as they were."""
+    rhos, targets, mask = load_dataset("set2").arrays()
+    kept = [a.copy() for a in (rhos, targets, mask)]
+    for a in (rhos, targets, mask):
+        a.flags.writeable = False
+    s = bundled_schedule("trained_set1")
+    for dt in (0.25, 0.05):
+        first, second = (propagate_vec(rhos, s, dt) for _ in range(2))
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+        first, second = (dataset_loss_grad(rhos, targets, mask, s, dt)
+                         for _ in range(2))
+        assert first[0] == second[0]
+        assert np.array_equal(first[1], second[1])
+        assert np.array_equal(first[2], second[2])
+    for a, b in zip((rhos, targets, mask), kept):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("dt", [0.4, 0.07])
 def test_engine_refuses_a_step_that_does_not_divide_the_chunk(dt):
     """75 ns is 187.5 steps of 0.4 ns and 1071.4 of 0.07 ns; a rounded
