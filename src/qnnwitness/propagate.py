@@ -51,6 +51,10 @@ class IntegratorConfig:
 
     def steps_per_chunk(self, chunk_duration: float) -> int:
         ratio = chunk_duration / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(
+                f"chunk duration {chunk_duration} ns over dt = {self.dt} ns "
+                f"is not a finite number of steps")
         steps = round(ratio)
         if abs(ratio - steps) > 1e-9 or steps < 1:
             raise ValueError(
@@ -96,6 +100,19 @@ def _right_i(ch):
     return np.kron(ch, [[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _float_view(a, flat):
+    """a's float view as _flow's m multiplies it: one (rows, 2n) matrix
+    when a single m multiplies the whole batch (flat), else stacked."""
+    af = a.view(float)
+    return af.reshape(-1, af.shape[-1]) if flat else af
+
+
+def _work(b, flat):
+    """The three views _flow takes of its C-contiguous work array b: the
+    float view that m's product is written to, b and b's transpose."""
+    return _float_view(b, flat), b, b.swapaxes(-1, -2)
+
+
 def _flow(x, m, b=None, out=None):
     """-i c [H, x] for Hermitian x, given m = _right_i(c H) for real
     symmetric H, from one product.
@@ -106,19 +123,22 @@ def _flow(x, m, b=None, out=None):
     same two numbers. B is one real product on x's float view, faster than
     the complex one: a single m multiplies the whole batch as one
     (batch*n, 2n) gemm, and a stack of m matching x's batch axes is a
-    stacked product. The stepped loop passes its own C-contiguous work
-    arrays b and out of x's shape; without them, both are allocated.
+    stacked product.
+
+    At batch 1, building the views costs over a third as much as the three
+    ufunc calls, so the stepped loop builds every view once per call: it
+    passes x as _float_view(x, flat), b as _work(b, flat) of its work
+    array b, and out, a C-contiguous array of x's shape. Without b and
+    out, x is any Hermitian array and the rest is built here.
     """
     if out is None:
         x = np.ascontiguousarray(x, dtype=complex)
-        b, out = np.empty_like(x), np.empty_like(x)
-    n = x.shape[-1]
-    xf, bf = x.view(float), b.view(float)
-    if m.ndim == 2:
-        np.matmul(xf.reshape(-1, 2 * n), m, out=bf.reshape(-1, 2 * n))
-    else:
-        np.matmul(xf, m, out=bf)
-    np.conjugate(b.swapaxes(-1, -2), out=out)
+        out = np.empty_like(x)
+        flat = m.ndim == 2
+        b, x = _work(np.empty_like(out), flat), _float_view(x, flat)
+    bf, b, bt = b
+    np.matmul(x, m, out=bf)
+    np.conjugate(bt, out=out)
     out += b
     return out
 
@@ -135,7 +155,11 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     allocated once per call and updated in place: a freshly allocated
     large-batch array at every stage would be returned to the OS and
     faulted in again at the next, which makes batched sweeps measurably
-    slower.
+    slower. The views each stage takes of them are built once per call as
+    well, and so are 2m per chunk and the divisor 3, so a step is its 21
+    ufunc calls and nothing else: at batch 1 each view or scalar
+    conversion costs a good part of a ufunc call. 2 h2 is taken as
+    h2 + h2, which is exactly 2 h2 without k *= 2's conversion of the 2.
     """
     hs = np.asarray(hs)
     check_stable(np.linalg.eigvalsh(hs), dt)
@@ -145,23 +169,28 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     rho *= 0.5
     if states is not None:
         states[0] = rho
+    flat = hs.ndim == 3  # one H, so one m, over the whole batch
+    rho_f, x_f = _float_view(rho, flat), _float_view(x, flat)
+    work = _work(b, flat)
+    three = np.complex128(3)  # acc /= 3 would convert 3 to this every step
     n = 0
     for m in _right_i((dt / 2) * hs):
         m2 = 2 * m
         for _ in range(steps_per_chunk):
-            # with h_i = (dt/2) k_i, the step adds (h1 + 2 h2 + 2 h3 + h4)/3
-            _flow(rho, m, b, acc)  # h1
+            # with h_i = (dt/2) k_i, the step adds
+            # (((h1 + 2 h2) + 2 h3) + h4) / 3, summed in that order
+            _flow(rho_f, m, work, acc)  # h1
             np.add(rho, acc, out=x)
-            _flow(x, m, b, k)  # h2
+            _flow(x_f, m, work, k)  # h2
             np.add(rho, k, out=x)
-            k *= 2
+            k += k
             acc += k
-            _flow(x, m2, b, k)  # 2 h3
+            _flow(x_f, m2, work, k)  # 2 h3
             np.add(rho, k, out=x)
             acc += k
-            _flow(x, m, b, k)  # h4
+            _flow(x_f, m, work, k)  # h4
             acc += k
-            acc /= 3
+            acc /= three
             rho += acc
             n += 1
             if states is not None:

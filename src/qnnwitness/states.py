@@ -67,6 +67,8 @@ class StateSpec:
 
     @classmethod
     def mixture(cls, pairs) -> "StateSpec":
+        """From (weight, ket) pairs; pairs may be any iterable, read once."""
+        pairs = tuple(pairs)
         return cls(weights=tuple(float(w) for w, _ in pairs),
                    kets=tuple(k for _, k in pairs))
 

@@ -317,6 +317,18 @@ def test_evaluate_refuses_a_schedule_it_cannot_run(isolated_config, tmp_path,
     assert code == 2 and out == "" and field in err
 
 
+def test_a_step_count_past_any_float_is_a_usage_error(isolated_config,
+                                                    tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"chunks": [[0,0,0,0,0,0,0,0,0]], '
+                    '"chunk_duration_ns": 1e308}')
+    code, out, err = run(capsys, "evaluate", "--params", str(path),
+                         "--state", "W", "--dt", "0.01")
+    assert code == 2 and out == ""
+    assert err == ("error: chunk duration 1e+308 ns over dt = 0.01 ns is "
+                   "not a finite number of steps\n")
+
+
 def test_unreadable_paths_are_failures_not_tracebacks(isolated_config,
                                                       tmp_path, capsys,
                                                       monkeypatch):

@@ -9,6 +9,8 @@ from qnnwitness.propagate import (
     DEFAULT_DT_NS,
     RK4_STABLE_THETA,
     IntegratorConfig,
+    _flow,
+    _right_i,
     _stepped,
     check_stable,
     evolve,
@@ -41,6 +43,10 @@ def test_config_validates_step():
     for dt in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive finite"):
             IntegratorConfig(dt)
+    # 1e308 / 0.01 overflows to inf, which round() cannot take
+    with pytest.raises(ValueError, match=r"chunk duration 1e\+308 ns over "
+                       r"dt = 0\.01 ns is not a finite number of steps"):
+        IntegratorConfig(0.01).steps_per_chunk(1e308)
 
 
 def test_single_qubit_drive_matches_rabi_formula():
@@ -189,6 +195,63 @@ def test_one_product_stages_match_the_two_product_step():
             (evolve_batch_h(CATALOG_BATCH, hs[None], dt, steps),
              two_product_rk4(CATALOG_BATCH, hs, dt, steps))):
         assert np.abs(stepped - ref).max() < 1e-13
+
+
+def flow_loop(rho, hs, dt, steps):
+    """The stepped loop written from the allocating _flow, each step adding
+    (((h1 + 2 h2) + 2 h3) + h4) / 3 in that order; returns every state
+    from the Hermitized input on."""
+    shape = np.broadcast_shapes(np.shape(rho), np.shape(hs)[1:])
+    rho = np.broadcast_to(rho, shape)
+    rho = 0.5 * (rho + dagger(rho))
+    states = [rho]
+    for h in hs:
+        m = _right_i((dt / 2) * h)
+        for _ in range(steps):
+            h1 = _flow(rho, m)
+            h2 = _flow(rho + h1, m)
+            h3_2 = _flow(rho + h2, 2 * m)
+            h4 = _flow(rho + h3_2, m)
+            rho = rho + (((h1 + (h2 + h2)) + h3_2) + h4) / 3
+            states.append(rho)
+    return np.stack(states)
+
+
+# two chunks of SET1; the last case gives each of 5 states its own H,
+# drawn from its own generator so that RNG's draws stay where they were
+_G = np.random.default_rng(17).uniform(-1.0, 1.0, size=(5, 8, 8))
+STEPPED_CASES = [
+    (BELL, SET1.hamiltonians()[:2]),
+    (CATALOG_BATCH[:1], SET1.hamiltonians()[:2]),
+    (CATALOG_BATCH[:13], SET1.hamiltonians()[:2]),
+    (CATALOG_BATCH[:5],
+     SET1.hamiltonians()[:2, None] + 0.1 * (_G + _G.swapaxes(-1, -2))),
+]
+
+
+@pytest.mark.parametrize("rho, hs", STEPPED_CASES,
+                         ids=["8x8", "1x8x8", "13x8x8", "stacked_h"])
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_stepped_is_the_flow_loop_bit_for_bit(rho, hs, dt):
+    """_stepped's prebuilt views and in-place stages change no operation
+    and no order of a sum: with recording on and off it gives the same
+    bits as the loop written from the allocating _flow."""
+    steps = 3
+    ref = flow_loop(rho, hs, dt, steps)
+    assert np.array_equal(_stepped(rho, hs, dt, steps), ref[-1])
+    states = np.empty_like(ref)
+    assert np.array_equal(_stepped(rho, hs, dt, steps, states), ref[-1])
+    assert np.array_equal(states, ref)
+
+
+@pytest.mark.parametrize("rho, hs", STEPPED_CASES[1:3],
+                         ids=["1x8x8", "13x8x8"])
+def test_stepped_bits_do_not_depend_on_the_input_layout(rho, hs):
+    c_order = _stepped(rho, hs, 0.25, 3)
+    transposed = np.ascontiguousarray(rho.swapaxes(-1, -2)).swapaxes(-1, -2)
+    for same in (np.asfortranarray(rho), transposed):
+        assert not same.flags.c_contiguous
+        assert np.array_equal(_stepped(same, hs, 0.25, 3), c_order)
 
 
 def test_evolve_never_writes_into_its_input():

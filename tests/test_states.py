@@ -180,6 +180,14 @@ def test_family_two_limits():
     assert lone[0] == pytest.approx(1.0)
 
 
+def test_mixture_reads_any_iterable_of_pairs_once():
+    weights, kets = (0.5, 0.5), (np.eye(8)[0], np.eye(8)[7])
+    spec = StateSpec.mixture(tuple(zip(weights, kets)))
+    assert StateSpec.mixture(zip(weights, kets)) == spec
+    assert StateSpec.mixture((w, k) for w, k in zip(weights, kets)) == spec
+    assert catalog("M") == spec
+
+
 def test_mixture_weights_validated():
     psi = amplitudes("GHZ_plus")
     with pytest.raises(InvalidWeights):
