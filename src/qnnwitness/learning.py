@@ -238,9 +238,9 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
 
     The parameter sets p + h e_m and p - h e_m, for every entry m of the
     flattened schedule, get their Hamiltonians from build_hamiltonian and
-    run as one batch. h must be a positive finite step.
+    run as one batch. h must be a positive finite real step.
     """
-    if not (math.isfinite(h) and h > 0):
+    if not (math.isfinite(real_setting(h, "h")) and h > 0):
         raise ValueError(f"finite-difference step must be a positive "
                          f"finite number of MHz, got {h!r}")
     steps = cfg.steps_per_chunk(s.chunk_duration)

@@ -30,6 +30,10 @@ from .ops import dagger
 
 DEFAULT_DT_NS = 0.05
 RK4_STABLE_THETA = 2 * math.sqrt(2)
+# a bound on the steps of one chunk, so that a huge but finite chunk
+# duration is refused instead of stepped for ever; 75 ns at dt 0.05 is
+# 1 500 steps, at dt 0.01 7 500
+MAX_STEPS_PER_CHUNK = 10 ** 6
 
 
 def real_setting(value, field: str):
@@ -56,6 +60,11 @@ class IntegratorConfig:
                 f"chunk duration {chunk_duration} ns over dt = {self.dt} ns "
                 f"is not a finite number of steps")
         steps = round(ratio)
+        if steps > MAX_STEPS_PER_CHUNK:
+            raise ValueError(
+                f"chunk duration {chunk_duration} ns over dt = {self.dt} ns "
+                f"is more than the limit of {MAX_STEPS_PER_CHUNK} steps per "
+                f"chunk")
         if abs(ratio - steps) > 1e-9 or steps < 1:
             raise ValueError(
                 f"chunk duration {chunk_duration} ns is not an integer "

@@ -14,21 +14,22 @@ F is diagonal on the matrix units V e_j e_k^T V^T, with eigenvalue
 One 8 x 8 eigh per chunk thus reproduces the n stepped RK4 steps to
 rounding error, at any dt within RK4's stability limit (checked on w).
 
-Each state lives in the eigenbasis of the chunk it is in. The input is
-rotated into chunk 0's basis once, every chunk boundary is crossed with
-the real 8 x 8 overlap O_k = V_{k+1}^T V_k,
+Each state lives in the eigenbasis of the chunk it is in. One walk
+carries a (B, 8, 8) stack through the n_chunks + 1 crossings
+A_k = V_k^T V_{k-1}, with V = I before the first chunk and after the
+last, so that the walk enters chunk 0's basis, crosses every chunk
+boundary by a real 8 x 8 overlap and returns to the lab frame:
 
-    rho~_{k+1} = O_k (t_k^n o rho~_k) O_k^T,
+    x_0 = A_0 x A_0^T,   x_k = A_k (t_{k-1}^n o x_{k-1}) A_k^T.
 
-and only the final state is rotated back to the lab frame, for
-ops.loss_terms. The adjoint state walks back through the same overlaps,
-
-    lam~_k = O_k^T (conj(t_{k+1}^n) o lam~_{k+1}) O_k,
-
-from lam~ = V^T diag(seed) V of the last chunk. So the per-chunk rho~ and
-lam~ that the gradient contracts come out of the two walks as they are.
-Each crossing is two real products on the states' float view, written
-into arrays each walk allocates once; the inputs are only read.
+Run forward from the inputs, it gives rho~ at each chunk's start and,
+last, the lab-frame final state for ops.loss_terms. Run back from
+diag(seed) through the transposed crossings A_k^T, last first, with
+conj(t^n), it gives lam~ of each chunk, its first crossing being
+lam~ = V^T diag(seed) V of the last chunk. So the per-chunk rho~ and lam~
+that the gradient contracts come out of the walk as they are. Each
+crossing is two real products on the states' float view, written into
+arrays each walk allocates once; the inputs are only read.
 
 The gradient is the divided-difference (Daleckii-Krein) form of the
 derivative of T^n = f(F), f(z) = P(dt z)^n. In the eigenbasis
@@ -38,22 +39,22 @@ d(T^n) = Phi o dF, with, for index pairs a = (j, k) and b,
 
 where P[x, y] is the divided difference of the quartic and
 S_n(x, y) = sum_m x^m y^(n-1-m); both are written without division, so
-degenerate spectra need no special case. S_n comes from one binary walk
-over a (2, n_chunks, 8, 36) pair array: for every chunk, row k and pair
-j <= l it holds the powers (t^m at (j,k), t^m at (l,k)), squared and
-multiplied in place, and its pairs (j, j) end as the t^n the propagation
-needs. A generator G enters dF as
--i u (g x I - I x g) with g = V^T G V, so only the faces
-Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)] enter, contracted with lam and rho
-into L and R. V is real and lam, rho are Hermitian (a real diagonal seed,
-inputs from mix, and a map with t_kj = conj(t_jk)), so R = conj(L) and
-V (L - R) V^T = 2i V (Im L) V^T: one face and one contraction suffice.
-The face is symmetric in j and l, so its 36 pairs j <= l per row are
-computed and then spread.
+degenerate spectra need no special case. S_n comes from one binary
+powering walk over a (2, n_chunks, 8, 36) pair array: for every chunk,
+row k and pair j <= l it holds the powers (t^m at (j,k), t^m at (l,k)),
+squared and multiplied in place, and its pairs (j, j) end as the t^n the
+propagation needs. A generator G enters dF as -i u (g x I - I x g) with
+g = V^T G V, so only the faces Phi[(j,k),(l,k)] and Phi[(j,k),(j,m)]
+enter, contracted with lam and rho into L and R. V is real and lam, rho
+are Hermitian (a real diagonal seed, inputs from mix, and a map with
+t_kj = conj(t_jk)), so R = conj(L) and V (L - R) V^T = 2i V (Im L) V^T:
+one face and one contraction suffice. The face is symmetric in j and l,
+so its 36 pairs j <= l per row are computed and then spread.
 
 Per call, chunk_operators makes one eigh of all the chunks' H, evaluates
 the quartic and its divided difference in real arithmetic, and runs the
-one walk; dataset_loss_grad conjugates t^n once for the adjoint walk.
+powering walk once; dataset_loss_grad conjugates t^n once for the walk
+back from the seed.
 Nothing is kept from one call to the next.
 
 This is the discrete adjoint of the stepped integrator, not of the exact
@@ -165,55 +166,45 @@ def chunk_operators(s: Schedule, dt: float):
     frames = np.concatenate([_LAB, v, _LAB])
     crossings = frames[1:].transpose(0, 2, 1) @ frames[:-1]
     right = _real_factor(crossings.transpose(0, 2, 1))
-    # the walk gives t^n in the layout of mu^T; t^n is conjugate
+    # the powering walk gives t^n in the layout of mu^T; t^n is conjugate
     # symmetric, so its transpose is its conjugate
     return (v, crossings, right, tn.conj(), face[..., _PAIR]), steps
 
 
-class _Walk:
-    """Work arrays for walking a (B, 8, 8) complex stack through chunk
-    crossings, allocated once per walk. turn(a, r, x, out) sets out =
-    a x a^T for real a and r = _real_factor(a^T), from x's (B, 8, 16)
-    float view into out's (B*8, 16) float view: the left product is a
-    real one, the right one a single gemm."""
-
-    def __init__(self, shape):
-        self.work = np.empty(shape, dtype=complex)
-        self.work_f = self.work.view(float)
-        self.half = np.empty(self.work_f.shape)
-        self.half_rows = self.half.reshape(-1, 16)
-
-    def turn(self, a, r, x, out):
-        np.matmul(a, x, out=self.half)
-        np.matmul(self.half_rows, r, out=out)
-
-
-def _rows(x):
-    """The (..., B*8, 16) float view of a C-contiguous (..., B, 8, 8)
-    complex stack."""
-    return x.view(float).reshape(x.shape[:-3] + (-1, 16))
+def _walk(x, crossings, right, t, out):
+    """Walk a C-contiguous (B, 8, 8) complex stack x through the n
+    crossings a_i into out, (n, B, 8, 8) and C-contiguous but for the
+    sign of its first stride: out[0] = a_0 x a_0^T and
+    out[i] = a_i (t[i-1] o out[i-1]) a_i^T, for real a_i and right[i] =
+    _real_factor(a_i^T). Each crossing is a real left product on the
+    (B, 8, 16) float view and one (B*8, 16) gemm on the right, into work
+    arrays allocated once per walk; x is only read."""
+    work = np.empty_like(x)
+    half = np.empty(x.shape[:-1] + (16,))
+    rows = out.view(float).reshape(len(out), -1, 16)
+    half_rows, work_f = half.reshape(-1, 16), work.view(float)
+    x = x.view(float)
+    for i, (a, r, row) in enumerate(zip(crossings, right, rows)):
+        if i:
+            np.multiply(t[i - 1], out[i - 1], out=work)
+        np.matmul(a, x, out=half)
+        np.matmul(half_rows, r, out=row)
+        x = work_f
 
 
 def propagate_vec(rhos: np.ndarray, s: Schedule, dt: float):
     """Evolve a (B, 8, 8) stack. Returns the (n_chunks, B, 8, 8) states
     at each chunk's start in that chunk's eigenbasis, the lab-frame
-    (B, 8, 8) final states, and chunk_operators' result. Every crossing
-    and the t^n of every chunk come from chunk_operators. rhos is only
-    read."""
+    (B, 8, 8) final states, and chunk_operators' result. The states are
+    one walk of rhos through all n_chunks + 1 crossings, with every
+    crossing and the t^n of every chunk from chunk_operators; its last
+    row is the final states. rhos is only read."""
     ops = chunk_operators(s, dt)
     (_, crossings, right, tn, _), _ = ops
     x = np.ascontiguousarray(rhos, dtype=complex)
-    states = np.empty((len(tn),) + x.shape, dtype=complex)
-    final = np.empty_like(x)
-    walk = _Walk(x.shape)
-    x = x.view(float)
-    for a, r, t, state, out in zip(crossings, right, tn, states,
-                                   _rows(states)):
-        walk.turn(a, r, x, out)
-        np.multiply(t, state, out=walk.work)
-        x = walk.work_f
-    walk.turn(crossings[-1], right[-1], x, _rows(final))
-    return states, final, ops
+    states = np.empty((len(crossings),) + x.shape, dtype=complex)
+    _walk(x, crossings, right, tn, states)
+    return states[:-1], states[-1], ops
 
 
 def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
@@ -227,16 +218,13 @@ def dataset_loss_grad(rhos: np.ndarray, targets: np.ndarray,
     rho_eig, final, ((v, crossings, right, tn, face), _) = propagate_vec(
         rhos, s, dt)
     energies, outputs, seed = loss_terms(final, targets, mask)
+    # the adjoint walks back from diag(seed) through the transposed
+    # crossings, the seed's first crossing into the last chunk included
     lam_eig = np.empty_like(rho_eig)
-    last = crossings[-1]
-    lam_eig[-1] = (last.T * seed[:, None, :]) @ last
-    walk = _Walk(final.shape)
-    back, back_right, tn_conj = (crossings.transpose(0, 2, 1),
-                                 right.transpose(0, 2, 1), tn.conj())
-    lam_rows = _rows(lam_eig)
-    for k in range(s.n_chunks - 2, -1, -1):
-        np.multiply(tn_conj[k + 1], lam_eig[k + 1], out=walk.work)
-        walk.turn(back[k + 1], back_right[k + 1], walk.work_f, lam_rows[k])
+    x = np.zeros(final.shape, dtype=complex)
+    x.reshape(-1, 64)[:, ::9] = seed
+    _walk(x, crossings[:0:-1].transpose(0, 2, 1),
+          right[:0:-1].transpose(0, 2, 1), tn[:0:-1].conj(), lam_eig[::-1])
 
     # L[c, j, l] = sum_k Phi[(j,k),(l,k)] sum_b conj(lam_b)_jk (rho_b)_lk,
     # with conj(lam_b)_jk = (lam_b)_kj: a product over b for each (c, k).

@@ -329,6 +329,20 @@ def test_a_step_count_past_any_float_is_a_usage_error(isolated_config,
                    "not a finite number of steps\n")
 
 
+def test_a_huge_finite_step_count_is_a_usage_error(isolated_config,
+                                                   tmp_path, capsys):
+    """1e300 ns at dt 0.01 is a finite 1e302 steps, which would never
+    end; it is refused before any step is taken."""
+    path = tmp_path / "big300.json"
+    path.write_text('{"chunks": [[0,0,0,0,0,0,0,0,0]], '
+                    '"chunk_duration_ns": 1e300}')
+    code, out, err = run(capsys, "evaluate", "--params", str(path),
+                         "--state", "W", "--dt", "0.01")
+    assert code == 2 and out == ""
+    assert err == ("error: chunk duration 1e+300 ns over dt = 0.01 ns is "
+                   "more than the limit of 1000000 steps per chunk\n")
+
+
 def test_unreadable_paths_are_failures_not_tracebacks(isolated_config,
                                                       tmp_path, capsys,
                                                       monkeypatch):

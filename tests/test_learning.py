@@ -122,6 +122,10 @@ def test_fd_gradient_needs_a_positive_finite_step():
     for h in (0.0, -1e-4, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive"):
             fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
+    # True would be a 1 MHz step, and a string a TypeError naming no field
+    for h in (True, "1e-4"):
+        with pytest.raises(ValueError, match="h must be a real number"):
+            fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
 
 
 def test_gradient_routes_refuse_a_non_finite_schedule(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from qnnwitness.errors import DivergenceError
 from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
 from qnnwitness.propagate import (
     DEFAULT_DT_NS,
+    MAX_STEPS_PER_CHUNK,
     RK4_STABLE_THETA,
     IntegratorConfig,
     _flow,
@@ -47,6 +50,14 @@ def test_config_validates_step():
     with pytest.raises(ValueError, match=r"chunk duration 1e\+308 ns over "
                        r"dt = 0\.01 ns is not a finite number of steps"):
         IntegratorConfig(0.01).steps_per_chunk(1e308)
+    # a finite but huge step count would step for ever; the limit itself
+    # is accepted
+    assert IntegratorConfig(0.01).steps_per_chunk(1e4) == MAX_STEPS_PER_CHUNK
+    for duration in ("10000.01", "1e+300"):
+        with pytest.raises(ValueError, match=(
+                f"chunk duration {re.escape(duration)} ns over dt = 0\\.01 "
+                f"ns is more than the limit of 1000000 steps per chunk")):
+            IntegratorConfig(0.01).steps_per_chunk(float(duration))
 
 
 def test_single_qubit_drive_matches_rabi_formula():

@@ -4,7 +4,7 @@ the suite so neither route can silently drift."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -160,6 +160,22 @@ def test_engine_never_raises_the_purity_of_pure_inputs(s, dt, seed):
     assert np.abs(purity[0][0] - 1).max() < 1e-12
     assert (purity[1] <= purity[0] + 1e-12).all()
     assert (purity[0][1:] <= purity[1][:-1] + 1e-12).all()
+
+
+@settings(max_examples=4, deadline=None)
+@given(schedules)
+@example(Schedule(np.array([DEGENERATE["eps_only"]]), 75.0, ANGULAR))
+def test_walks_of_one_to_four_chunks_agree_with_stagewise_route(s):
+    """The crossing walk, forward and back, at every length the schedules
+    take. With one chunk the walk back from the seed has no inner
+    crossing: its only step is the seed's crossing into the chunk's
+    eigenbasis."""
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    energy, grad, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    ref_energy, ref_grad = summed_stagewise(ds, s, IntegratorConfig(0.25))
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
