@@ -46,6 +46,7 @@ from .propagate import (
     _flow,
     _right_i,
     _stepped,
+    check_stable,
     evolve,
     evolve_batch_h,
     real_setting,
@@ -186,6 +187,13 @@ class TrainConfig(IntegratorConfig):
                              f"got {self.momentum}")
 
 
+def _contract(x, w):
+    """sum_n x[n] @ w[n] for (steps, 8, 8) stacks, as one gemm over the
+    (n, j) pairs: numpy's einsum runs this contraction in its own C loop,
+    several times slower than BLAS."""
+    return x.transpose(1, 0, 2).reshape(8, -1) @ w.reshape(-1, 8)
+
+
 def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Exact loss gradient by reverse-mode through every RK4 stage.
@@ -200,7 +208,8 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     one-product commutator (propagate._flow), since every x_i and w_i is
     Hermitian. Stage i adds Im tr(G [x_i, w_i]) to generator G's
     derivative, which is 2 Im tr(G x_i w_i) because x_i, w_i are
-    Hermitian and G real symmetric.
+    Hermitian and G real symmetric; the sum of x_i w_i over a chunk's
+    steps is one gemm per stage (_contract).
     """
     dt = cfg.dt
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -221,13 +230,14 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
         lam = _stepped(lam, (-h,), dt, steps, lams)
         back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
         w = (dt / 6) * back
-        c = np.einsum("nij,njk->ik", x4, w, out=cs[k])
+        c = _contract(x4, w)
         # w = a back + b rhs(-h, w) for b = dt, dt/2, dt/2, and b rhs(-h, w)
         # is -_flow(w, (2b/dt) m) exactly: scaling by 2 and by -1 is exact
         for x, a, mb in ((x3, dt / 3, 2 * m), (x2, dt / 3, m),
                          (x1, dt / 6, m)):
             w = a * back - _flow(w, mb)
-            c += np.einsum("nij,njk->ik", x, w)
+            c += _contract(x, w)
+        cs[k] = c
     return parameter_gradient(2 * cs.imag, s.convention).reshape(-1)
 
 
@@ -237,22 +247,37 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     """Central-difference gradient, (E(p+h) - E(p-h)) / 2h per parameter.
 
     The parameter sets p + h e_m and p - h e_m, for every entry m of the
-    flattened schedule, get their Hamiltonians from build_hamiltonian and
-    run as one batch. h must be a positive finite real step.
+    flattened schedule, are stepped chunk by chunk, one evolve_batch_h
+    call per chunk. The controls are constant over a chunk, so a set that
+    differs from p only in chunk k follows p's trajectory up to chunk k
+    and p's Hamiltonians after it. The batch entering chunk k holds p's
+    own state (row 0), the 18 k sets of the earlier chunks, stepped on
+    under p's H_k, and chunk k's 18 sets, started from row 0 under their
+    own H. Each set meets the same Hamiltonians in the same arithmetic
+    as in one batch of all 18 n_chunks sets through every chunk, so the
+    result is that batch's bit for bit, from 184 state-chunks in place of
+    288 at four chunks. Only the stepped Hamiltonians are built, p's and
+    18 per chunk, and all pass the stability check, which names their
+    chunk, before the first step. h must be a positive finite real step.
     """
     if not (math.isfinite(real_setting(h, "h")) and h > 0):
         raise ValueError(f"finite-difference step must be a positive "
                          f"finite number of MHz, got {h!r}")
     steps = cfg.steps_per_chunk(s.chunk_duration)
-    n_par = s.n_chunks * 9
-    # row 2m is p + h e_m, row 2m + 1 is p - h e_m
-    params = s.flatten() + h * np.kron(np.eye(n_par), [[1.0], [-1.0]])
-    hs = hamiltonian.build_hamiltonian(
-        params.reshape(2 * n_par, s.n_chunks, 9).swapaxes(0, 1), s.convention)
+    # row 0 of each chunk is p's own values, row 2m + 1 is p + h e_m and
+    # row 2m + 2 is p - h e_m for the chunk's entries m
+    offsets = np.vstack((np.zeros(9), np.kron(np.eye(9), [[1.0], [-1.0]])))
+    hs = hamiltonian.build_hamiltonian(s.chunks[:, None] + h * offsets,
+                                       s.convention)
+    check_stable(np.linalg.eigvalsh(hs), cfg.dt)
     rho, targets, mask = pair.arrays()
-    rho_f = evolve_batch_h(np.broadcast_to(rho, (2 * n_par, 8, 8)), hs,
-                           cfg.dt, steps)
-    energies, _, _ = loss_terms(rho_f, targets, mask)
+    batch = rho[None]
+    for h_k in hs:
+        rows = np.concatenate((batch, np.broadcast_to(batch[0], (18, 8, 8))))
+        h_rows = np.concatenate(
+            (np.broadcast_to(h_k[0], batch.shape), h_k[1:]))
+        batch = evolve_batch_h(rows, h_rows[None], cfg.dt, steps)
+    energies, _, _ = loss_terms(batch[1:], targets, mask)
     return (energies[0::2] - energies[1::2]) / (2 * h)
 
 

@@ -11,8 +11,9 @@ renormalized, so trace drift stays visible as a correctness signal.
 
 evolve and evolve_batch_h share one stepping loop, which refuses a dt past
 RK4's stability limit, holds the RK4 stage arithmetic and broadcasts over
-leading batch axes of rho (and of h, when given a matching stack), so
-parameter scans and finite-difference sweeps run as one batch. A recorded
+leading batch axes of rho (and of h, when given a matching stack), so a
+parameter scan runs as one batch, and finite differences as one batch per
+chunk. A recorded
 trajectory keeps only the states at the step boundaries: the reference
 adjoint recomputes each step's RK4 stages from them.
 """
@@ -165,7 +166,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     large-batch array at every stage would be returned to the OS and
     faulted in again at the next, which makes batched sweeps measurably
     slower. The views each stage takes of them are built once per call as
-    well, and so are 2m per chunk and the divisor 3, so a step is its 21
+    well, and so are 2m per chunk and the factor 1/3, so a step is its 21
     ufunc calls and nothing else: at batch 1 each view or scalar
     conversion costs a good part of a ufunc call. 2 h2 is taken as
     h2 + h2, which is exactly 2 h2 without k *= 2's conversion of the 2.
@@ -181,7 +182,10 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     flat = hs.ndim == 3  # one H, so one m, over the whole batch
     rho_f, x_f = _float_view(rho, flat), _float_view(x, flat)
     work = _work(b, flat)
-    three = np.complex128(3)  # acc /= 3 would convert 3 to this every step
+    # acc /= 3 is a complex division; numpy divides by 3+0j as
+    # (re + im*0) * fl(1/3), so the real multiply gives the same values
+    # (up to the sign of a zero) at a fraction of the cost
+    acc_f, third = acc.view(float), np.float64(1 / 3)
     n = 0
     for m in _right_i((dt / 2) * hs):
         m2 = 2 * m
@@ -199,7 +203,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
             acc += k
             _flow(x_f, m, work, k)  # h4
             acc += k
-            acc /= three
+            acc_f *= third
             rho += acc
             n += 1
             if states is not None:
@@ -233,8 +237,8 @@ def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
     """Forward-only evolution where every batch element has its own H.
 
     hs has shape (n_chunks, ...batch, 8, 8) matching rho0's batch axes.
-    Used by the finite-difference gradient, which perturbs one schedule
-    entry per batch element.
+    The finite-difference gradient calls it once per chunk, with one
+    parameter set per batch element: each set's own H for that chunk.
     """
     return _stepped(np.asarray(rho0), hs, dt, steps_per_chunk)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -215,6 +216,38 @@ def test_steps_past_rk4_stability_are_refused(isolated_config, tmp_path,
     # the same values at dt 0.05 are well inside the limit
     assert run(capsys, "evaluate", "--params", str(path), "--state", "W",
                "--dt", "0.05")[0] == 0
+
+
+def test_a_later_chunk_past_the_stability_limit_is_named(isolated_config,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    """Only chunk 2 is past the limit at dt 0.25: both gradient routes and
+    grad-check refuse the schedule naming chunk 2, before any stepping
+    call returns, although the earlier chunks could be stepped."""
+    chunks = np.zeros((4, 9))
+    chunks[2] = 1150.0
+    s = Schedule(chunks, 75.0, PLAIN)
+    path = tmp_path / "late.json"
+    save_schedule(s, path)
+    returned = []
+
+    def stepped(*args):
+        out = original(*args)
+        returned.append(out)
+        return out
+
+    original = propagate._stepped
+    monkeypatch.setattr(propagate, "_stepped", stepped)
+    monkeypatch.setattr(learning, "_stepped", stepped)
+    pair = TrainingPair(catalog("W"), {"AB": 0.0})
+    message = r"chunk 2: dt 0\.25 .* largest stable dt"
+    for route in (fd_gradient, backprop_gradient):
+        with pytest.raises(DivergenceError, match=message):
+            route(pair, s, IntegratorConfig(0.25))
+    code, out, err = run(capsys, "grad-check", "--params", str(path),
+                         "--state", "W", "--dt", "0.25")
+    assert code == 1 and out == "" and re.search(message, err)
+    assert returned == []
 
 
 ROW = [0.0] * 9

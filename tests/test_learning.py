@@ -3,7 +3,13 @@ import pytest
 
 from qnnwitness import propagate, superop
 from qnnwitness.errors import DivergenceError, KetSyntaxError, QnnError
-from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
+from qnnwitness.hamiltonian import (
+    ANGULAR,
+    PLAIN,
+    Schedule,
+    build_hamiltonian,
+    bundled_schedule,
+)
 from qnnwitness.learning import (
     P_STATE_TARGET,
     Dataset,
@@ -18,8 +24,8 @@ from qnnwitness.learning import (
     rms_error,
     train,
 )
-from qnnwitness.ops import OBSERVABLE_IDS, readout
-from qnnwitness.propagate import evolve
+from qnnwitness.ops import OBSERVABLE_IDS, loss_terms, readout
+from qnnwitness.propagate import evolve, evolve_batch_h
 from qnnwitness.states import catalog, mix, StateSpec
 
 RNG = np.random.default_rng(19)
@@ -126,6 +132,38 @@ def test_fd_gradient_needs_a_positive_finite_step():
     for h in (True, "1e-4"):
         with pytest.raises(ValueError, match="h must be a real number"):
             fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
+
+
+def all_rows_fd_gradient(pair, s, cfg, h=1e-4):
+    """Central differences from one evolve_batch_h call in which each of
+    the 2 * 9 * n_chunks parameter sets, row 2m = p + h e_m and row
+    2m + 1 = p - h e_m, is stepped through every chunk."""
+    n_par = s.n_chunks * 9
+    params = s.flatten() + h * np.kron(np.eye(n_par), [[1.0], [-1.0]])
+    hs = build_hamiltonian(
+        params.reshape(2 * n_par, s.n_chunks, 9).swapaxes(0, 1), s.convention)
+    rho, targets, mask = pair.arrays()
+    rho_f = evolve_batch_h(np.broadcast_to(rho, (2 * n_par, 8, 8)), hs,
+                           cfg.dt, cfg.steps_per_chunk(s.chunk_duration))
+    energies, _, _ = loss_terms(rho_f, targets, mask)
+    return (energies[0::2] - energies[1::2]) / (2 * h)
+
+
+@pytest.mark.parametrize("convention, state",
+                         [(PLAIN, "GHZ_minus"), (ANGULAR, "M")])
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 4])
+def test_fd_gradient_is_the_all_rows_batch_bit_for_bit(n_chunks, convention,
+                                                       state):
+    """Stepping each parameter set only from its own chunk on, from the
+    unperturbed trajectory, changes no bit of the differences."""
+    rng = np.random.default_rng(n_chunks)
+    s = Schedule(rng.uniform(-6.0, 6.0, size=(n_chunks, 9)), 75.0,
+                 convention)
+    pair = TrainingPair(catalog(state),
+                        dict(zip(OBSERVABLE_IDS, rng.uniform(0.0, 1.0, 4))))
+    cfg = IntegratorConfig(0.25)
+    assert np.array_equal(fd_gradient(pair, s, cfg),
+                          all_rows_fd_gradient(pair, s, cfg))
 
 
 def test_gradient_routes_refuse_a_non_finite_schedule(monkeypatch):
