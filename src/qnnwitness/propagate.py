@@ -13,9 +13,9 @@ evolve and evolve_batch_h share one stepping loop, which refuses a dt past
 RK4's stability limit, holds the RK4 stage arithmetic and broadcasts over
 leading batch axes of rho (and of h, when given a matching stack), so a
 parameter scan runs as one batch, and finite differences as one batch per
-chunk. A recorded
-trajectory keeps only the states at the step boundaries: the reference
-adjoint recomputes each step's RK4 stages from them.
+chunk. A recorded trajectory keeps only the states at the step
+boundaries: the reference adjoint recomputes each step's RK4 stages from
+them.
 """
 from __future__ import annotations
 
