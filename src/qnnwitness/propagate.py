@@ -16,6 +16,16 @@ parameter scan runs as one batch, and finite differences as one batch per
 chunk. A recorded trajectory keeps only the states at the step
 boundaries: the reference adjoint recomputes each step's RK4 stages from
 them.
+
+evolve, with one H per chunk for the whole batch, steps the batch's span
+rather than its states. An 8x8 Hermitian matrix has 64 real coordinates,
+and RK4's step is linear in rho, so a batch whose coordinates are nonzero
+in r places steps only those r basis matrices and recombines every state
+from them by one real product. The rule is exact: a coordinate left out
+is zero in every state, and the result differs from stepping each state
+only by round-off. It applies when r is smaller than the number of
+states, which a sweep grid always is (441 states, 6 or 10 coordinates),
+and never to a single state; no batch steps more than 64 rows.
 """
 from __future__ import annotations
 
@@ -71,6 +81,25 @@ class IntegratorConfig:
                 f"chunk duration {chunk_duration} ns is not an integer "
                 f"multiple of dt = {self.dt} ns")
         return steps
+
+
+# The 64 real coordinates of a Hermitian 8x8 matrix X, read from the float
+# view of any complex x with X = (x + x+)/2: coordinate i is
+# (f[_SRC[i]] + _SIGN[i] * f[_MIRROR[i]]) / 2 of x's 128 floats f. They
+# are the diagonal, then Re and Im of the upper triangle; the Im rows take
+# the mirrored entry's imaginary part with a minus sign. Basis matrix i,
+# _BASIS[i], has the float view with 1 at _SRC[i] and _SIGN[i] at
+# _MIRROR[i], so X = sum_i c_i _BASIS[i] exactly.
+_ROW, _COL = np.array([(j, k) for j in range(8) for k in range(j + 1, 8)]).T
+_UPPER, _LOWER = 8 * _ROW + _COL, 8 * _COL + _ROW
+_DIAG = 9 * np.arange(8)
+_SRC = np.concatenate([2 * _DIAG, 2 * _UPPER, 2 * _UPPER + 1])
+_MIRROR = np.concatenate([2 * _DIAG, 2 * _LOWER, 2 * _LOWER + 1])
+_SIGN = np.repeat([1.0, -1.0], [36, 28])
+_BASIS = np.zeros((64, 128))
+_BASIS[np.arange(64), _MIRROR] = _SIGN
+_BASIS[np.arange(64), _SRC] = 1.0
+_BASIS = _BASIS.view(complex).reshape(64, 8, 8)
 
 
 @dataclass
@@ -211,6 +240,35 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     return rho
 
 
+def _span(rho):
+    """(c, used) when the Hermitian coordinates of rho's states span fewer
+    dimensions than it has states, else None. used holds the coordinates
+    that are nonzero in some state, in ascending order, and c (n, r) those
+    coordinates of each of the n states, so that the Hermitized state b is
+    sum_j c[b, j] _BASIS[used[j]]. The coordinates are gathered from the
+    float view, with no Hermitized copy of the batch; a single state
+    (n = 1) is never split."""
+    n = math.prod(np.shape(rho)[:-2])
+    if n < 2:
+        return None
+    f = np.asarray(rho, dtype=complex).reshape(n, 64).view(float)
+    c = f[:, _MIRROR]
+    c *= _SIGN
+    c += f[:, _SRC]
+    c *= 0.5
+    used = np.flatnonzero((c != 0).any(axis=0))
+    return (c[:, used], used) if len(used) < n else None
+
+
+def _recombine(c, x, shape):
+    """The states with coordinates c (n, r) from the stepped basis
+    matrices x (..., r, 8, 8), as one real product on x's float view;
+    shape is the batch's (..., 8, 8)."""
+    lead = x.shape[:-3]
+    out = c @ x.reshape(lead + (-1, 64)).view(float)
+    return out.view(complex).reshape(lead + shape)
+
+
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
            record: bool = False):
     """Propagate rho0 through the whole schedule.
@@ -220,16 +278,37 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     density matrices, which this hot path does not check. Recording stores
     every step boundary, which is all the reference adjoint in learning.py
     needs.
+
+    One H per chunk serves the whole batch, and the stepped map is linear,
+    so a batch of n states whose Hermitian coordinates are nonzero in only
+    r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the r basis
+    matrices of those coordinates and recombines each state from them (see
+    _span). A coordinate left out is zero in every state, so no threshold
+    is involved; the result is the stepped map of every state up to
+    round-off (~1e-14). It is exactly Hermitian: an entry and its mirror
+    are products of the same coordinates with equal (or, for imaginary
+    parts, negated) entries of Hermitian basis results. A recorded
+    trajectory is recombined the same way. A single state, or a batch
+    whose coordinates span as many dimensions as it has states, is stepped
+    as it is.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
     hs = s.hamiltonians()
-    if not record:
-        return _stepped(rho, hs, cfg.dt, steps), None
-    total = steps * s.n_chunks
-    states = np.empty((total + 1,) + rho.shape, dtype=complex)
-    rho = _stepped(rho, hs, cfg.dt, steps, states)
-    return rho, Trajectory(states)
+    span = _span(rho)
+    x = rho if span is None else _BASIS[span[1]]
+    states = None
+    if record:
+        total = steps * s.n_chunks
+        states = np.empty((total + 1,) + x.shape, dtype=complex)
+    x = _stepped(x, hs, cfg.dt, steps, states)
+    if span is not None:
+        if record:
+            states = _recombine(span[0], states, rho.shape)
+            x = states[-1].copy()
+        else:
+            x = _recombine(span[0], x, rho.shape)
+    return x, None if states is None else Trajectory(states)
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,

@@ -7,6 +7,7 @@ pair is unentangled, and the ABC output flags three-way entanglement.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +133,8 @@ def sweep(family: str, n: int, s: Schedule,
     """Evaluate a two-argument catalog family on an n x n grid over [0,1]^2."""
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r:.40}")
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
     alphas = np.linspace(0.0, 1.0, n)

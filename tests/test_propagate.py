@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnnwitness.errors import DivergenceError
+from qnnwitness import propagate
+from qnnwitness.errors import DivergenceError, NonFinite
 from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
+from qnnwitness.learning import load_dataset
 from qnnwitness.propagate import (
     DEFAULT_DT_NS,
     MAX_STEPS_PER_CHUNK,
@@ -24,6 +27,7 @@ from qnnwitness.propagate import (
 from qnnwitness.ops import dagger
 from qnnwitness.states import CATALOG_NAMES, FAMILIES, catalog, mix
 from qnnwitness.superop import _quartic, propagate_vec
+from qnnwitness.witness import evaluate_many
 
 RNG = np.random.default_rng(13)
 
@@ -280,6 +284,98 @@ def test_evolve_never_writes_into_its_input():
     for out in (evolve(shared, SET1, cfg)[0],
                 evolve_batch_h(shared, hs, cfg.dt, cfg.steps_per_chunk(75.0))):
         assert np.abs(out - single).max() < 1e-13
+
+
+@pytest.fixture
+def stepped_rows(monkeypatch):
+    """The number of states in each call evolve makes to _stepped."""
+    rows, stepped = [], propagate._stepped
+
+    def counting(rho, *args, **kwargs):
+        rows.append(math.prod(np.shape(rho)[:-2]))
+        return stepped(rho, *args, **kwargs)
+
+    monkeypatch.setattr(propagate, "_stepped", counting)
+    return rows
+
+
+def direct(rho, s, dt):
+    """The stepped loop on every state of rho, as evolve steps a batch
+    whose coordinates span as many dimensions as it has states."""
+    steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
+    return _stepped(rho, s.hamiltonians(), dt, steps)
+
+
+FIG2_GRID = np.stack([mix(catalog("fig2", a, b))
+                      for b in np.linspace(0, 1, 21)
+                      for a in np.linspace(0, 1, 21)]).reshape(21, 21, 8, 8)
+ONE_CHUNK = Schedule(bundled_schedule("trained_set2").chunks[:1])
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows, record):
+    """The fig2 grid's 21 x 21 states have amplitudes on |000>, |110> and
+    |111> only, all real: 3 diagonal and 3 real off-diagonal coordinates.
+    So 6 basis matrices are stepped, and the recombined states are the
+    stepped states to round-off, in the grid's shape, and exactly
+    Hermitian."""
+    cfg = IntegratorConfig(0.25)
+    rho_f, traj = evolve(FIG2_GRID, ONE_CHUNK, cfg, record=record)
+    assert stepped_rows == [6]
+    assert rho_f.shape == FIG2_GRID.shape
+    assert np.abs(rho_f - direct(FIG2_GRID, ONE_CHUNK, 0.25)).max() < 1e-14
+    assert np.array_equal(rho_f, dagger(rho_f))
+    if record:
+        assert traj.states.shape == (301,) + FIG2_GRID.shape
+        assert np.array_equal(traj.states[0], FIG2_GRID)
+        assert np.array_equal(traj.states[-1], rho_f)
+        assert not np.shares_memory(traj.states, rho_f)
+        assert np.array_equal(traj.states, dagger(traj.states))
+        middle = direct(FIG2_GRID, Schedule(ONE_CHUNK.chunks, 37.5), 0.25)
+        assert np.abs(traj.states[150] - middle).max() < 1e-14
+
+
+SET2_STATES = load_dataset("set2").arrays()[0]
+
+
+@pytest.mark.parametrize("rho", [
+    BELL, CATALOG_BATCH[:1],
+    np.stack([mix(catalog(n))
+              for n in ("Bell_AB", "flat_AC", "W", "GHZ_minus", "M")]),
+    SET2_STATES], ids=["8x8", "1x8x8", "gate_5", "set2_13"])
+def test_a_batch_that_spans_its_size_is_stepped_as_it_is(stepped_rows, rho):
+    cfg = IntegratorConfig(0.25)
+    rho_f, _ = evolve(rho, ONE_CHUNK, cfg)
+    assert stepped_rows == [math.prod(rho.shape[:-2])]
+    assert np.array_equal(rho_f, direct(rho, ONE_CHUNK, 0.25))
+
+
+@settings(max_examples=12, deadline=None)
+@given(kets=st.integers(1, 80), support=st.sets(st.integers(0, 7),
+                                                  min_size=1),
+       complex_amplitudes=st.booleans(),
+       convention=st.sampled_from([PLAIN, ANGULAR]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_is_the_stepped_map_of_every_state(
+        kets, support, complex_amplitudes, convention, seed):
+    """Kets on a random subset of the basis, real or complex, in batches on
+    both sides of the 64 coordinates: evolve matches the stepped loop on
+    every state, and a NaN in one state still reaches the readout."""
+    rng = np.random.default_rng(seed)
+    psi = np.zeros((kets, 8), dtype=complex)
+    psi[:, sorted(support)] = rng.normal(size=(kets, len(support)))
+    if complex_amplitudes:
+        psi[:, sorted(support)] += 1j * rng.normal(size=(kets, len(support)))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    s = Schedule(bundled_schedule("trained_set1").chunks[:1], 75.0,
+                 convention)
+    rho_f, _ = evolve(rho, s, IntegratorConfig(0.25))
+    assert np.abs(rho_f - direct(rho, s, 0.25)).max() < 1e-13
+    assert np.array_equal(rho_f, dagger(rho_f))
+    rho[rng.integers(kets), 0, 0] = np.nan
+    with pytest.raises(NonFinite):
+        evaluate_many(rho, s, IntegratorConfig(0.25))
 
 
 def test_recorded_states_are_not_aliased():

@@ -171,6 +171,11 @@ def test_sweep_validates_arguments():
             sweep(family, 5, s, FAST)
     with pytest.raises(ValueError):
         sweep("fig2", 1, s, FAST)
+    # a float or a string is refused by name, not by a TypeError from
+    # np.linspace or from the comparison with 2
+    for n in (2.0, "3", None, True):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            sweep("fig2", n, s, FAST)
 
 
 def test_fig1_sweep_has_no_crossing_locus():
