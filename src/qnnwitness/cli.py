@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="map outputs over a state family")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, default=21,
-                   help="grid points per axis")
+                   help=f"grid points per axis, 2 to {witness.MAX_SWEEP_N}")
     p.add_argument("--params", required=True, help=schedule_help)
     p.add_argument("--out", required=True, help="grid CSV path")
     p.add_argument("--crossing-out", default=None,

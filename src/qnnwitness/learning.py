@@ -53,8 +53,6 @@ from .propagate import (
 )
 from .states import CATALOG_NAMES, StateSpec, catalog, mix, mix_many
 
-P_STATE_TARGET = 0.44317  # originally trained partial-entanglement value
-
 
 # a bare name, or a name with a parenthesized argument list
 _NAMED = re.compile(r"\s*([A-Za-z_]\w*)\s*(?:\((.*)\))?\s*")
@@ -201,12 +199,13 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     With H constant, an RK4 step is P(dt F) for a real-coefficient quartic
     P and F x = -i[H, x]; F+ = -F, so the adjoint of a step is the same
     step under -H. The stepped loop thus walks the adjoint state back a
-    chunk at a time, recording it at every step. From those records and
-    the stage inputs x_2..x_4, recomputed from the recorded x_1 on the
-    whole (steps, 8, 8) stack, the stage adjoints w_4..w_1 of all of a
-    chunk's steps are built at once; both use the stepped loop's
-    one-product commutator (propagate._flow), since every x_i and w_i is
-    Hermitian. Stage i adds Im tr(G [x_i, w_i]) to generator G's
+    chunk at a time, recording it at every step; -H has H's spread
+    w_max - w_min, so the forward evolve's stability check covers it.
+    From those records and the stage inputs x_2..x_4, recomputed from the
+    recorded x_1 on the whole (steps, 8, 8) stack, the stage adjoints
+    w_4..w_1 of all of a chunk's steps are built at once; both use the
+    stepped loop's one-product commutator (propagate._flow), since every
+    x_i and w_i is Hermitian. Stage i adds Im tr(G [x_i, w_i]) to generator G's
     derivative, which is 2 Im tr(G x_i w_i) because x_i, w_i are
     Hermitian and G real symmetric; the sum of x_i w_i over a chunk's
     steps is one gemm per stage (_contract).
@@ -231,7 +230,7 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
         back = lams[steps - 1::-1]  # back[n] enters the adjoint of step n
         w = (dt / 6) * back
         c = _contract(x4, w)
-        # w = a back + b rhs(-h, w) for b = dt, dt/2, dt/2, and b rhs(-h, w)
+        # w = a back - b i[-h, w] for b = dt, dt/2, dt/2, and -b i[-h, w]
         # is -_flow(w, (2b/dt) m) exactly: scaling by 2 and by -1 is exact
         for x, a, mb in ((x3, dt / 3, 2 * m), (x2, dt / 3, m),
                          (x1, dt / 6, m)):
@@ -258,7 +257,9 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     result is that batch's bit for bit, from 184 state-chunks in place of
     288 at four chunks. Only the stepped Hamiltonians are built, p's and
     18 per chunk, and all pass the stability check, which names their
-    chunk, before the first step. h must be a positive finite real step.
+    chunk, before the first step. h must be a positive finite real step
+    that moves every parameter: where p + h or p - h rounds to p, the
+    difference would read 0 whatever the gradient.
     """
     if not (math.isfinite(real_setting(h, "h")) and h > 0):
         raise ValueError(f"finite-difference step must be a positive "
@@ -269,6 +270,10 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     offsets = np.vstack((np.zeros(9), np.kron(np.eye(9), [[1.0], [-1.0]])))
     hs = hamiltonian.build_hamiltonian(s.chunks[:, None] + h * offsets,
                                        s.convention)
+    p = s.chunks
+    if np.any((p + h == p) | (p - h == p)):
+        raise ValueError(f"finite-difference step h = {h!r} MHz leaves a "
+                         f"parameter unmoved: p + h or p - h rounds to p")
     check_stable(np.linalg.eigvalsh(hs), cfg.dt)
     rho, targets, mask = pair.arrays()
     batch = rho[None]

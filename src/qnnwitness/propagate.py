@@ -9,23 +9,24 @@ there every RK4 stage is exactly Hermitian by construction (see _flow),
 so no step needs re-Hermitizing. The trace is deliberately NOT
 renormalized, so trace drift stays visible as a correctness signal.
 
-evolve and evolve_batch_h share one stepping loop, which refuses a dt past
-RK4's stability limit, holds the RK4 stage arithmetic and broadcasts over
-leading batch axes of rho (and of h, when given a matching stack), so a
-parameter scan runs as one batch, and finite differences as one batch per
-chunk. A recorded trajectory keeps only the states at the step
-boundaries: the reference adjoint recomputes each step's RK4 stages from
-them.
+evolve and evolve_batch_h share one stepping loop, which only steps: it
+holds the RK4 stage arithmetic and broadcasts over leading batch axes of
+rho (and of h, when given a matching stack), so a parameter scan runs as
+one batch, and finite differences as one batch per chunk. Each entry
+point refuses a dt past RK4's stability limit once, from the spectra of
+the Hamiltonians it builds. A recorded trajectory keeps only the states
+at the step boundaries: the reference adjoint recomputes each step's RK4
+stages from them.
 
-evolve, with one H per chunk for the whole batch, steps the batch's span
-rather than its states. An 8x8 Hermitian matrix has 64 real coordinates,
-and RK4's step is linear in rho, so a batch whose coordinates are nonzero
-in r places steps only those r basis matrices and recombines every state
-from them by one real product. The rule is exact: a coordinate left out
-is zero in every state, and the result differs from stepping each state
-only by round-off. It applies when r is smaller than the number of
-states, which a sweep grid always is (441 states, 6 or 10 coordinates),
-and never to a single state; no batch steps more than 64 rows.
+Unless it records, evolve steps the batch's span rather than its states.
+An 8x8 Hermitian matrix has 64 real coordinates, and RK4's step is linear
+in rho, so a batch whose coordinates are nonzero in r places steps only
+those r basis matrices and recombines every state from them by one real
+product. The rule is exact: a coordinate left out is zero in every state,
+and the result differs from stepping each state only by round-off. It
+applies when r is smaller than the number of states, which a sweep grid
+always is (441 states, 6 or 10 coordinates), and never to a single state;
+no batch steps more than 64 rows.
 """
 from __future__ import annotations
 
@@ -126,12 +127,6 @@ def check_stable(w, dt: float) -> None:
                 f"largest stable dt is {RK4_STABLE_THETA / gap:.4g} ns")
 
 
-def rhs(h_over_hbar: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """-i [H/hbar, rho] for any rho, by two products; Hermitian whenever
-    rho is. The stepped loop takes the one-product _flow instead."""
-    return -1j * (h_over_hbar @ rho - rho @ h_over_hbar)
-
-
 def _right_i(ch):
     """The real (2n, 2n) matrix m with x.view(float) @ m equal to
     (x @ (i ch)).view(float), for real ch of shape (..., n, n) and any
@@ -157,7 +152,7 @@ def _flow(x, m, b=None, out=None):
     symmetric H, from one product.
 
     With B = x (i c H), B+ = -i c H x, so the commutator is B + B+ where
-    rhs takes two products. The sum is exactly Hermitian in floating
+    H x - x H takes two products. The sum is exactly Hermitian in floating
     point, since entry (j, k) and the conjugate of entry (k, j) add the
     same two numbers. B is one real product on x's float view, faster than
     the complex one: a single m multiplies the whole batch as one
@@ -185,7 +180,8 @@ def _flow(x, m, b=None, out=None):
 def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     """steps_per_chunk RK4 steps under each H of hs in turn; the Hermitized
     input goes to states[0] and step n's result to states[n + 1] when
-    states is given.
+    states is given. It only steps: the caller has checked every H of hs
+    against RK4's stability limit.
 
     rho is Hermitized once, into a fresh array, so neither the caller's
     array nor a recorded row is ever written through. Each stage is one
@@ -201,7 +197,6 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     h2 + h2, which is exactly 2 h2 without k *= 2's conversion of the 2.
     """
     hs = np.asarray(hs)
-    check_stable(np.linalg.eigvalsh(hs), dt)
     shape = np.broadcast_shapes(np.shape(rho), hs.shape[1:])
     x, b, k, acc = (np.empty(shape, dtype=complex) for _ in range(4))
     rho = np.add(rho, dagger(rho), out=np.empty(shape, dtype=complex))
@@ -262,11 +257,9 @@ def _span(rho):
 
 def _recombine(c, x, shape):
     """The states with coordinates c (n, r) from the stepped basis
-    matrices x (..., r, 8, 8), as one real product on x's float view;
-    shape is the batch's (..., 8, 8)."""
-    lead = x.shape[:-3]
-    out = c @ x.reshape(lead + (-1, 64)).view(float)
-    return out.view(complex).reshape(lead + shape)
+    matrices x (r, 8, 8), as one real product on x's float view; shape is
+    the batch's (..., 8, 8)."""
+    return (c @ x.reshape(-1, 64).view(float)).view(complex).reshape(shape)
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
@@ -275,11 +268,13 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
 
     Returns (rho_f, Trajectory or None). rho0 may carry leading batch
     axes; callers must pass Hermitian, trace-1, positive semidefinite
-    density matrices, which this hot path does not check. Recording stores
-    every step boundary, which is all the reference adjoint in learning.py
-    needs.
+    density matrices, which this hot path does not check. The schedule's
+    Hamiltonians are checked against RK4's stability limit once, before
+    the first step.
 
-    One H per chunk serves the whole batch, and the stepped map is linear,
+    Recording steps the batch as it is and stores every step boundary,
+    which is all the reference adjoint in learning.py needs. Without it,
+    one H per chunk serves the whole batch, and the stepped map is linear,
     so a batch of n states whose Hermitian coordinates are nonzero in only
     r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the r basis
     matrices of those coordinates and recombines each state from them (see
@@ -287,28 +282,24 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     is involved; the result is the stepped map of every state up to
     round-off (~1e-14). It is exactly Hermitian: an entry and its mirror
     are products of the same coordinates with equal (or, for imaginary
-    parts, negated) entries of Hermitian basis results. A recorded
-    trajectory is recombined the same way. A single state, or a batch
-    whose coordinates span as many dimensions as it has states, is stepped
-    as it is.
+    parts, negated) entries of Hermitian basis results. A single state, or
+    a batch whose coordinates span as many dimensions as it has states, is
+    stepped as it is.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
     hs = s.hamiltonians()
-    span = _span(rho)
-    x = rho if span is None else _BASIS[span[1]]
-    states = None
+    check_stable(np.linalg.eigvalsh(hs), cfg.dt)
     if record:
-        total = steps * s.n_chunks
-        states = np.empty((total + 1,) + x.shape, dtype=complex)
-    x = _stepped(x, hs, cfg.dt, steps, states)
-    if span is not None:
-        if record:
-            states = _recombine(span[0], states, rho.shape)
-            x = states[-1].copy()
-        else:
-            x = _recombine(span[0], x, rho.shape)
-    return x, None if states is None else Trajectory(states)
+        states = np.empty((steps * s.n_chunks + 1,) + rho.shape,
+                          dtype=complex)
+        return _stepped(rho, hs, cfg.dt, steps, states), Trajectory(states)
+    span = _span(rho)
+    if span is None:
+        return _stepped(rho, hs, cfg.dt, steps), None
+    c, used = span
+    return _recombine(c, _stepped(_BASIS[used], hs, cfg.dt, steps),
+                      rho.shape), None
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
@@ -317,7 +308,9 @@ def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
 
     hs has shape (n_chunks, ...batch, 8, 8) matching rho0's batch axes.
     The finite-difference gradient calls it once per chunk, with one
-    parameter set per batch element: each set's own H for that chunk.
+    parameter set per batch element: each set's own H for that chunk. The
+    caller checks hs against RK4's stability limit first, as fd_gradient
+    does for all its Hamiltonians at once; this only steps.
     """
     return _stepped(np.asarray(rho0), hs, dt, steps_per_chunk)
 

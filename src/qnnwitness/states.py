@@ -35,11 +35,6 @@ def normalize(raw) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def ket_to_density(ket: np.ndarray) -> np.ndarray:
-    ket = np.asarray(ket, dtype=complex).reshape(8)
-    return np.outer(ket, ket.conj())
-
-
 @dataclass(frozen=True)
 class StateSpec:
     """A pure ket or an explicit convex mixture of kets, each normalized."""

@@ -30,6 +30,10 @@ BELL_REFERENCE = (0.9943, 0.9930, 0.9945)
 # the one sweep family whose out_AB/out_ABC crossing locus is located
 CROSSING_FAMILY = "fig2"
 
+# the most grid points per sweep axis: 500 x 500 is 250 000 states, a
+# 256 MB stack of densities, built one cell at a time
+MAX_SWEEP_N = 500
+
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -130,13 +134,17 @@ def _crossing_locus(alphas, betas, outputs):
 
 def sweep(family: str, n: int, s: Schedule,
           cfg: IntegratorConfig = IntegratorConfig()) -> SweepGrid:
-    """Evaluate a two-argument catalog family on an n x n grid over [0,1]^2."""
+    """Evaluate a two-argument catalog family on an n x n grid over [0,1]^2,
+    for 2 <= n <= MAX_SWEEP_N; n is checked before any state is built."""
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"n must be an integer, got {n!r:.40}")
     if n < 2:
         raise ValueError("need at least 2 grid points per axis")
+    if n > MAX_SWEEP_N:
+        raise ValueError(f"n = {n} is more than the limit of {MAX_SWEEP_N} "
+                         f"grid points per axis")
     alphas = np.linspace(0.0, 1.0, n)
     betas = np.linspace(0.0, 1.0, n)
     rhos = np.stack([

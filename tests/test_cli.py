@@ -182,6 +182,27 @@ def test_exit_codes(isolated_config, capsys, monkeypatch):
         assert code == 2 and out == "" and "positive finite" in err
 
 
+def test_a_step_that_moves_no_parameter_is_refused(isolated_config, capsys,
+                                                   monkeypatch):
+    """p + h rounds to p for h = 1e-300 and every nonzero set1 value, so
+    each difference would read 0 and the adjoint look wrong: grad-check
+    refuses the step as a usage error naming h, before any evolution,
+    instead of reporting a failed check."""
+    def no_evolution(*args):
+        pytest.fail("an evolution ran with a step that moves no parameter")
+
+    monkeypatch.setattr(propagate, "_stepped", no_evolution)
+    code, out, err = run(capsys, "grad-check", "--params", "set1",
+                         "--state", "W", "--dt", "0.25", "--h", "1e-300")
+    assert code == 2 and out == ""
+    assert "h = 1e-300 MHz leaves a parameter unmoved" in err
+    pair = TrainingPair(catalog("W"), {"AB": 0.0})
+    # 1 - 1e-16 moves 1, but 1 + 1e-16 rounds to 1
+    s = Schedule(np.ones((1, 9)), 75.0, PLAIN)
+    with pytest.raises(ValueError, match=r"h = 1e-16 MHz"):
+        fd_gradient(pair, s, IntegratorConfig(0.25), h=1e-16)
+
+
 @pytest.mark.parametrize("mhz", [1100.0, 1120.0, 1150.0])
 def test_steps_past_rk4_stability_are_refused(isolated_config, tmp_path,
                                               capsys, mhz):

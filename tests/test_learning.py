@@ -11,7 +11,6 @@ from qnnwitness.hamiltonian import (
     bundled_schedule,
 )
 from qnnwitness.learning import (
-    P_STATE_TARGET,
     Dataset,
     IntegratorConfig,
     TrainConfig,
@@ -31,6 +30,8 @@ from qnnwitness.states import catalog, mix, StateSpec
 RNG = np.random.default_rng(19)
 
 ZERO_TARGETS = {"AB": 0.0, "AC": 0.0, "BC": 0.0, "ABC": 0.0}
+# the partial-entanglement target of set1's P states, as originally trained
+P_STATE_TARGET = 0.44317
 
 
 def random_schedule():
@@ -132,6 +133,29 @@ def test_fd_gradient_needs_a_positive_finite_step():
     for h in (True, "1e-4"):
         with pytest.raises(ValueError, match="h must be a real number"):
             fd_gradient(pair, bundled_schedule("set1"), IntegratorConfig(0.25), h=h)
+
+
+@pytest.mark.parametrize("route, stacks", [
+    (lambda pair, s, cfg: evolve(mix(pair.state), s, cfg), [(4, 8, 8)]),
+    (backprop_gradient, [(4, 8, 8)]),
+    (fd_gradient, [(4, 19, 8, 8)])],
+    ids=["evolve", "backprop_gradient", "fd_gradient"])
+def test_each_stepped_entry_point_solves_its_spectra_once(monkeypatch, route,
+                                                          stacks):
+    """The stability check takes one eigen-solve per call, of the stack the
+    entry point builds: the schedule's 4 Hamiltonians, or finite
+    differences' 76 (p's and 18 per chunk). The stepping loop solves none,
+    and the reference adjoint steps under -H, whose spread is H's."""
+    solved, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    pair = TrainingPair(catalog("W"), dict(ZERO_TARGETS))
+    route(pair, bundled_schedule("trained_set2"), IntegratorConfig(0.25))
+    assert solved == stacks
 
 
 def all_rows_fd_gradient(pair, s, cfg, h=1e-4):

@@ -15,7 +15,6 @@ from qnnwitness.states import (
     FAMILIES,
     StateSpec,
     catalog,
-    ket_to_density,
     mix,
     mix_many,
     normalize,
@@ -23,6 +22,11 @@ from qnnwitness.states import (
 from qnnwitness.witness import evaluate
 
 S2 = 1.0 / np.sqrt(2.0)
+
+
+def ket_to_density(ket):
+    ket = np.asarray(ket, dtype=complex).reshape(8)
+    return np.outer(ket, ket.conj())
 
 
 def amplitudes(name, *args):

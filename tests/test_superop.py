@@ -4,6 +4,7 @@ the suite so neither route can silently drift."""
 
 import numpy as np
 import pytest
+from conftest import classical_rk4
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,7 +17,7 @@ from qnnwitness.learning import (
     rms_error,
 )
 from qnnwitness.ops import dagger, readout
-from qnnwitness.propagate import evolve, evolve_expm, rhs
+from qnnwitness.propagate import evolve, evolve_expm
 from qnnwitness.states import catalog, mix
 from qnnwitness.superop import (
     _PAIR,
@@ -27,17 +28,6 @@ from qnnwitness.superop import (
 )
 
 RNG = np.random.default_rng(17)
-
-
-def classical_rk4_step(rho, h, dt):
-    """One RK4 step of rho' = -i[h, rho] on any 8 x 8 matrix, by the
-    general two-product rhs; the package's stepped routes take one product
-    per stage, which holds for Hermitian matrices only."""
-    k1 = rhs(h, rho)
-    k2 = rhs(h, rho + (dt / 2) * k1)
-    k3 = rhs(h, rho + (dt / 2) * k2)
-    k4 = rhs(h, rho + dt * k3)
-    return rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def test_chunk_map_reproduces_rk4():
@@ -52,9 +42,7 @@ def test_chunk_map_reproduces_rk4():
     (v, _, _, tn, _), steps = chunk_operators(s, dt)
     assert steps == n
     via_map = v[0] @ (tn[0] * (v[0].T @ rho @ v[0])) @ v[0].T
-    stepped = rho
-    for _ in range(n):
-        stepped = classical_rk4_step(stepped, h, dt)
+    stepped = classical_rk4(rho, h, dt, n)
     assert np.abs(via_map - stepped).max() < 1e-12
     assert np.abs(via_map - evolve_expm(rho, s)).max() > 1e-8
 

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qnnwitness import witness
 from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
 from qnnwitness.hamiltonian import Schedule, bundled_schedule
 from qnnwitness.ops import OBSERVABLE_IDS, readout
@@ -11,6 +12,7 @@ from qnnwitness.propagate import IntegratorConfig, evolve
 from qnnwitness.states import FAMILIES, StateSpec, catalog, mix
 from qnnwitness.witness import (
     BELL_REFERENCE,
+    MAX_SWEEP_N,
     SweepGrid,
     calibrate,
     classify,
@@ -162,7 +164,7 @@ def test_sweep_grid_shape_and_corners():
     assert max(null["AB"], null["AC"], null["BC"]) < 0.05
 
 
-def test_sweep_validates_arguments():
+def test_sweep_validates_arguments(monkeypatch):
     # the sweep families are the catalog rows that require arguments
     assert FAMILIES == ("fig1", "fig2")
     s = bundled_schedule("trained_set2")
@@ -175,6 +177,15 @@ def test_sweep_validates_arguments():
     # np.linspace or from the comparison with 2
     for n in (2.0, "3", None, True):
         with pytest.raises(ValueError, match=r"^n must be an integer"):
+            sweep("fig2", n, s, FAST)
+    # a grid past the limit is refused before its first state is built
+    def no_state(*args):
+        pytest.fail("a sweep state was built for a grid past the limit")
+
+    monkeypatch.setattr(witness, "catalog", no_state)
+    for n in (MAX_SWEEP_N + 1, 100_000):
+        with pytest.raises(ValueError, match=rf"^n = {n} is more than the "
+                           rf"limit of {MAX_SWEEP_N} grid points per axis"):
             sweep("fig2", n, s, FAST)
 
 
