@@ -22,11 +22,13 @@ Unless it records, evolve steps the batch's span rather than its states.
 An 8x8 Hermitian matrix has 64 real coordinates, and RK4's step is linear
 in rho, so a batch whose coordinates are nonzero in r places steps only
 those r basis matrices and recombines every state from them by one real
-product. The rule is exact: a coordinate left out is zero in every state,
-and the result differs from stepping each state only by round-off. It
-applies when r is smaller than the number of states, which a sweep grid
-always is (441 states, 6 or 10 coordinates), and never to a single state;
-no batch steps more than 64 rows.
+product. The coordinates are read from the Hermitized batch through one
+index table, _COORD, and _BASIS holds the matching basis matrices. The
+rule is exact: a coordinate left out is zero in every state, and the
+result differs from stepping each state only by round-off. It applies
+when r is smaller than the number of states, which a sweep grid always
+is (441 states, 6 or 10 coordinates), and never to a single state; no
+batch steps more than 64 rows.
 """
 from __future__ import annotations
 
@@ -84,23 +86,16 @@ class IntegratorConfig:
         return steps
 
 
-# The 64 real coordinates of a Hermitian 8x8 matrix X, read from the float
-# view of any complex x with X = (x + x+)/2: coordinate i is
-# (f[_SRC[i]] + _SIGN[i] * f[_MIRROR[i]]) / 2 of x's 128 floats f. They
-# are the diagonal, then Re and Im of the upper triangle; the Im rows take
-# the mirrored entry's imaginary part with a minus sign. Basis matrix i,
-# _BASIS[i], has the float view with 1 at _SRC[i] and _SIGN[i] at
-# _MIRROR[i], so X = sum_i c_i _BASIS[i] exactly.
-_ROW, _COL = np.array([(j, k) for j in range(8) for k in range(j + 1, 8)]).T
-_UPPER, _LOWER = 8 * _ROW + _COL, 8 * _COL + _ROW
-_DIAG = 9 * np.arange(8)
-_SRC = np.concatenate([2 * _DIAG, 2 * _UPPER, 2 * _UPPER + 1])
-_MIRROR = np.concatenate([2 * _DIAG, 2 * _LOWER, 2 * _LOWER + 1])
-_SIGN = np.repeat([1.0, -1.0], [36, 28])
-_BASIS = np.zeros((64, 128))
-_BASIS[np.arange(64), _MIRROR] = _SIGN
-_BASIS[np.arange(64), _SRC] = 1.0
-_BASIS = _BASIS.view(complex).reshape(64, 8, 8)
+# The 64 real coordinates of a Hermitian 8x8 matrix X, as indices into the
+# float view of its 64 entries: the real parts of the 8 diagonal entries,
+# then the real and then the imaginary parts of the 28 upper entries (j < k,
+# row by row). Basis matrix i, _BASIS[i], is E + E+ for the unit E at
+# coordinate i, halved on the diagonal, so X = sum_i c_i _BASIS[i] exactly.
+_UPPER = np.flatnonzero(np.triu(np.ones((8, 8)), 1))
+_COORD = np.concatenate([18 * np.arange(8), 2 * _UPPER, 2 * _UPPER + 1])
+_BASIS = np.eye(128)[_COORD].view(complex).reshape(64, 8, 8)
+_BASIS = _BASIS + dagger(_BASIS)
+_BASIS[:, range(8), range(8)] *= 0.5
 
 
 @dataclass
@@ -134,22 +129,9 @@ def _right_i(ch):
     return np.kron(ch, [[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _float_view(a, flat):
-    """a's float view as _flow's m multiplies it: one (rows, 2n) matrix
-    when a single m multiplies the whole batch (flat), else stacked."""
-    af = a.view(float)
-    return af.reshape(-1, af.shape[-1]) if flat else af
-
-
-def _work(b, flat):
-    """The three views _flow takes of its C-contiguous work array b: the
-    float view that m's product is written to, b and b's transpose."""
-    return _float_view(b, flat), b, b.swapaxes(-1, -2)
-
-
-def _flow(x, m, b=None, out=None):
-    """-i c [H, x] for Hermitian x, given m = _right_i(c H) for real
-    symmetric H, from one product.
+def _flow(x, m, b, out):
+    """-i c [H, x] into out, for Hermitian x, given m = _right_i(c H) for
+    real symmetric H, from one product.
 
     With B = x (i c H), B+ = -i c H x, so the commutator is B + B+ where
     H x - x H takes two products. The sum is exactly Hermitian in floating
@@ -160,21 +142,15 @@ def _flow(x, m, b=None, out=None):
     stacked product.
 
     At batch 1, building the views costs over a third as much as the three
-    ufunc calls, so the stepped loop builds every view once per call: it
-    passes x as _float_view(x, flat), b as _work(b, flat) of its work
-    array b, and out, a C-contiguous array of x's shape. Without b and
-    out, x is any Hermitian array and the rest is built here.
+    ufunc calls, so _stepped builds every view once per call and passes
+    them here: x is the float view of the stage input, b the float view,
+    the array and the transpose of its work array, and out a C-contiguous
+    array of the stage input's shape.
     """
-    if out is None:
-        x = np.ascontiguousarray(x, dtype=complex)
-        out = np.empty_like(x)
-        flat = m.ndim == 2
-        b, x = _work(np.empty_like(out), flat), _float_view(x, flat)
     bf, b, bt = b
     np.matmul(x, m, out=bf)
     np.conjugate(bt, out=out)
     out += b
-    return out
 
 
 def _stepped(rho, hs, dt, steps_per_chunk, states=None):
@@ -203,9 +179,11 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     rho *= 0.5
     if states is not None:
         states[0] = rho
-    flat = hs.ndim == 3  # one H, so one m, over the whole batch
-    rho_f, x_f = _float_view(rho, flat), _float_view(x, flat)
-    work = _work(b, flat)
+    rho_f, x_f, b_f = (a.view(float) for a in (rho, x, b))
+    if hs.ndim == 3:  # one H, so one m: the whole batch is one gemm
+        rho_f, x_f, b_f = (f.reshape(-1, f.shape[-1])
+                           for f in (rho_f, x_f, b_f))
+    work = b_f, b, b.swapaxes(-1, -2)
     # acc /= 3 is a complex division; numpy divides by 3+0j as
     # (re + im*0) * fl(1/3), so the real multiply gives the same values
     # (up to the sign of a zero) at a fraction of the cost
@@ -240,26 +218,19 @@ def _span(rho):
     dimensions than it has states, else None. used holds the coordinates
     that are nonzero in some state, in ascending order, and c (n, r) those
     coordinates of each of the n states, so that the Hermitized state b is
-    sum_j c[b, j] _BASIS[used[j]]. The coordinates are gathered from the
-    float view, with no Hermitized copy of the batch; a single state
+    sum_j c[b, j] _BASIS[used[j]]. The batch is Hermitized once, into a
+    C-ordered array as _stepped Hermitizes its input, and the coordinates
+    are gathered from its float view through _COORD; a single state
     (n = 1) is never split."""
     n = math.prod(np.shape(rho)[:-2])
     if n < 2:
         return None
-    f = np.asarray(rho, dtype=complex).reshape(n, 64).view(float)
-    c = f[:, _MIRROR]
-    c *= _SIGN
-    c += f[:, _SRC]
+    x = np.asarray(rho, dtype=complex).reshape(n, 8, 8)
+    x = np.add(x, dagger(x), out=np.empty((n, 8, 8), dtype=complex))
+    c = x.reshape(n, 64).view(float)[:, _COORD]
     c *= 0.5
     used = np.flatnonzero((c != 0).any(axis=0))
     return (c[:, used], used) if len(used) < n else None
-
-
-def _recombine(c, x, shape):
-    """The states with coordinates c (n, r) from the stepped basis
-    matrices x (r, 8, 8), as one real product on x's float view; shape is
-    the batch's (..., 8, 8)."""
-    return (c @ x.reshape(-1, 64).view(float)).view(complex).reshape(shape)
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
@@ -277,8 +248,9 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     one H per chunk serves the whole batch, and the stepped map is linear,
     so a batch of n states whose Hermitian coordinates are nonzero in only
     r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the r basis
-    matrices of those coordinates and recombines each state from them (see
-    _span). A coordinate left out is zero in every state, so no threshold
+    matrices of those coordinates (see _span) and recombines every state
+    from them as one real product, of the (n, r) coordinates with the
+    stepped matrices' float view. A coordinate left out is zero in every state, so no threshold
     is involved; the result is the stepped map of every state up to
     round-off (~1e-14). It is exactly Hermitian: an entry and its mirror
     are products of the same coordinates with equal (or, for imaginary
@@ -298,8 +270,8 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     if span is None:
         return _stepped(rho, hs, cfg.dt, steps), None
     c, used = span
-    return _recombine(c, _stepped(_BASIS[used], hs, cfg.dt, steps),
-                      rho.shape), None
+    x = _stepped(_BASIS[used], hs, cfg.dt, steps).reshape(-1, 64)
+    return (c @ x.view(float)).view(complex).reshape(rho.shape), None
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,

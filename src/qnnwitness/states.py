@@ -103,6 +103,15 @@ def mix_many(specs) -> np.ndarray:
 _ZERO = np.array([1.0, 0.0])
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 
+
+def _sign(sign):
+    """sign if it is +1 or -1, else a ValueError naming it: any other
+    value would build a state that is neither pattern."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r:.40}")
+    return sign
+
+
 # kind -> (spectator, 2x2 amplitudes [bit 1][bit 2] of the pair); an
 # optional argument's default is the pattern's own
 _PAIR_KINDS = {
@@ -112,8 +121,8 @@ _PAIR_KINDS = {
     "Cr": (_ZERO, lambda gamma=0.5: [[0, 0], [gamma, 1]]),
     # partially entangled: |00> + |01> + |10>
     "P": (_ZERO, lambda: [[1, 1], [1, 0]]),
-    "EPR": (_PLUS, lambda sign=1.0: [[0, 1], [sign, 0]]),
-    "Pprime": (_PLUS, lambda sign=1.0: [[1, 1], [sign, 0]]),
+    "EPR": (_PLUS, lambda sign=1.0: [[0, 1], [_sign(sign), 0]]),
+    "Pprime": (_PLUS, lambda sign=1.0: [[1, 1], [_sign(sign), 0]]),
 }
 
 # pair -> the axes (of qubits A, B, C) that its two bits and the spectator take
@@ -174,8 +183,8 @@ def catalog(name: str, *args: float) -> StateSpec:
     """Build a named state; args as the family requires.
 
     Cr takes an optional gamma (default 0.5), EPR/Pprime an optional sign
-    (default +1), fig1/fig2 require alpha and beta. Everything else takes
-    no arguments.
+    (default +1) that must be +1 or -1 (any other value is a ValueError),
+    fig1/fig2 require alpha and beta. Everything else takes no arguments.
     """
     if name not in _CATALOG:
         raise UnknownState(name)

@@ -17,7 +17,7 @@ from .errors import CalibrationInconclusive, write_csv
 from .hamiltonian import CONVENTIONS, Schedule, UnitConvention
 from .learning import resolve_state
 from .ops import OBSERVABLE_IDS, readout
-from .propagate import IntegratorConfig, evolve
+from .propagate import IntegratorConfig, check_stable, evolve
 from .states import FAMILIES, catalog, mix
 
 # reporting thresholds; acceptance logic pins raw outputs, not labels
@@ -135,7 +135,8 @@ def _crossing_locus(alphas, betas, outputs):
 def sweep(family: str, n: int, s: Schedule,
           cfg: IntegratorConfig = IntegratorConfig()) -> SweepGrid:
     """Evaluate a two-argument catalog family on an n x n grid over [0,1]^2,
-    for 2 <= n <= MAX_SWEEP_N; n is checked before any state is built."""
+    for 2 <= n <= MAX_SWEEP_N. n, the step count and RK4's stability on
+    the schedule are checked before any state is built."""
     if family not in FAMILIES:
         raise ValueError(f"unknown sweep family {family!r}")
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
@@ -145,6 +146,8 @@ def sweep(family: str, n: int, s: Schedule,
     if n > MAX_SWEEP_N:
         raise ValueError(f"n = {n} is more than the limit of {MAX_SWEEP_N} "
                          f"grid points per axis")
+    cfg.steps_per_chunk(s.chunk_duration)
+    check_stable(np.linalg.eigvalsh(s.hamiltonians()), cfg.dt)
     alphas = np.linspace(0.0, 1.0, n)
     betas = np.linspace(0.0, 1.0, n)
     rhos = np.stack([

@@ -512,6 +512,9 @@ STATE_TEXTS = [
     ("Bell_XY", (KetSyntaxError, 2, "catalog")),
     ("W(1)", (ArityError, 1, "argument")),
     ("fig1(a, b)", (KetSyntaxError, 2, "numbers")),
+    ("EPR_AB(-1)", catalog("EPR_AB", -1.0)),
+    ("EPR_AB(0)", (ValueError, 2, "sign must be +1 or -1, got 0.0")),
+    ("Pprime_BC(5)", (ValueError, 2, "sign must be +1 or -1, got 5.0")),
 ]
 
 

@@ -16,7 +16,6 @@ from qnnwitness.propagate import (
     MAX_STEPS_PER_CHUNK,
     RK4_STABLE_THETA,
     IntegratorConfig,
-    _flow,
     _right_i,
     _stepped,
     check_stable,
@@ -199,8 +198,21 @@ def test_one_product_stages_match_the_two_product_step():
         assert np.abs(stepped - ref).max() < 1e-13
 
 
+def one_product(x, m):
+    """-i c [H, x] for Hermitian x and m = _right_i(c H), built as _stepped
+    builds it: B = x (i c H) is x's float view times m, one product over
+    the whole batch when a single m serves it, and the result is B + B+."""
+    xf = np.ascontiguousarray(x).view(float)
+    if m.ndim == 2:
+        b = (xf.reshape(-1, xf.shape[-1]) @ m).reshape(xf.shape)
+    else:
+        b = xf @ m
+    b = b.view(complex)
+    return b + dagger(b)
+
+
 def flow_loop(rho, hs, dt, steps):
-    """The stepped loop written from the allocating _flow, each step adding
+    """The stepped loop written from one_product, each step adding
     (((h1 + 2 h2) + 2 h3) + h4) / 3 in that order; returns every state
     from the Hermitized input on."""
     shape = np.broadcast_shapes(np.shape(rho), np.shape(hs)[1:])
@@ -210,10 +222,10 @@ def flow_loop(rho, hs, dt, steps):
     for h in hs:
         m = _right_i((dt / 2) * h)
         for _ in range(steps):
-            h1 = _flow(rho, m)
-            h2 = _flow(rho + h1, m)
-            h3_2 = _flow(rho + h2, 2 * m)
-            h4 = _flow(rho + h3_2, m)
+            h1 = one_product(rho, m)
+            h2 = one_product(rho + h1, m)
+            h3_2 = one_product(rho + h2, 2 * m)
+            h4 = one_product(rho + h3_2, m)
             rho = rho + (((h1 + (h2 + h2)) + h3_2) + h4) / 3
             states.append(rho)
     return np.stack(states)
@@ -237,7 +249,8 @@ STEPPED_CASES = [
 def test_stepped_is_the_flow_loop_bit_for_bit(rho, hs, dt):
     """_stepped's prebuilt views and in-place stages change no operation
     and no order of a sum: with recording on and off it gives the same
-    bits as the loop written from the allocating _flow."""
+    bits as the loop written from one_product, which forms each product
+    as _stepped does."""
     steps = 3
     ref = flow_loop(rho, hs, dt, steps)
     assert np.array_equal(_stepped(rho, hs, dt, steps), ref[-1])
@@ -317,6 +330,26 @@ def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows, record):
         assert np.array_equal(rho_f, direct(FIG2_GRID, ONE_CHUNK, 0.25))
         assert traj.states.shape == (301,) + FIG2_GRID.shape
         assert np.array_equal(traj.states[-1], rho_f)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("hermitian", [False, True],
+                         ids=["any", "hermitian"])
+def test_the_coordinates_rebuild_the_hermitized_batch(real, hermitian):
+    """On seeded random batches of 70, sum_i c_i _BASIS[used_i] is the
+    Hermitized batch bit for bit: each of its floats is one coordinate, or
+    its negation, times 1. A complex batch uses all 64 coordinates and a
+    real one only the 36 of its real symmetric part, in table order."""
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(70, 8, 8))
+    if not real:
+        x = x + 1j * rng.normal(size=(70, 8, 8))
+    if hermitian:
+        x = x + dagger(x)
+    c, used = propagate._span(x)
+    assert np.array_equal(used, np.arange(36 if real else 64))
+    assert np.array_equal(np.tensordot(c, propagate._BASIS[used], 1),
+                          (x + dagger(x)) / 2)
 
 
 SET2_STATES = load_dataset("set2").arrays()[0]

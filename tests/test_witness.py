@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qnnwitness import witness
-from qnnwitness.errors import CalibrationInconclusive, InvalidWeights
-from qnnwitness.hamiltonian import Schedule, bundled_schedule
+from qnnwitness.errors import (
+    CalibrationInconclusive,
+    DivergenceError,
+    InvalidWeights,
+)
+from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
 from qnnwitness.ops import OBSERVABLE_IDS, readout
 from qnnwitness.propagate import IntegratorConfig, evolve
 from qnnwitness.states import FAMILIES, StateSpec, catalog, mix
@@ -187,6 +191,14 @@ def test_sweep_validates_arguments(monkeypatch):
         with pytest.raises(ValueError, match=rf"^n = {n} is more than the "
                            rf"limit of {MAX_SWEEP_N} grid points per axis"):
             sweep("fig2", n, s, FAST)
+    # and so is a grid that could not be stepped: a dt that does not
+    # divide the chunk, or one past RK4's stability limit at 1 150 MHz
+    with pytest.raises(ValueError, match="not an integer multiple of dt"):
+        sweep("fig2", MAX_SWEEP_N, s, IntegratorConfig(0.4))
+    fast = Schedule(np.full((4, 9), 1150.0), 75.0, PLAIN)
+    with pytest.raises(DivergenceError,
+                       match=r"chunk 0: dt 0\.25 ns is past RK4's stability"):
+        sweep("fig2", MAX_SWEEP_N, fast, FAST)
 
 
 def test_fig1_sweep_has_no_crossing_locus():
