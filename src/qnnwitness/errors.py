@@ -79,6 +79,11 @@ class InvalidWeights(QnnError, ValueError):
     """Mixture weights are negative or do not sum to one."""
 
 
+class UnphysicalState(QnnError, ValueError):
+    """A density matrix that is not Hermitian, of trace one and positive
+    semidefinite."""
+
+
 class UnknownState(QnnError, KeyError):
     """Catalog lookup for a name that is not defined."""
 

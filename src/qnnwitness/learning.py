@@ -6,15 +6,15 @@ is E = 1/2 sum (target - output)^2 over a pair's targets, summed over the
 dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
-the reference: reverse-mode through every RK4 stage of the actual
-stepped integration, stepping the adjoint state back through every chunk
-in one call of the same RK4 loop under -H, and forming each stage's
-commutator in plain numpy. The training loop instead calls the fast
-path in superop.py, which applies each chunk's n RK4 steps at once in
-the eigenbasis of its Hamiltonian and gets the same discrete adjoint
-from the divided-difference form of the derivative of that map; tests
-pin the two routes against each other and against central differences
-of the loss in the parameters themselves.
+the reference: reverse-mode through every step of the actual stepped
+integration, stepping the adjoint state back through every chunk in one
+call of the same RK4 loop under -H, and walking each step's Horner form
+back as a chain of plain numpy products. The training loop instead calls
+the fast path in superop.py, which applies each chunk's n RK4 steps at
+once in the eigenbasis of its Hamiltonian and gets the same discrete
+adjoint from the divided-difference form of the derivative of that map;
+tests pin the two routes against each other and against central
+differences of the loss in the parameters themselves.
 
 Every route reads a pair's targets through TrainingPair.arrays, which
 encodes them in OBSERVABLE_IDS order with a 0/1 mask for the ungraded
@@ -193,23 +193,29 @@ def _contract(x, w):
 
 def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Exact loss gradient by reverse-mode through every RK4 stage.
+    """Exact loss gradient by reverse-mode through every stepped RK4 step.
 
     With H constant, an RK4 step is P(dt F) for a real-coefficient quartic
     P and F x = -i[H, x]; F+ = -F, so the adjoint of a step is the same
     step under -H. One call of the stepped loop thus walks the adjoint
     state back through every chunk, under -H of the chunks in reverse,
     recording it at every step; -H has H's spread w_max - w_min, so the
-    forward evolve's stability check covers it. From those records and the
-    stage inputs x_2..x_4, recomputed from the recorded x_1 on a chunk's
-    whole (steps, 8, 8) stack, the stage adjoints w_4..w_1 of all of a
-    chunk's steps are built at once. Every x_i and w_i is Hermitian, so
-    each stage's commutator -i c [H, x] is B + B+ for B = x (i c H), one
-    complex gemm over all of the stack's rows; the sum is exactly
-    Hermitian, as the stepped loop's is. Stage i adds Im tr(G [x_i, w_i])
-    to generator G's derivative, which is 2 Im tr(G x_i w_i) because x_i,
-    w_i are Hermitian and G real symmetric; the sum of x_i w_i over a
-    chunk's steps is one gemm per stage (_contract).
+    forward evolve's stability check covers it.
+
+    The stepped loop takes P(dt F) in Horner's form, with F_j = (dt/j) F:
+    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
+    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
+    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
+    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
+    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
+    Both are built at once for all of a chunk's steps, on (steps, 8, 8)
+    stacks from the recorded x and a_1. Every u_j and a_j is Hermitian, so
+    each product -i c [H, x] is B + B+ for B = x (i c H), one complex gemm
+    over all of the stack's rows; the sum is exactly Hermitian, as the
+    stepped loop's is. Term j adds (dt/j) Im tr(G [u_j, a_j]) to generator
+    G's derivative, which is (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j
+    are Hermitian and G real symmetric; the sum of u_j a_j over a chunk's
+    steps is one gemm per term (_contract).
     """
     dt = cfg.dt
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -231,24 +237,22 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
     hs = s.hamiltonians()
     lams = np.empty((s.n_chunks * steps + 1, 8, 8), dtype=complex)
     _stepped(lam, -hs[::-1], dt, steps, lams)
-    x1s = traj.states[:-1].reshape(s.n_chunks, steps, 8, 8)
-    # backs[k, n] enters the adjoint of step n of chunk k, as x1s[k, n]
-    # enters the step itself
-    backs = lams[-2::-1].reshape(x1s.shape)
+    xs = traj.states[:-1].reshape(s.n_chunks, steps, 8, 8)
+    # backs[k, n] meets the result of step n of chunk k, which xs[k, n]
+    # enters
+    backs = lams[-2::-1].reshape(xs.shape)
     cs = np.empty((s.n_chunks, 8, 8), dtype=complex)
-    for k, (h, x1, back) in enumerate(zip(hs, x1s, backs)):
-        ich = 1j * ((dt / 2) * h)
-        x2 = x1 + flow(x1, ich)
-        x3 = x1 + flow(x2, ich)
-        x4 = x1 + 2 * flow(x3, ich)
-        w = (dt / 6) * back
-        c = _contract(x4, w)
-        # w = a back - b i[-h, w] for b = dt, dt/2, dt/2, and -b i[-h, w]
-        # is -flow(w, (2b/dt) ich) exactly: scaling by 2 and by -1 is exact
-        for x, a, ichb in ((x3, dt / 3, 2 * ich), (x2, dt / 3, ich),
-                           (x1, dt / 6, ich)):
-            w = a * back - flow(w, ichb)
-            c += _contract(x, w)
+    for k, (h, x, a) in enumerate(zip(hs, xs, backs)):
+        # fj = i (dt/j) h, so that flow(u, fj) = F_j u
+        f1, f2, f3, f4 = (1j * ((dt / j) * h) for j in (1, 2, 3, 4))
+        y4 = x + flow(x, f4)
+        y3 = x + flow(y4, f3)
+        y2 = x + flow(y3, f2)
+        c = dt * _contract(y2, a)
+        # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
+        for j, f, u in ((2, f1, y3), (3, f2, y4), (4, f3, x)):
+            a = flow(a, -f)
+            c += (dt / j) * _contract(u, a)
         cs[k] = c
     return parameter_gradient(2 * cs.imag, s.convention).reshape(-1)
 

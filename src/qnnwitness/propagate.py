@@ -4,18 +4,21 @@ drho/dt = -i [H/hbar, rho]
 
 Steps never straddle a chunk boundary (chunk_duration/dt must be an
 integer), so every step sees a constant H and each 75 ns sub-integration
-is autonomous. The input is Hermitized once, into a fresh array; from
-there every RK4 stage is exactly Hermitian by construction (see _flow),
-so no step needs re-Hermitizing. The trace is deliberately NOT
-renormalized, so trace drift stays visible as a correctness signal.
+is autonomous, and one RK4 step is exactly the quartic
+P(dt F) = 1 + dt F + (dt F)^2/2 + (dt F)^3/6 + (dt F)^4/24 of
+F x = -i [H, x]. The loop takes it in Horner's form, four products of
+(dt/j) F. The input is Hermitized once, into a fresh array; from there
+every stage is exactly Hermitian by construction (see _flow), so no step
+needs re-Hermitizing. The trace is deliberately NOT renormalized, so
+trace drift stays visible as a correctness signal.
 
 evolve and evolve_batch_h share one stepping loop, which only steps: it
-holds the RK4 stage arithmetic and broadcasts over leading batch axes of
-rho (and of h, when given a matching stack), so a parameter scan runs as
-one batch, and finite differences as one batch per chunk. Each entry
-point refuses a dt past RK4's stability limit once, from the spectra of
-the Hamiltonians it builds. A recorded trajectory keeps only the states
-at the step boundaries: the reference adjoint recomputes each step's RK4
+holds the step arithmetic and broadcasts over leading batch axes of rho
+(and of h, when given a matching stack), so a parameter scan runs as one
+batch, and finite differences as one batch per chunk. Each entry point
+refuses a dt past RK4's stability limit once, from the spectra of the
+Hamiltonians it builds. A recorded trajectory keeps only the states at
+the step boundaries: the reference adjoint recomputes each step's Horner
 stages from them.
 
 Unless it records, evolve steps the batch's span rather than its states.
@@ -145,7 +148,8 @@ def _flow(x, m, b, out):
     ufunc calls, so _stepped builds every view once per call and passes
     them here: x is the float view of the stage input, b the float view,
     the array and the transpose of its work array, and out a C-contiguous
-    array of the stage input's shape.
+    array of the stage input's shape. out may be the stage input itself,
+    which only the first product reads.
     """
     bf, b, bt = b
     np.matmul(x, m, out=bf)
@@ -159,22 +163,23 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     states is given. It only steps: the caller has checked every H of hs
     against RK4's stability limit.
 
+    With H constant, a step is the quartic P(dt F), F x = -i [H, x], taken
+    in Horner's form: rho + F_1 (rho + F_2 (rho + F_3 (rho + F_4 rho)))
+    with F_j = (dt/j) F, each F_j one _flow of m_j = _right_i((dt/j) H).
     rho is Hermitized once, into a fresh array, so neither the caller's
-    array nor a recorded row is ever written through. Each stage is one
-    _flow, and the stage sums are real combinations of Hermitian arrays,
-    so every step stays exactly Hermitian. The stages work in four buffers
-    allocated once per call and updated in place: a freshly allocated
-    large-batch array at every stage would be returned to the OS and
-    faulted in again at the next, which makes batched sweeps measurably
-    slower. The views each stage takes of them are built once per call as
-    well, and so are 2m per chunk and the factor 1/3, so a step is its 21
-    ufunc calls and nothing else: at batch 1 each view or scalar
-    conversion costs a good part of a ufunc call. 2 h2 is taken as
-    h2 + h2, which is exactly 2 h2 without k *= 2's conversion of the 2.
+    array nor a recorded row is ever written through. Every stage sums two
+    exactly Hermitian arrays, so every step stays exactly Hermitian. The
+    stage input x and the product b are allocated once per call and
+    updated in place: a freshly allocated large-batch array at every stage
+    would be returned to the OS and faulted in again at the next, which
+    makes batched sweeps measurably slower. The views the stages take of
+    them are built once per call as well, and the m_j once per chunk, so a
+    step is its 16 ufunc calls and nothing else: at batch 1 each view
+    costs a good part of a ufunc call.
     """
     hs = np.asarray(hs)
     shape = np.broadcast_shapes(np.shape(rho), hs.shape[1:])
-    x, b, k, acc = (np.empty(shape, dtype=complex) for _ in range(4))
+    x, b = (np.empty(shape, dtype=complex) for _ in range(2))
     rho = np.add(rho, dagger(rho), out=np.empty(shape, dtype=complex))
     rho *= 0.5
     if states is not None:
@@ -184,29 +189,18 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
         rho_f, x_f, b_f = (f.reshape(-1, f.shape[-1])
                            for f in (rho_f, x_f, b_f))
     work = b_f, b, b.swapaxes(-1, -2)
-    # acc /= 3 is a complex division; numpy divides by 3+0j as
-    # (re + im*0) * fl(1/3), so the real multiply gives the same values
-    # (up to the sign of a zero) at a fraction of the cost
-    acc_f, third = acc.view(float), np.float64(1 / 3)
     n = 0
-    for m in _right_i((dt / 2) * hs):
-        m2 = 2 * m
+    for h in hs:
+        m4, m3, m2, m1 = (_right_i((dt / j) * h) for j in (4, 3, 2, 1))
         for _ in range(steps_per_chunk):
-            # with h_i = (dt/2) k_i, the step adds
-            # (((h1 + 2 h2) + 2 h3) + h4) / 3, summed in that order
-            _flow(rho_f, m, work, acc)  # h1
-            np.add(rho, acc, out=x)
-            _flow(x_f, m, work, k)  # h2
-            np.add(rho, k, out=x)
-            k += k
-            acc += k
-            _flow(x_f, m2, work, k)  # 2 h3
-            np.add(rho, k, out=x)
-            acc += k
-            _flow(x_f, m, work, k)  # h4
-            acc += k
-            acc_f *= third
-            rho += acc
+            _flow(rho_f, m4, work, x)
+            x += rho
+            _flow(x_f, m3, work, x)
+            x += rho
+            _flow(x_f, m2, work, x)
+            x += rho
+            _flow(x_f, m1, work, x)
+            rho += x
             n += 1
             if states is not None:
                 states[n] = rho

@@ -59,8 +59,9 @@ Nothing is kept from one call to the next.
 
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
-propagator and the stage-level reverse pass in learning.py remain the
-references that the tests compare against.
+propagator, which takes the same quartic in Horner's form, and the
+reverse pass through that form in learning.py remain the references that
+the tests compare against.
 """
 from __future__ import annotations
 

@@ -13,12 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CalibrationInconclusive, write_csv
+from .errors import (
+    CalibrationInconclusive,
+    NonFinite,
+    UnphysicalState,
+    write_csv,
+)
 from .hamiltonian import CONVENTIONS, Schedule, UnitConvention
 from .learning import resolve_state
-from .ops import OBSERVABLE_IDS, readout
+from .ops import HERM_TOL, OBSERVABLE_IDS, dagger, readout
 from .propagate import IntegratorConfig, check_stable, evolve
-from .states import FAMILIES, catalog, mix
+from .states import FAMILIES, WEIGHT_TOL, catalog, mix
 
 # reporting thresholds; acceptance logic pins raw outputs, not labels
 THRESHOLD_PARTIAL = 0.1
@@ -57,9 +62,26 @@ def evaluate_many(rhos: np.ndarray, s: Schedule,
                   cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """(B, 4) squared outputs for a stack of density matrices.
 
-    Callers must pass Hermitian, trace-1, positive semidefinite matrices:
-    nothing here checks them (every state from text or a dataset file
-    passes StateSpec's checks first)."""
+    Before a step, a non-finite stack is refused as NonFinite, and the
+    first state that is not Hermitian within HERM_TOL, whose trace is not
+    1 within WEIGHT_TOL (as StateSpec accepts weights) or that has an
+    eigenvalue below -HERM_TOL as UnphysicalState."""
+    rhos = np.asarray(rhos)
+    if not np.isfinite(rhos).all():
+        raise NonFinite("density matrices must be finite")
+    flat = rhos.reshape(-1, 8, 8)
+    for what, excess, tol in (
+            ("|rho - rho+|", np.abs(flat - dagger(flat)).max(axis=(1, 2)),
+             HERM_TOL),
+            ("|tr rho - 1|", np.abs(np.trace(flat, axis1=1, axis2=2) - 1),
+             WEIGHT_TOL),
+            ("-(least eigenvalue)", -np.linalg.eigvalsh(flat)[:, 0],
+             HERM_TOL)):
+        bad = np.flatnonzero(excess > tol)
+        if len(bad):
+            raise UnphysicalState(
+                f"state {bad[0]} is not a density matrix: {what} = "
+                f"{excess[bad[0]]:.3g} exceeds {tol:.0e}")
     rho_f, _ = evolve(rhos, s, cfg)
     return readout(rho_f) ** 2
 

@@ -1,4 +1,8 @@
-"""References shared by the test modules, kept out of the package."""
+"""References shared by the test modules, kept out of the package.
+
+classical_rk4 writes an RK4 step as its four textbook stages, while the
+package steps Horner's form of the same quartic; the two agree to
+round-off, which pins the package's form to the textbook one."""
 
 
 def rhs(h, rho):

@@ -212,21 +212,20 @@ def one_product(x, m):
 
 
 def flow_loop(rho, hs, dt, steps):
-    """The stepped loop written from one_product, each step adding
-    (((h1 + 2 h2) + 2 h3) + h4) / 3 in that order; returns every state
-    from the Hermitized input on."""
+    """The stepped loop written from one_product, each step Horner's form
+    rho + F_1 (rho + F_2 (rho + F_3 (rho + F_4 rho))) of the quartic, with
+    F_j = (dt/j) F; returns every state from the Hermitized input on."""
     shape = np.broadcast_shapes(np.shape(rho), np.shape(hs)[1:])
     rho = np.broadcast_to(rho, shape)
     rho = 0.5 * (rho + dagger(rho))
     states = [rho]
     for h in hs:
-        m = _right_i((dt / 2) * h)
+        ms = [_right_i((dt / j) * h) for j in (4, 3, 2, 1)]
         for _ in range(steps):
-            h1 = one_product(rho, m)
-            h2 = one_product(rho + h1, m)
-            h3_2 = one_product(rho + h2, 2 * m)
-            h4 = one_product(rho + h3_2, m)
-            rho = rho + (((h1 + (h2 + h2)) + h3_2) + h4) / 3
+            x = rho
+            for m in ms:
+                x = rho + one_product(x, m)
+            rho = x
             states.append(rho)
     return np.stack(states)
 
@@ -415,6 +414,26 @@ def test_rk4_step_accuracy_against_exact_rotation():
     exact = u @ BELL @ u.conj().T
     stepped = _stepped(BELL, (h,), dt, 1)
     assert np.abs(stepped - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("theta", [0.05, 0.5, 1.5, RK4_STABLE_THETA])
+def test_a_step_multiplies_each_eigen_component_by_the_quartic(seed, theta):
+    """In H's eigenbasis V, one step scales rho's component (j, k) by
+    P(-i dt (w_j - w_k)), the factor check_stable and the superop engine
+    read: V^T step(rho) V = _quartic(dt (w_j - w_k)) o V^T rho V, at
+    dt (w_max - w_min) = theta up to the stability limit."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, size=(8, 8))
+    h = g + g.T
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    w, v = np.linalg.eigh(h)
+    dt = theta / (w[-1] - w[0])
+    factor = _quartic(dt * (w[:, None] - w[None, :]))
+    got = v.T @ _stepped(rho, (h,), dt, 1) @ v
+    assert np.abs(got - factor * (v.T @ rho @ v)).max() < 4e-15
 
 
 def test_trajectory_recording():

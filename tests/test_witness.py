@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qnnwitness import witness
+from qnnwitness.cli import EXIT_CODES
 from qnnwitness.errors import (
     CalibrationInconclusive,
     DivergenceError,
     InvalidWeights,
+    UnphysicalState,
 )
 from qnnwitness.hamiltonian import PLAIN, Schedule, bundled_schedule
 from qnnwitness.ops import OBSERVABLE_IDS, readout
@@ -70,6 +72,22 @@ def test_evaluate_many_matches_single_calls():
         single = evaluate(name, s, FAST).outputs
         for j, key in enumerate(("AB", "AC", "BC", "ABC")):
             assert outs[i, j] == pytest.approx(single[key])
+
+
+@pytest.mark.parametrize("probe, what", [
+    (np.eye(8, k=1), r"\|rho - rho\+\| = 1 "),  # trace 0, not Hermitian
+    (3 * np.eye(8), r"\|tr rho - 1\| = 23 "),
+    (np.diag([-1.0, 2.0, 0, 0, 0, 0, 0, 0]), r"eigenvalue\) = 1 "),
+], ids=["non_hermitian", "trace_24", "negative_eigenvalue"])
+def test_evaluate_many_refuses_an_unphysical_state(probe, what):
+    """A matrix that is not Hermitian, not of trace 1 or not positive
+    semidefinite is refused with the CLI's exit 1, naming the state and
+    the check, instead of giving plausible outputs."""
+    rhos = np.stack([mix(catalog("W")), probe])
+    with pytest.raises(UnphysicalState, match="state 1 .*" + what) as info:
+        evaluate_many(rhos, bundled_schedule("trained_set2"), FAST)
+    assert next(code for kind, code in EXIT_CODES
+                if isinstance(info.value, kind)) == 1
 
 
 def test_final_density_is_linear_in_the_input():
