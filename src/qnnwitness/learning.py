@@ -6,15 +6,16 @@ is E = 1/2 sum (target - output)^2 over a pair's targets, summed over the
 dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
-the reference: reverse-mode through every step of the actual stepped
-integration, stepping the adjoint state back through every chunk in one
-call of the same RK4 loop under -H, and walking each step's Horner form
-back as a chain of plain numpy products. The training loop instead calls
-the fast path in superop.py, which applies each chunk's n RK4 steps at
-once in the eigenbasis of its Hamiltonian and gets the same discrete
-adjoint from the divided-difference form of the derivative of that map;
-tests pin the two routes against each other and against central
-differences of the loss in the parameters themselves.
+the reference: reverse mode through every step of the actual stepped
+integration. It records the trajectory and seeds the adjoint here; the
+step arithmetic it walks back, like every other line that knows RK4's
+step, lives in propagate.py, beside the stepped loop. The training loop
+instead calls the fast path in superop.py, which applies each chunk's n
+RK4 steps at once in the eigenbasis of its Hamiltonian and gets the same
+discrete adjoint from the divided-difference form of the derivative of
+that map; tests pin the two routes against each other, against a
+forward-mode tangent of the stepped map and against central differences
+of the loss in the parameters themselves.
 
 Every route reads a pair's targets through TrainingPair.arrays, which
 encodes them in OBSERVABLE_IDS order with a 0/1 mask for the ungraded
@@ -44,7 +45,7 @@ from .ketexpr import parse_state
 from .ops import OBSERVABLE_IDS, loss_terms
 from .propagate import (
     IntegratorConfig,
-    _stepped,
+    _stepped_gradient,
     check_stable,
     evolve,
     evolve_batch_h,
@@ -184,77 +185,20 @@ class TrainConfig(IntegratorConfig):
                              f"got {self.momentum}")
 
 
-def _contract(x, w):
-    """sum_n x[n] @ w[n] for (steps, 8, 8) stacks, as one gemm over the
-    (n, j) pairs: numpy's einsum runs this contraction in its own C loop,
-    several times slower than BLAS."""
-    return x.transpose(1, 0, 2).reshape(8, -1) @ w.reshape(-1, 8)
-
-
 def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Exact loss gradient by reverse-mode through every stepped RK4 step.
+    """Exact loss gradient by reverse mode through every stepped RK4 step.
 
-    With H constant, an RK4 step is P(dt F) for a real-coefficient quartic
-    P and F x = -i[H, x]; F+ = -F, so the adjoint of a step is the same
-    step under -H. One call of the stepped loop thus walks the adjoint
-    state back through every chunk, under -H of the chunks in reverse,
-    recording it at every step; -H has H's spread w_max - w_min, so the
-    forward evolve's stability check covers it.
-
-    The stepped loop takes P(dt F) in Horner's form, with F_j = (dt/j) F:
-    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
-    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
-    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
-    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
-    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
-    Both are built at once for all of a chunk's steps, on (steps, 8, 8)
-    stacks from the recorded x and a_1. Every u_j and a_j is Hermitian, so
-    each product -i c [H, x] is B + B+ for B = x (i c H), one complex gemm
-    over all of the stack's rows; the sum is exactly Hermitian, as the
-    stepped loop's is. Term j adds (dt/j) Im tr(G [u_j, a_j]) to generator
-    G's derivative, which is (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j
-    are Hermitian and G real symmetric; the sum of u_j a_j over a chunk's
-    steps is one gemm per term (_contract).
+    The forward pass records the pair's trajectory, ops.loss_terms gives
+    the seed dE/drho(t_f), and propagate._stepped_gradient, beside the
+    stepped loop whose step arithmetic it walks back, turns both into each
+    chunk's dE/dH.
     """
-    dt = cfg.dt
-    steps = cfg.steps_per_chunk(s.chunk_duration)
     rho0, targets, mask = pair.arrays()
     rho_f, traj = evolve(rho0, s, cfg, record=True)
-    lam = np.diag(loss_terms(rho_f, targets, mask)[2]).astype(complex)
-
-    def flow(x, ich):
-        # B+ is conjugated into a C-ordered array: B + B+ written as
-        # b + b.swapaxes(-1, -2).conj() takes the transposed layout, and
-        # every later sum and product with it is strided; three stages on
-        # a (300, 8, 8) stack took 1.06 ms that way against 0.67 ms
-        # (2-core x86_64, one BLAS thread)
-        b = (x.reshape(-1, 8) @ ich).reshape(x.shape)
-        out = np.conjugate(b.swapaxes(-1, -2), out=np.empty_like(b))
-        out += b
-        return out
-
-    hs = s.hamiltonians()
-    lams = np.empty((s.n_chunks * steps + 1, 8, 8), dtype=complex)
-    _stepped(lam, -hs[::-1], dt, steps, lams)
-    xs = traj.states[:-1].reshape(s.n_chunks, steps, 8, 8)
-    # backs[k, n] meets the result of step n of chunk k, which xs[k, n]
-    # enters
-    backs = lams[-2::-1].reshape(xs.shape)
-    cs = np.empty((s.n_chunks, 8, 8), dtype=complex)
-    for k, (h, x, a) in enumerate(zip(hs, xs, backs)):
-        # fj = i (dt/j) h, so that flow(u, fj) = F_j u
-        f1, f2, f3, f4 = (1j * ((dt / j) * h) for j in (1, 2, 3, 4))
-        y4 = x + flow(x, f4)
-        y3 = x + flow(y4, f3)
-        y2 = x + flow(y3, f2)
-        c = dt * _contract(y2, a)
-        # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
-        for j, f, u in ((2, f1, y3), (3, f2, y4), (4, f3, x)):
-            a = flow(a, -f)
-            c += (dt / j) * _contract(u, a)
-        cs[k] = c
-    return parameter_gradient(2 * cs.imag, s.convention).reshape(-1)
+    seed = np.diag(loss_terms(rho_f, targets, mask)[2])
+    dh = _stepped_gradient(traj.states, seed, s.hamiltonians(), cfg.dt)
+    return parameter_gradient(dh, s.convention).reshape(-1)
 
 
 def fd_gradient(pair: TrainingPair, s: Schedule,
@@ -330,7 +274,7 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     cfg.steps_per_chunk(init.chunk_duration)
     flat = init.flatten()
     velocity = np.zeros_like(flat)
-    history = np.empty(cfg.epochs)
+    history = []
     current = init
     for epoch in range(cfg.epochs):
         try:
@@ -339,7 +283,7 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
         except DivergenceError as exc:
             raise DivergenceError(f"epoch {epoch}: {exc}") from None
         rms = _rms(energy, graded)
-        history[epoch] = rms
+        history.append(rms)
         if not (math.isfinite(rms) and np.isfinite(grad).all()):
             raise DivergenceError(
                 f"non-finite RMS or gradient at epoch {epoch}")
@@ -351,7 +295,7 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
         velocity -= cfg.learning_rate * grad
         flat = flat + velocity
         current = unflatten(flat, like=init)
-    return current, history
+    return current, np.array(history, dtype=float)
 
 
 def history_csv(history, path) -> None:

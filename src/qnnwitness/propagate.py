@@ -17,9 +17,13 @@ holds the step arithmetic and broadcasts over leading batch axes of rho
 (and of h, when given a matching stack), so a parameter scan runs as one
 batch, and finite differences as one batch per chunk. Each entry point
 refuses a dt past RK4's stability limit once, from the spectra of the
-Hamiltonians it builds. A recorded trajectory keeps only the states at
-the step boundaries: the reference adjoint recomputes each step's Horner
-stages from them.
+Hamiltonians it builds. Every line that knows RK4's step is in this
+module: the loop, its stage factors (_stage_factors) and commutator
+kernel (_flow), and the reference adjoint (_stepped_gradient), which
+learning.backprop_gradient calls. A recorded trajectory keeps only the
+states at the step boundaries: the adjoint steps its own state back with
+the loop under -H and rebuilds each step's Horner stages from them with
+the loop's stage factors and kernel.
 
 Unless it records, evolve steps the batch's span rather than its states.
 An 8x8 Hermitian matrix has 64 real coordinates, and RK4's step is linear
@@ -125,16 +129,37 @@ def check_stable(w, dt: float) -> None:
                 f"largest stable dt is {RK4_STABLE_THETA / gap:.4g} ns")
 
 
-def _right_i(ch):
-    """The real (2n, 2n) matrix m with x.view(float) @ m equal to
-    (x @ (i ch)).view(float), for real ch of shape (..., n, n) and any
-    complex x: multiplying by i maps each (re, im) pair to (-im, re)."""
-    return np.kron(ch, [[0.0, 1.0], [-1.0, 0.0]])
+# the real 2x2 matrices of multiplying by 1 and by i, acting on (re, im)
+# rows: (re, im) @ _TIMES_I = (-im, re)
+_TIMES_1, _TIMES_I = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _right_factor(m, unit):
+    """The real (..., 2p, 2q) matrix r = kron(m, unit) of a real
+    (..., p, q) m, for unit the real 2x2 matrix of a complex number z
+    acting on (re, im) rows: _TIMES_1 for 1, _TIMES_I for i. Then
+    x.view(float) @ r equals (x @ (z m)).view(float) for any complex x.
+    Filled in place, block by nonzero block of unit: on these sizes
+    np.kron takes about four times as long, one broadcast product twice."""
+    p, q = m.shape[-2:]
+    r = np.zeros(m.shape[:-2] + (p, 2, q, 2))
+    for (a, b), z in np.ndenumerate(unit):
+        if z:
+            r[..., :, a, :, b] = z * m
+    return r.reshape(m.shape[:-2] + (2 * p, 2 * q))
+
+
+def _stage_factors(h, dt):
+    """(m_1, m_2, m_3, m_4), m_j = _right_factor((dt/j) H, _TIMES_I), so
+    that _flow of m_j is the stage F_j = (dt/j) F, F x = -i [H, x]; for
+    one H or a stack, stacked on a new first axis."""
+    return _right_factor(np.multiply.outer(dt / np.arange(1.0, 5.0), h),
+                         _TIMES_I)
 
 
 def _flow(x, m, b, out):
-    """-i c [H, x] into out, for Hermitian x, given m = _right_i(c H) for
-    real symmetric H, from one product.
+    """-i c [H, x] into out, for Hermitian x, given m =
+    _right_factor(c H, _TIMES_I) for real symmetric H, from one product.
 
     With B = x (i c H), B+ = -i c H x, so the commutator is B + B+ where
     H x - x H takes two products. The sum is exactly Hermitian in floating
@@ -145,7 +170,7 @@ def _flow(x, m, b, out):
     stacked product.
 
     At batch 1, building the views costs over a third as much as the three
-    ufunc calls, so _stepped builds every view once per call and passes
+    ufunc calls, so its callers build every view once per call and pass
     them here: x is the float view of the stage input, b the float view,
     the array and the transpose of its work array, and out a C-contiguous
     array of the stage input's shape. out may be the stage input itself,
@@ -165,7 +190,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
 
     With H constant, a step is the quartic P(dt F), F x = -i [H, x], taken
     in Horner's form: rho + F_1 (rho + F_2 (rho + F_3 (rho + F_4 rho)))
-    with F_j = (dt/j) F, each F_j one _flow of m_j = _right_i((dt/j) H).
+    with F_j = (dt/j) F, each F_j one _flow of m_j from _stage_factors.
     rho is Hermitized once, into a fresh array, so neither the caller's
     array nor a recorded row is ever written through. Every stage sums two
     exactly Hermitian arrays, so every step stays exactly Hermitian. The
@@ -191,7 +216,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     work = b_f, b, b.swapaxes(-1, -2)
     n = 0
     for h in hs:
-        m4, m3, m2, m1 = (_right_i((dt / j) * h) for j in (4, 3, 2, 1))
+        m1, m2, m3, m4 = _stage_factors(h, dt)
         for _ in range(steps_per_chunk):
             _flow(rho_f, m4, work, x)
             x += rho
@@ -205,6 +230,61 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
             if states is not None:
                 states[n] = rho
     return rho
+
+
+def _contract(x, w):
+    """sum_n x[n] @ w[n] for (steps, 8, 8) stacks, as one gemm over the
+    (n, j) pairs: numpy's einsum runs this contraction in its own C loop,
+    several times slower than BLAS."""
+    return x.transpose(1, 0, 2).reshape(8, -1) @ w.reshape(-1, 8)
+
+
+def _stepped_gradient(states, seed, hs, dt):
+    """dE/dH of each chunk, (n_chunks, 8, 8), by reverse mode through the
+    stepped loop: states is a single state's recorded trajectory, hs the
+    chunks' Hamiltonians it was stepped under and seed dE/drho at its last
+    state, Hermitian.
+
+    A step is P(dt F) for a real-coefficient quartic P and F x =
+    -i [H, x]; F+ = -F, so the adjoint of a step is the same step under
+    -H. One _stepped call thus walks the adjoint state back through every
+    chunk, under -H of the chunks in reverse, recording it at every step;
+    -H has H's spread, so the forward pass's stability check covers it.
+
+    _stepped takes P(dt F) in Horner's form, with F_j = (dt/j) F:
+    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
+    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
+    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
+    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
+    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
+    Both are built at once for all of a chunk's steps, by _flow on
+    (steps, 8, 8) stacks of the recorded x and a_1, with _stepped's stage
+    factors (negated for -F_j), so every u_j and a_j is exactly
+    Hermitian; the chain runs in place on the recorded a_1. Term j adds
+    (dt/j) Im tr(G [u_j, a_j]) to generator G's derivative, which is
+    (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are Hermitian and G real
+    symmetric; the sum of u_j a_j over a chunk's steps is one gemm per
+    term (_contract).
+    """
+    xs = states[:-1].reshape(len(hs), -1, 8, 8)
+    lams = np.empty_like(states)
+    # recorded last first, so that lams[n + 1] meets the result of step n,
+    # which states[n] enters; the chain below overwrites it
+    _stepped(seed, -hs[::-1], dt, xs.shape[1], lams[::-1])
+    y2, y3, y4, b = np.empty((4,) + xs.shape[1:], dtype=complex)
+    work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
+    cs = np.empty((len(hs), 8, 8), dtype=complex)
+    for k, (h, x, a) in enumerate(zip(hs, xs, lams[1:].reshape(xs.shape))):
+        m1, m2, m3, m4 = _stage_factors(h, dt)
+        for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
+            _flow(u.view(float).reshape(-1, 16), m, work, y)
+            y += x
+        cs[k] = dt * _contract(y2, a)
+        # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
+        for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
+            _flow(a.view(float).reshape(-1, 16), -m, work, a)
+            cs[k] += (dt / j) * _contract(u, a)
+    return 2 * cs.imag
 
 
 def _span(rho):
@@ -238,19 +318,19 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     the first step.
 
     Recording steps the batch as it is and stores every step boundary,
-    which is all the reference adjoint in learning.py needs. Without it,
-    one H per chunk serves the whole batch, and the stepped map is linear,
-    so a batch of n states whose Hermitian coordinates are nonzero in only
-    r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the r basis
-    matrices of those coordinates (see _span) and recombines every state
-    from them as one real product, of the (n, r) coordinates with the
-    stepped matrices' float view. A coordinate left out is zero in every state, so no threshold
-    is involved; the result is the stepped map of every state up to
-    round-off (~1e-14). It is exactly Hermitian: an entry and its mirror
-    are products of the same coordinates with equal (or, for imaginary
-    parts, negated) entries of Hermitian basis results. A single state, or
-    a batch whose coordinates span as many dimensions as it has states, is
-    stepped as it is.
+    which is all the reference adjoint, _stepped_gradient, needs. Without
+    it, one H per chunk serves the whole batch, and the stepped map is
+    linear, so a batch of n states whose Hermitian coordinates are nonzero
+    in only r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the
+    r basis matrices of those coordinates (see _span) and recombines every
+    state from them as one real product, of the (n, r) coordinates with
+    the stepped matrices' float view. A coordinate left out is zero in
+    every state, so no threshold is involved; the result is the stepped
+    map of every state up to round-off (~1e-14). It is exactly Hermitian:
+    an entry and its mirror are products of the same coordinates with
+    equal (or, for imaginary parts, negated) entries of Hermitian basis
+    results. A single state, or a batch whose coordinates span as many
+    dimensions as it has states, is stepped as it is.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)

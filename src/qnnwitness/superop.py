@@ -60,8 +60,8 @@ Nothing is kept from one call to the next.
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
 propagator, which takes the same quartic in Horner's form, and the
-reverse pass through that form in learning.py remain the references that
-the tests compare against.
+reverse pass through that form beside it in propagate.py remain the
+references that the tests compare against.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ import numpy as np
 
 from .hamiltonian import Schedule, parameter_gradient
 from .ops import loss_terms
-from .propagate import IntegratorConfig, check_stable
+from .propagate import IntegratorConfig, _TIMES_1, _right_factor, check_stable
 
 
 def _quartic(a):
@@ -93,17 +93,6 @@ def _quartic_divided_difference(s, q, scale):
     np.add((s * s + q) * (-scale / 12), scale, out=out.real)
     np.multiply(s, q * (scale / 24) - scale / 2, out=out.imag)
     return out
-
-
-def _real_factor(m):
-    """The real (..., 2p, 2q) matrix r = kron(m, I_2) of a real (..., p, q)
-    m: x.view(float) @ r equals (x @ m).view(float) for any complex x,
-    since m acts on the real and imaginary parts alike. Filled in place,
-    as np.kron takes several times longer on these sizes."""
-    p, q = m.shape[-2:]
-    r = np.zeros(m.shape[:-2] + (p, 2, q, 2))
-    r[..., :, 0, :, 0] = r[..., :, 1, :, 1] = m
-    return r.reshape(m.shape[:-2] + (2 * p, 2 * q))
 
 
 # The face is symmetric in its two indices, so it is computed on the 36
@@ -151,7 +140,8 @@ def chunk_operators(s: Schedule, dt: float):
     - the n_chunks + 1 crossings A_k = V_k^T V_{k-1}, with V = I before
       the first chunk and after the last: into chunk 0's eigenbasis, the
       overlaps between chunks, and back to the lab frame;
-    - their real factors _real_factor(A_k^T), for products on the right;
+    - their real factors _right_factor(A_k^T, _TIMES_1), for products on
+      the right;
     - t^n;
     - the face Phi in the layout [c, k, j, l] = Phi[(j,k),(l,k)] of
       chunk c. Its row k pairs mu_jk with mu_lk, so it is built from
@@ -166,7 +156,7 @@ def chunk_operators(s: Schedule, dt: float):
                                         dt)
     frames = np.concatenate([_LAB, v, _LAB])
     crossings = frames[1:].transpose(0, 2, 1) @ frames[:-1]
-    right = _real_factor(crossings.transpose(0, 2, 1))
+    right = _right_factor(crossings.transpose(0, 2, 1), _TIMES_1)
     # the powering walk gives t^n in the layout of mu^T; t^n is conjugate
     # symmetric, so its transpose is its conjugate
     return (v, crossings, right, tn.conj(), face[..., _PAIR]), steps
@@ -177,9 +167,9 @@ def _walk(x, crossings, right, t, out):
     crossings a_i into out, (n, B, 8, 8) and C-contiguous but for the
     sign of its first stride: out[0] = a_0 x a_0^T and
     out[i] = a_i (t[i-1] o out[i-1]) a_i^T, for real a_i and right[i] =
-    _real_factor(a_i^T). Each crossing is a real left product on the
-    (B, 8, 16) float view and one (B*8, 16) gemm on the right, into work
-    arrays allocated once per walk; x is only read."""
+    _right_factor(a_i^T, _TIMES_1). Each crossing is a real left product
+    on the (B, 8, 16) float view and one (B*8, 16) gemm on the right, into
+    work arrays allocated once per walk; x is only read."""
     work = np.empty_like(x)
     half = np.empty(x.shape[:-1] + (16,))
     rows = out.view(float).reshape(len(out), -1, 16)

@@ -259,7 +259,6 @@ def test_a_later_chunk_past_the_stability_limit_is_named(isolated_config,
 
     original = propagate._stepped
     monkeypatch.setattr(propagate, "_stepped", stepped)
-    monkeypatch.setattr(learning, "_stepped", stepped)
     pair = TrainingPair(catalog("W"), {"AB": 0.0})
     message = r"chunk 2: dt 0\.25 .* largest stable dt"
     for route in (fd_gradient, backprop_gradient):

@@ -320,6 +320,24 @@ def test_train_checks_its_step_before_epoch_0(monkeypatch):
               TrainConfig(epochs=3, dt=0.07))
 
 
+def test_a_huge_epoch_count_is_only_a_long_run(monkeypatch):
+    """train grows its history as the epochs run, so 10^12 epochs allocate
+    nothing before epoch 0: a divergence at the third epoch is reported as
+    epoch 2, not preceded by a MemoryError."""
+    calls, original = [], superop.dataset_loss_grad
+
+    def third_diverges(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise DivergenceError("diverged")
+        return original(*args)
+
+    monkeypatch.setattr(superop, "dataset_loss_grad", third_diverges)
+    with pytest.raises(DivergenceError, match="epoch 2: diverged"):
+        train("set1", bundled_schedule("initial"),
+              TrainConfig(epochs=10 ** 12, dt=0.25))
+
+
 def test_history_csv(tmp_path):
     path = tmp_path / "hist.csv"
     history_csv(np.array([0.5, 0.25, 1 / 3]), path)

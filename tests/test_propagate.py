@@ -16,7 +16,7 @@ from qnnwitness.propagate import (
     MAX_STEPS_PER_CHUNK,
     RK4_STABLE_THETA,
     IntegratorConfig,
-    _right_i,
+    _right_factor,
     _stepped,
     check_stable,
     evolve,
@@ -198,10 +198,32 @@ def test_one_product_stages_match_the_two_product_step():
         assert np.abs(stepped - ref).max() < 1e-13
 
 
+# the real 2x2 matrices of multiplying (re, im) rows by 1 and by i
+ONE, TIMES_I = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("unit", [ONE, TIMES_I], ids=["one", "i"])
+@pytest.mark.parametrize("shape", [(3, 5), (5, 8, 8)],
+                         ids=["matrix", "stack"])
+def test_right_factor_is_the_kronecker_product(unit, shape):
+    """_right_factor fills kron(m, unit) in place, with the same products
+    np.kron makes, for one matrix and for a stack; its float product is
+    the complex product by m, or by i m."""
+    rng = np.random.default_rng(29)
+    m = rng.normal(size=shape)
+    r = _right_factor(m, unit)
+    assert np.array_equal(r, np.kron(m, unit))
+    x = rng.normal(size=shape[:-2] + (4, shape[-2], 2)).view(complex)[..., 0]
+    z = 1.0 if unit is ONE else 1j
+    assert np.allclose((x.view(float) @ r).view(complex), x @ (z * m),
+                       rtol=0, atol=1e-13)
+
+
 def one_product(x, m):
-    """-i c [H, x] for Hermitian x and m = _right_i(c H), built as _stepped
-    builds it: B = x (i c H) is x's float view times m, one product over
-    the whole batch when a single m serves it, and the result is B + B+."""
+    """-i c [H, x] for Hermitian x and m = _right_factor(c H, TIMES_I),
+    built as _stepped builds it: B = x (i c H) is x's float view times m,
+    one product over the whole batch when a single m serves it, and the
+    result is B + B+."""
     xf = np.ascontiguousarray(x).view(float)
     if m.ndim == 2:
         b = (xf.reshape(-1, xf.shape[-1]) @ m).reshape(xf.shape)
@@ -220,7 +242,7 @@ def flow_loop(rho, hs, dt, steps):
     rho = 0.5 * (rho + dagger(rho))
     states = [rho]
     for h in hs:
-        ms = [_right_i((dt / j) * h) for j in (4, 3, 2, 1)]
+        ms = [_right_factor((dt / j) * h, TIMES_I) for j in (4, 3, 2, 1)]
         for _ in range(steps):
             x = rho
             for m in ms:
