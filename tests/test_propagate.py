@@ -16,6 +16,8 @@ from qnnwitness.propagate import (
     MAX_STEPS_PER_CHUNK,
     RK4_STABLE_THETA,
     IntegratorConfig,
+    _TIMES_1,
+    _TIMES_I,
     _right_factor,
     _stepped,
     check_stable,
@@ -198,11 +200,7 @@ def test_one_product_stages_match_the_two_product_step():
         assert np.abs(stepped - ref).max() < 1e-13
 
 
-# the real 2x2 matrices of multiplying (re, im) rows by 1 and by i
-ONE, TIMES_I = np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@pytest.mark.parametrize("unit", [ONE, TIMES_I], ids=["one", "i"])
+@pytest.mark.parametrize("unit", [_TIMES_1, _TIMES_I], ids=["one", "i"])
 @pytest.mark.parametrize("shape", [(3, 5), (5, 8, 8)],
                          ids=["matrix", "stack"])
 def test_right_factor_is_the_kronecker_product(unit, shape):
@@ -214,13 +212,13 @@ def test_right_factor_is_the_kronecker_product(unit, shape):
     r = _right_factor(m, unit)
     assert np.array_equal(r, np.kron(m, unit))
     x = rng.normal(size=shape[:-2] + (4, shape[-2], 2)).view(complex)[..., 0]
-    z = 1.0 if unit is ONE else 1j
+    z = 1.0 if unit is _TIMES_1 else 1j
     assert np.allclose((x.view(float) @ r).view(complex), x @ (z * m),
                        rtol=0, atol=1e-13)
 
 
 def one_product(x, m):
-    """-i c [H, x] for Hermitian x and m = _right_factor(c H, TIMES_I),
+    """-i c [H, x] for Hermitian x and m = _right_factor(c H, _TIMES_I),
     built as _stepped builds it: B = x (i c H) is x's float view times m,
     one product over the whole batch when a single m serves it, and the
     result is B + B+."""
@@ -242,7 +240,7 @@ def flow_loop(rho, hs, dt, steps):
     rho = 0.5 * (rho + dagger(rho))
     states = [rho]
     for h in hs:
-        ms = [_right_factor((dt / j) * h, TIMES_I) for j in (4, 3, 2, 1)]
+        ms = [_right_factor((dt / j) * h, _TIMES_I) for j in (4, 3, 2, 1)]
         for _ in range(steps):
             x = rho
             for m in ms:

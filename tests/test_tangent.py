@@ -36,10 +36,9 @@ def tangent_gradient(pair, s, dt):
     chunk k has the corner dH/dp_q, the generator build_hamiltonian gives
     the unit vector e_q, in chunk k only.
 
-    Also returns the scale the routes are compared on: the larger of the
-    largest component and the largest entry of any drho/dp. Where the
-    seed -2 resid y is small, each route's own round-off in y moves it,
-    and so the gradient, by ~1e-14 of drho whatever the gradient's size.
+    Also returns the largest entry of any drho/dp. Where the seed
+    -2 resid y is small, each route's own round-off in y moves it, and so
+    the gradient, by up to ~1e-15 of drho whatever the gradient's size.
     """
     rho, targets, mask = pair.arrays()
     steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
@@ -56,7 +55,7 @@ def tangent_gradient(pair, s, dt):
     # E depends on rho_f through its diagonal only, with dE/drho_ii = seed_i
     drho = x[:, :8, 8:]
     gradient = np.einsum("i,nii->n", seed, drho).real
-    return gradient, max(np.abs(gradient).max(), np.abs(drho).max())
+    return gradient, np.abs(drho).max()
 
 
 # a row is uniform(-6, 6) MHz, all zero, or the row before it repeated (all
@@ -85,16 +84,18 @@ def schedule_of(chunk_rows, convention):
 def test_both_exact_gradients_are_the_tangent(chunk_rows, convention, name,
                                               graded, seed):
     """The stepped reverse pass and the engine's divided-difference adjoint
-    both match the forward-mode derivative within 1e-12 of its scale (its
-    largest component, unless the seed is small), on schedules with
-    all-zero and repeated chunks, whose spectra are degenerate."""
+    both match the forward-mode derivative within 1e-12 of its largest
+    component, plus 1e-14 of drho for the round-off in a small seed, on
+    schedules with all-zero and repeated chunks, whose spectra are
+    degenerate."""
     s = schedule_of(chunk_rows, convention)
     targets = np.random.default_rng(seed).uniform(0.0, 1.0, len(graded))
     pair = TrainingPair(catalog(name), dict(zip(graded, targets)))
-    tangent, scale = tangent_gradient(pair, s, DT)
+    tangent, drho = tangent_gradient(pair, s, DT)
+    bound = 1e-12 * np.abs(tangent).max() + 1e-14 * drho
     exact = backprop_gradient(pair, s, IntegratorConfig(DT))
-    assert np.abs(exact - tangent).max() <= 1e-12 * scale
+    assert np.abs(exact - tangent).max() <= bound
     rho, targets, mask = pair.arrays()
     _, engine, _ = dataset_loss_grad(rho[None], targets[None], mask[None], s,
                                      DT)
-    assert np.abs(engine - tangent).max() <= 1e-12 * scale
+    assert np.abs(engine - tangent).max() <= bound
