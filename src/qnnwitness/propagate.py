@@ -12,10 +12,12 @@ every stage is exactly Hermitian by construction (see _flow), so no step
 needs re-Hermitizing. The trace is deliberately NOT renormalized, so
 trace drift stays visible as a correctness signal.
 
-evolve and evolve_batch_h share one stepping loop, which only steps: it
-holds the step arithmetic and broadcasts over leading batch axes of rho
-(and of h, when given a matching stack), so a parameter scan runs as one
-batch, and finite differences as one batch per chunk. Each entry point
+One stepping loop, _stepped, holds the step arithmetic: evolve_batch_h
+and a recording evolve step their states with it, and evolve's
+coordinate walk takes its step matrices from it (see below). It only
+steps, and broadcasts over leading batch axes of rho (and of h, when
+given a matching stack), so finite differences run as one batch per
+chunk. Each entry point
 refuses a dt past RK4's stability limit once, from the spectra of the
 Hamiltonians it builds. Every line that knows RK4's step is in this
 module: the loop, its stage factors (_stage_factors) and commutator
@@ -25,17 +27,17 @@ states at the step boundaries: the adjoint steps its own state back with
 the loop under -H and rebuilds each step's Horner stages from them with
 the loop's stage factors and kernel.
 
-Unless it records, evolve steps the batch's span rather than its states.
-An 8x8 Hermitian matrix has 64 real coordinates, and RK4's step is linear
-in rho, so a batch whose coordinates are nonzero in r places steps only
-those r basis matrices and recombines every state from them by one real
-product. The coordinates are read from the Hermitized batch through one
-index table, _COORD, and _BASIS holds the matching basis matrices. The
-rule is exact: a coordinate left out is zero in every state, and the
-result differs from stepping each state only by round-off. It applies
-when r is smaller than the number of states, which a sweep grid always
-is (441 states, 6 or 10 coordinates), and never to a single state; no
-batch steps more than 64 rows.
+Unless it records, evolve steps coordinates rather than matrices. An 8x8
+Hermitian matrix has 64 real coordinates, read from its float view
+through one index table, _COORD, with _BASIS the matching basis
+matrices, and RK4's step is linear in rho, so each chunk's step is one
+(64, 64) real matrix, built from one _stepped step of the 64 basis
+matrices; a step of the batch is then one real product. A batch whose
+coordinates are nonzero in fewer places r than it has states (a sweep
+grid: 441 states, 6 or 10 coordinates) steps the r unit rows of those
+coordinates and recombines every state from them by one real product.
+The result differs from stepping each state only by round-off, and the
+product back to matrices makes it exactly Hermitian.
 """
 from __future__ import annotations
 
@@ -197,7 +199,7 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     stage input x and the product b are allocated once per call and
     updated in place: a freshly allocated large-batch array at every stage
     would be returned to the OS and faulted in again at the next, which
-    makes batched sweeps measurably slower. The views the stages take of
+    makes large batches measurably slower. The views the stages take of
     them are built once per call as well, and the m_j once per chunk, so a
     step is its 16 ufunc calls and nothing else: at batch 1 each view
     costs a good part of a ufunc call.
@@ -247,9 +249,13 @@ def _stepped_gradient(states, seed, hs, dt):
 
     A step is P(dt F) for a real-coefficient quartic P and F x =
     -i [H, x]; F+ = -F, so the adjoint of a step is the same step under
-    -H. One _stepped call thus walks the adjoint state back through every
-    chunk, under -H of the chunks in reverse, recording it at every step;
-    -H has H's spread, so the forward pass's stability check covers it.
+    -H. A _stepped call under -H of a chunk thus walks the adjoint state
+    back through that chunk, recording it at every step; -H has H's
+    spread, so the forward pass's stability check covers it. The chunks
+    are walked last first, each from the state the one after it ended at,
+    so that only one chunk's adjoint states are held at a time. _stepped
+    Hermitizes an exactly Hermitian state exactly, so the walk is bit for
+    bit one _stepped call through every chunk.
 
     _stepped takes P(dt F) in Horner's form, with F_j = (dt/j) F:
     y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
@@ -267,14 +273,20 @@ def _stepped_gradient(states, seed, hs, dt):
     term (_contract).
     """
     xs = states[:-1].reshape(len(hs), -1, 8, 8)
-    lams = np.empty_like(states)
-    # recorded last first, so that lams[n + 1] meets the result of step n,
-    # which states[n] enters; the chain below overwrites it
-    _stepped(seed, -hs[::-1], dt, xs.shape[1], lams[::-1])
+    steps = xs.shape[1]
+    lam = np.empty((steps + 1, 8, 8), dtype=complex)
+    a = lam[1:]
     y2, y3, y4, b = np.empty((4,) + xs.shape[1:], dtype=complex)
     work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
     cs = np.empty((len(hs), 8, 8), dtype=complex)
-    for k, (h, x, a) in enumerate(zip(hs, xs, lams[1:].reshape(xs.shape))):
+    for k in reversed(range(len(hs))):
+        h, x = hs[k], xs[k]
+        # recorded last first, so that lam[n + 1] meets the result of the
+        # chunk's step n, which x[n] enters; the chain below overwrites
+        # a = lam[1:] and the next chunk's walk all of lam, so lam[0], the
+        # state this chunk starts from and that walk's seed, is copied out
+        _stepped(seed, -h[None], dt, steps, lam[::-1])
+        seed = lam[0].copy()
         m1, m2, m3, m4 = _stage_factors(h, dt)
         for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
             _flow(u.view(float).reshape(-1, 16), m, work, y)
@@ -287,24 +299,38 @@ def _stepped_gradient(states, seed, hs, dt):
     return 2 * cs.imag
 
 
-def _span(rho):
-    """(c, used) when the Hermitian coordinates of rho's states span fewer
-    dimensions than it has states, else None. used holds the coordinates
-    that are nonzero in some state, in ascending order, and c (n, r) those
-    coordinates of each of the n states, so that the Hermitized state b is
-    sum_j c[b, j] _BASIS[used[j]]. The batch is Hermitized once, into a
-    C-ordered array as _stepped Hermitizes its input, and the coordinates
-    are gathered from its float view through _COORD; a single state
-    (n = 1) is never split."""
+def _coordinates(rho):
+    """(n, 64) the Hermitian coordinates of rho's n states, so that the
+    Hermitized state b is sum_i c[b, i] _BASIS[i]. The batch is Hermitized
+    once, into a C-ordered array as _stepped Hermitizes its input, and the
+    coordinates are gathered from its float view through _COORD."""
     n = math.prod(np.shape(rho)[:-2])
-    if n < 2:
-        return None
     x = np.asarray(rho, dtype=complex).reshape(n, 8, 8)
     x = np.add(x, dagger(x), out=np.empty((n, 8, 8), dtype=complex))
     c = x.reshape(n, 64).view(float)[:, _COORD]
     c *= 0.5
-    used = np.flatnonzero((c != 0).any(axis=0))
-    return (c[:, used], used) if len(used) < n else None
+    return c
+
+
+def _step_matrix(h, dt):
+    """The (64, 64) real step matrix S of H = h: row i holds the
+    coordinates of one _stepped step of _BASIS[i], so that c @ S holds
+    those of one step of the state with coordinates c. The stepped basis
+    is exactly Hermitian, so its coordinates are read as they are."""
+    x = _stepped(_BASIS, h[None], dt, 1)
+    return x.reshape(64, 64).view(float)[:, _COORD]
+
+
+def _walk(rows, ss, steps):
+    """steps steps of each step matrix of ss in turn on the coordinate
+    rows, one product a step into a second array, the two swapped after
+    each; rows is written through."""
+    w = np.empty_like(rows)
+    for s in ss:
+        for _ in range(steps):
+            np.matmul(rows, s, out=w)
+            rows, w = w, rows
+    return rows
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
@@ -317,20 +343,20 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     Hamiltonians are checked against RK4's stability limit once, before
     the first step.
 
-    Recording steps the batch as it is and stores every step boundary,
-    which is all the reference adjoint, _stepped_gradient, needs. Without
-    it, one H per chunk serves the whole batch, and the stepped map is
-    linear, so a batch of n states whose Hermitian coordinates are nonzero
-    in only r < n places (a sweep grid: 6 for fig2, 10 for fig1) steps the
-    r basis matrices of those coordinates (see _span) and recombines every
-    state from them as one real product, of the (n, r) coordinates with
-    the stepped matrices' float view. A coordinate left out is zero in
-    every state, so no threshold is involved; the result is the stepped
-    map of every state up to round-off (~1e-14). It is exactly Hermitian:
-    an entry and its mirror are products of the same coordinates with
-    equal (or, for imaginary parts, negated) entries of Hermitian basis
-    results. A single state, or a batch whose coordinates span as many
-    dimensions as it has states, is stepped as it is.
+    Recording steps the batch's matrices with _stepped and stores every
+    step boundary, which is all the reference adjoint, _stepped_gradient,
+    needs. Without it, one H per chunk serves the whole batch, and a step
+    is linear in rho, so evolve steps the batch's 64 real Hermitian
+    coordinates (_coordinates), each step one real product with the
+    chunk's step matrix (_step_matrix). A batch of n states whose
+    coordinates are nonzero in only r < n places (a sweep grid: 6 for
+    fig2, 10 for fig1) steps the r unit rows of those coordinates instead
+    and recombines every state from them by one real product; a
+    coordinate left out is zero in every state, so no threshold is
+    involved. One real product with _BASIS's float view turns the
+    coordinates back into matrices. Each of its floats is one coordinate
+    or its negation, so the result is exactly Hermitian, and it is the
+    stepped map of every state up to round-off.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -340,12 +366,15 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
         states = np.empty((steps * s.n_chunks + 1,) + rho.shape,
                           dtype=complex)
         return _stepped(rho, hs, cfg.dt, steps, states), Trajectory(states)
-    span = _span(rho)
-    if span is None:
-        return _stepped(rho, hs, cfg.dt, steps), None
-    c, used = span
-    x = _stepped(_BASIS[used], hs, cfg.dt, steps).reshape(-1, 64)
-    return (c @ x.view(float)).view(complex).reshape(rho.shape), None
+    c = _coordinates(rho)
+    used = np.flatnonzero((c != 0).any(axis=0))
+    split = len(used) < len(c)
+    rows = _walk(np.eye(64)[used] if split else c,
+                 [_step_matrix(h, cfg.dt) for h in hs], steps)
+    if split:
+        rows = c[:, used] @ rows
+    x = rows @ _BASIS.reshape(64, 64).view(float)
+    return x.view(complex).reshape(rho.shape), None
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,

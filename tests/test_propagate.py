@@ -318,9 +318,21 @@ def stepped_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def walked_rows(monkeypatch):
+    """A copy of the coordinate rows of each call evolve makes to _walk."""
+    rows, walk = [], propagate._walk
+
+    def copying(x, *args):
+        rows.append(x.copy())
+        return walk(x, *args)
+
+    monkeypatch.setattr(propagate, "_walk", copying)
+    return rows
+
+
 def direct(rho, s, dt):
-    """The stepped loop on every state of rho, as evolve steps a batch
-    whose coordinates span as many dimensions as it has states."""
+    """The stepped loop on every state of rho, as evolve records it."""
     steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
     return _stepped(rho, s.hamiltonians(), dt, steps)
 
@@ -332,43 +344,57 @@ ONE_CHUNK = Schedule(bundled_schedule("trained_set2").chunks[:1])
 
 
 @pytest.mark.parametrize("record", [False, True])
-def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows, record):
+def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows,
+                                                       walked_rows, record):
     """The fig2 grid's 21 x 21 states have amplitudes on |000>, |110> and
     |111> only, all real: 3 diagonal and 3 real off-diagonal coordinates.
-    So 6 basis matrices are stepped, and the recombined states are the
-    stepped states to round-off, in the grid's shape, and exactly
-    Hermitian. A recorded grid is never split: its 441 states are stepped
-    as they are."""
+    So the coordinate walk steps the 6 unit rows of those coordinates,
+    after one _stepped step of the 64 basis matrices builds the chunk's
+    step matrix, and the recombined states are the stepped states to
+    round-off, in the grid's shape, and exactly Hermitian. A recorded grid
+    is never split: its 441 states are stepped as they are."""
     cfg = IntegratorConfig(0.25)
     rho_f, traj = evolve(FIG2_GRID, ONE_CHUNK, cfg, record=record)
-    assert stepped_rows == [441 if record else 6]
+    assert stepped_rows == [441 if record else 64]
     assert rho_f.shape == FIG2_GRID.shape
     assert np.abs(rho_f - direct(FIG2_GRID, ONE_CHUNK, 0.25)).max() < 1e-14
     assert np.array_equal(rho_f, dagger(rho_f))
     if record:
+        assert walked_rows == []
         assert np.array_equal(rho_f, direct(FIG2_GRID, ONE_CHUNK, 0.25))
         assert traj.states.shape == (301,) + FIG2_GRID.shape
         assert np.array_equal(traj.states[-1], rho_f)
+    else:
+        # the diagonal coordinates 0, 6, 7, then the real parts of the
+        # upper entries (0, 6), (0, 7) and (6, 7), 5, 6 and 27 in _UPPER
+        [rows] = walked_rows
+        assert np.array_equal(rows, np.eye(64)[[0, 6, 7, 13, 14, 35]])
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("hermitian", [False, True],
                          ids=["any", "hermitian"])
 def test_the_coordinates_rebuild_the_hermitized_batch(real, hermitian):
-    """On seeded random batches of 70, sum_i c_i _BASIS[used_i] is the
-    Hermitized batch bit for bit: each of its floats is one coordinate, or
-    its negation, times 1. A complex batch uses all 64 coordinates and a
-    real one only the 36 of its real symmetric part, in table order."""
+    """On seeded random batches of 70, sum_i c_i _BASIS[i] is the
+    Hermitized batch bit for bit, as a sum over the nonzero coordinates
+    and as the one real product evolve takes with _BASIS's float view:
+    each of its floats is one coordinate, or its negation, times 1. A
+    complex batch uses all 64 coordinates and a real one only the 36 of
+    its real symmetric part, in table order."""
     rng = np.random.default_rng(23)
     x = rng.normal(size=(70, 8, 8))
     if not real:
         x = x + 1j * rng.normal(size=(70, 8, 8))
     if hermitian:
         x = x + dagger(x)
-    c, used = propagate._span(x)
+    c = propagate._coordinates(x)
+    used = np.flatnonzero(c.any(axis=0))
     assert np.array_equal(used, np.arange(36 if real else 64))
-    assert np.array_equal(np.tensordot(c, propagate._BASIS[used], 1),
-                          (x + dagger(x)) / 2)
+    hermitized = (x + dagger(x)) / 2
+    assert np.array_equal(np.tensordot(c[:, used], propagate._BASIS[used], 1),
+                          hermitized)
+    product = c @ propagate._BASIS.reshape(64, 64).view(float)
+    assert np.array_equal(product.view(complex).reshape(x.shape), hermitized)
 
 
 SET2_STATES = load_dataset("set2").arrays()[0]
@@ -379,11 +405,47 @@ SET2_STATES = load_dataset("set2").arrays()[0]
     np.stack([mix(catalog(n))
               for n in ("Bell_AB", "flat_AC", "W", "GHZ_minus", "M")]),
     SET2_STATES], ids=["8x8", "1x8x8", "gate_5", "set2_13"])
-def test_a_batch_that_spans_its_size_is_stepped_as_it_is(stepped_rows, rho):
+def test_a_batch_that_spans_its_size_is_stepped_as_it_is(walked_rows, rho):
+    """A batch with no more states than nonzero coordinates walks its own
+    coordinates, one row per state, to within round-off of the stepped
+    loop and exactly Hermitian."""
     cfg = IntegratorConfig(0.25)
     rho_f, _ = evolve(rho, ONE_CHUNK, cfg)
-    assert stepped_rows == [math.prod(rho.shape[:-2])]
-    assert np.array_equal(rho_f, direct(rho, ONE_CHUNK, 0.25))
+    [rows] = walked_rows
+    assert np.array_equal(rows, propagate._coordinates(rho))
+    assert len(rows) == math.prod(rho.shape[:-2])
+    assert rho_f.shape == rho.shape
+    assert np.abs(rho_f - direct(rho, ONE_CHUNK, 0.25)).max() < 1e-13
+    assert np.array_equal(rho_f, dagger(rho_f))
+
+
+@pytest.mark.parametrize("convention", [PLAIN, ANGULAR],
+                         ids=["plain", "angular"])
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_the_step_matrix_is_one_stepped_step_of_the_basis(convention, dt):
+    """Each chunk's step matrix, mapped back through _BASIS, is one
+    _stepped step of the 64 basis matrices bit for bit: the coordinate
+    walk takes RK4's step arithmetic from _stepped alone."""
+    s = Schedule(bundled_schedule("trained_set1").chunks, 75.0, convention)
+    basis = propagate._BASIS.reshape(64, 64).view(float)
+    for h in s.hamiltonians():
+        x = propagate._step_matrix(h, dt) @ basis
+        assert np.array_equal(x.view(complex).reshape(64, 8, 8),
+                              _stepped(propagate._BASIS, (h,), dt, 1))
+
+
+TRAINED_SET2 = bundled_schedule("trained_set2")
+
+
+@pytest.mark.parametrize("rho", [mix(catalog("W")), SET2_STATES],
+                         ids=["W", "set2_13"])
+def test_evolve_follows_the_stepped_loop_through_a_schedule(rho):
+    """Through all four chunks of trained_set2 at dt 0.05, 6 000 steps,
+    the coordinate walk stays within 1e-12 of the stepped loop and its
+    result is exactly Hermitian."""
+    rho_f, _ = evolve(rho, TRAINED_SET2, IntegratorConfig(0.05))
+    assert np.abs(rho_f - direct(rho, TRAINED_SET2, 0.05)).max() < 1e-12
+    assert np.array_equal(rho_f, dagger(rho_f))
 
 
 @settings(max_examples=12, deadline=None)
@@ -494,6 +556,46 @@ def test_rk4_step_adjoint_is_the_step_under_minus_h(n):
     lhs = np.trace(a @ forward).real
     assert lhs == pytest.approx(np.trace(backward @ b).real, abs=1e-12)
     assert abs(lhs - np.trace(same_sign @ b).real) > 1e-3
+
+
+def one_call_gradient(states, seed, hs, dt):
+    """The reference adjoint as one _stepped call through every chunk,
+    recording the whole adjoint trajectory before any chain runs."""
+    xs = states[:-1].reshape(len(hs), -1, 8, 8)
+    lams = np.empty_like(states)
+    _stepped(seed, -hs[::-1], dt, xs.shape[1], lams[::-1])
+    y2, y3, y4, b = np.empty((4,) + xs.shape[1:], dtype=complex)
+    work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
+    cs = np.empty((len(hs), 8, 8), dtype=complex)
+    for k, (h, x, a) in enumerate(zip(hs, xs, lams[1:].reshape(xs.shape))):
+        m1, m2, m3, m4 = propagate._stage_factors(h, dt)
+        for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
+            propagate._flow(u.view(float).reshape(-1, 16), m, work, y)
+            y += x
+        cs[k] = dt * propagate._contract(y2, a)
+        for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
+            propagate._flow(a.view(float).reshape(-1, 16), -m, work, a)
+            cs[k] += (dt / j) * propagate._contract(u, a)
+    return 2 * cs.imag
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_the_adjoint_walks_back_chunk_by_chunk_bit_for_bit(dt):
+    """Walking the adjoint state back one chunk at a time, each chunk from
+    the last one's boundary state, gives the one-call walk's gradient bit
+    for bit, on random schedules and on trained_set2."""
+    rng = np.random.default_rng(31)
+    cfg = IntegratorConfig(dt)
+    for name, s in (
+            ("Bell_AB", Schedule(rng.uniform(-6.0, 6.0, size=(4, 9)))),
+            ("W", TRAINED_SET2)):
+        _, traj = evolve(mix(catalog(name)), s, cfg, record=True)
+        seed = rng.normal(size=(8, 8))
+        seed = seed + seed.T
+        hs = s.hamiltonians()
+        assert np.array_equal(
+            propagate._stepped_gradient(traj.states, seed, hs, dt),
+            one_call_gradient(traj.states, seed, hs, dt))
 
 
 def test_stability_limit_is_where_a_step_starts_to_grow():
