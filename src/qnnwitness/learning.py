@@ -13,9 +13,9 @@ step, lives in propagate.py, beside the stepped loop. The training loop
 instead calls the fast path in superop.py, which applies each chunk's n
 RK4 steps at once in the eigenbasis of its Hamiltonian and gets the same
 discrete adjoint from the divided-difference form of the derivative of
-that map; tests pin the two routes against each other, against a
-forward-mode tangent of the stepped map and against central differences
-of the loss in the parameters themselves.
+that map. tests/routes.py, the one place where routes are compared, holds
+both, and central differences of the loss in the parameters themselves,
+to a forward-mode tangent of the textbook RK4 map.
 
 Every route reads a pair's targets through TrainingPair.arrays, which
 encodes them in OBSERVABLE_IDS order with a 0/1 mask for the ungraded

@@ -60,8 +60,9 @@ Nothing is kept from one call to the next.
 This is the discrete adjoint of the stepped integrator, not of the exact
 exponential. Only the training loop uses this module; the stepped
 propagator, which takes the same quartic in Horner's form, and the
-reverse pass through that form beside it in propagate.py remain the
-references that the tests compare against.
+reverse pass through that form beside it in propagate.py are the other
+routes to the same numbers, and tests/routes.py holds every route to the
+textbook RK4 loop.
 """
 from __future__ import annotations
 

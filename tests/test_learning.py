@@ -119,9 +119,9 @@ def test_gradient_against_finite_differences():
     cfg = IntegratorConfig(0.25)
     exact = backprop_gradient(pair, s, cfg)
     numeric = fd_gradient(pair, s, cfg)
-    keep = np.abs(numeric) > 1e-10
-    rel = np.abs(exact - numeric)[keep] / np.abs(numeric)[keep]
-    assert rel.max() < 1e-6
+    # 1e-6 of every component, plus the CLI grad-check's 1e-9 below 1e-10
+    slack = np.where(np.abs(numeric) > 1e-10, 0.0, 1e-9)
+    assert (np.abs(exact - numeric) <= 1e-6 * np.abs(numeric) + slack).all()
 
 
 def test_fd_gradient_needs_a_positive_finite_step():
@@ -213,9 +213,8 @@ def test_gradient_for_mixed_input():
     cfg = IntegratorConfig(0.25)
     exact = backprop_gradient(pair, s, cfg)
     numeric = fd_gradient(pair, s, cfg)
-    keep = np.abs(numeric) > 1e-8
-    rel = np.abs(exact - numeric)[keep] / np.abs(numeric)[keep]
-    assert rel.max() < 1e-6
+    slack = np.where(np.abs(numeric) > 1e-8, 0.0, 1e-9)
+    assert (np.abs(exact - numeric) <= 1e-6 * np.abs(numeric) + slack).all()
 
 
 def test_gradient_vanishes_at_exact_fit():

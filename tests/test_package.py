@@ -32,8 +32,8 @@ def test_every_name_the_tracer_wraps_is_bound():
     so a simplification that stops binding one (say, no longer importing
     catalog into learning) breaks only traced benchmark runs. WRAPPED is
     read from the file's source, which is neither run nor written here.
-    ROADMAP item 6 replaces WRAPPED with spans declared in the package, and
-    this test goes with it."""
+    ROADMAP item 1(b) replaces WRAPPED with spans declared in the package,
+    and this test goes with it."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
     wrapped = next(ast.literal_eval(node.value) for node in tree.body
                    if isinstance(node, ast.Assign)

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import classical_rk4
+from conftest import classical_rk4, densities, pure_kets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,12 +27,13 @@ from qnnwitness.propagate import (
 )
 from qnnwitness.ops import dagger
 from qnnwitness.states import CATALOG_NAMES, FAMILIES, catalog, mix
-from qnnwitness.superop import _quartic, propagate_vec
+from qnnwitness.superop import _quartic
 from qnnwitness.witness import evaluate_many
 
 RNG = np.random.default_rng(13)
 
 SET1 = bundled_schedule("set1")
+TRAINED_SET2 = bundled_schedule("trained_set2")
 BELL = mix(catalog("Bell_AB"))
 # the 25 fixed catalog states, one batch
 CATALOG_BATCH = np.stack([mix(catalog(n)) for n in CATALOG_NAMES
@@ -135,7 +136,7 @@ def test_rk4_error_falls_sixteenfold_when_dt_halves(seed):
     """RK4 is fourth order: from dt 0.25 to 0.125 the stepped loop's
     distance from the exact exponential, 1e-8 to 1e-6 on uniform(-6, 6)
     MHz angular schedules and so far above round-off, falls by about
-    2^4. The eigenbasis chunk map stays on the stepped loop at both."""
+    2^4."""
     values = np.random.default_rng(seed).uniform(-6.0, 6.0, size=(4, 9))
     s = Schedule(values, 75.0, ANGULAR)
     rhos = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
@@ -144,8 +145,6 @@ def test_rk4_error_falls_sixteenfold_when_dt_halves(seed):
     for dt in (0.25, 0.125):
         stepped, _ = evolve(rhos, s, IntegratorConfig(dt))
         errors.append(np.abs(stepped - exact).max())
-        _, final, _ = propagate_vec(rhos, s, dt)
-        assert np.abs(final - stepped).max() < 1e-12
     assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
@@ -155,17 +154,6 @@ def test_evolve_is_batch_transparent():
     for i in range(3):
         single, _ = evolve(rhos[i], SET1, IntegratorConfig(0.25))
         assert np.abs(batch[i] - single).max() < 1e-14
-
-
-def test_batched_per_element_hamiltonians():
-    s = random_schedule()
-    cfg = IntegratorConfig(0.25)
-    steps = cfg.steps_per_chunk(s.chunk_duration)
-    hs = np.repeat(s.hamiltonians()[:, None], 2, axis=1)
-    rho0 = np.broadcast_to(BELL, (2, 8, 8))
-    out = evolve_batch_h(rho0, hs, cfg.dt, steps)
-    ref, _ = evolve(BELL, s, cfg)
-    assert np.abs(out - ref).max() < 1e-13
 
 
 def random_hamiltonians(n):
@@ -186,18 +174,15 @@ def test_stepped_states_are_exactly_hermitian():
 
 
 def test_one_product_stages_match_the_two_product_step():
-    """Over one chunk at dt 0.25, the one-product stages agree with the
-    classical two-product RK4, for one H over the batch (the flat product)
-    and for one H per batch element (the stacked product)."""
+    """Over one chunk at dt 0.25, the stacked product agrees with the
+    classical two-product RK4 when every state has a different H, a case
+    the rows of tests/routes.py, one H per chunk, cannot take."""
     dt, steps = 0.25, IntegratorConfig(0.25).steps_per_chunk(75.0)
-    h = SET1.hamiltonians()[0]
-    hs = h + 0.5 * random_hamiltonians(len(CATALOG_BATCH))
-    for stepped, ref in (
-            (_stepped(CATALOG_BATCH, (h,), dt, steps),
-             classical_rk4(CATALOG_BATCH, h, dt, steps)),
-            (evolve_batch_h(CATALOG_BATCH, hs[None], dt, steps),
-             classical_rk4(CATALOG_BATCH, hs, dt, steps))):
-        assert np.abs(stepped - ref).max() < 1e-13
+    hs = SET1.hamiltonians()[0] + 0.5 * random_hamiltonians(
+        len(CATALOG_BATCH))
+    stepped = evolve_batch_h(CATALOG_BATCH, hs[None], dt, steps)
+    assert np.abs(stepped - classical_rk4(CATALOG_BATCH, hs, dt, steps)
+                  ).max() < 1e-13
 
 
 @pytest.mark.parametrize("unit", [_TIMES_1, _TIMES_I], ids=["one", "i"])
@@ -434,44 +419,22 @@ def test_the_step_matrix_is_one_stepped_step_of_the_basis(convention, dt):
                               _stepped(propagate._BASIS, (h,), dt, 1))
 
 
-TRAINED_SET2 = bundled_schedule("trained_set2")
-
-
-@pytest.mark.parametrize("rho", [mix(catalog("W")), SET2_STATES],
-                         ids=["W", "set2_13"])
-def test_evolve_follows_the_stepped_loop_through_a_schedule(rho):
-    """Through all four chunks of trained_set2 at dt 0.05, 6 000 steps,
-    the coordinate walk stays within 1e-12 of the stepped loop and its
-    result is exactly Hermitian."""
-    rho_f, _ = evolve(rho, TRAINED_SET2, IntegratorConfig(0.05))
-    assert np.abs(rho_f - direct(rho, TRAINED_SET2, 0.05)).max() < 1e-12
-    assert np.array_equal(rho_f, dagger(rho_f))
-
-
 @settings(max_examples=12, deadline=None)
-@given(kets=st.integers(1, 80), support=st.sets(st.integers(0, 7),
-                                                  min_size=1),
-       complex_amplitudes=st.booleans(),
-       convention=st.sampled_from([PLAIN, ANGULAR]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_evolve_is_the_stepped_map_of_every_state(
+@given(st.integers(1, 80), st.sets(st.integers(0, 7), min_size=1),
+       st.booleans(), st.sampled_from([PLAIN, ANGULAR]),
+       st.integers(0, 2 ** 32 - 1))
+def test_evolve_keeps_every_state_hermitian_and_lets_a_nan_through(
         kets, support, complex_amplitudes, convention, seed):
     """Kets on a random subset of the basis, real or complex, in batches on
-    both sides of the 64 coordinates: evolve matches the stepped loop on
-    every state, and a NaN in one state still reaches the readout."""
-    rng = np.random.default_rng(seed)
-    psi = np.zeros((kets, 8), dtype=complex)
-    psi[:, sorted(support)] = rng.normal(size=(kets, len(support)))
-    if complex_amplitudes:
-        psi[:, sorted(support)] += 1j * rng.normal(size=(kets, len(support)))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    rho = psi[:, :, None] * psi[:, None, :].conj()
+    both sides of the 64 coordinates: evolve's states are exactly
+    Hermitian, and a NaN in one state still reaches the readout."""
+    rho = densities(pure_kets(kets, sorted(support), complex_amplitudes,
+                              seed))
     s = Schedule(bundled_schedule("trained_set1").chunks[:1], 75.0,
                  convention)
     rho_f, _ = evolve(rho, s, IntegratorConfig(0.25))
-    assert np.abs(rho_f - direct(rho, s, 0.25)).max() < 1e-13
     assert np.array_equal(rho_f, dagger(rho_f))
-    rho[rng.integers(kets), 0, 0] = np.nan
+    rho[seed % kets, 0, 0] = np.nan
     with pytest.raises(NonFinite):
         evaluate_many(rho, s, IntegratorConfig(0.25))
 
