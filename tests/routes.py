@@ -1,5 +1,5 @@
-"""The route table, the one place where routes to the same numbers are
-compared (McKeeman, Digital Technical Journal 10(1), 100 (1998)), on
+"""The route table, where every route to the same numbers is compared
+(McKeeman, Digital Technical Journal 10(1), 100 (1998)), on
 generated problems (MacIver & Hatfield-Dodds, JOSS 4(43), 1891 (2019)).
 A FORWARD row maps (rhos, schedule, dt) to final states, held to the
 textbook RK4 loop of conftest run chunk by chunk; a GRADIENT row maps

@@ -1,17 +1,23 @@
 """The eigenbasis engine's own structure: its chunk map, its powering walk,
-what its states keep and what it refuses. Its final states and gradient
-are rows of tests/routes.py, the one place where routes are compared."""
+what its states keep and what it refuses; and, on set1's pairs at the
+bundled chunk length, its outputs, energy and gradient against the stepped
+routes. Its final states and gradient are also rows of tests/routes.py."""
 
 import numpy as np
 import pytest
 from conftest import DEGENERATE, classical_rk4, densities, pure_kets
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
-from qnnwitness.learning import IntegratorConfig, load_dataset
-from qnnwitness.ops import dagger
+from qnnwitness.learning import (
+    IntegratorConfig,
+    backprop_gradient,
+    load_dataset,
+    rms_error,
+)
+from qnnwitness.ops import dagger, readout
 from qnnwitness.propagate import evolve, evolve_expm
 from qnnwitness.states import catalog, mix
 from qnnwitness.superop import (
@@ -58,6 +64,15 @@ def test_geometric_sum(n):
     for j, l in [(0, 1), (5, 5)]:
         assert abs(got[_PAIR[j, l]] - n * t[j] ** (n - 1)) < n * 1e-12
     assert np.abs(tn - t ** n).max() < np.abs(t ** n).max() * 1e-12
+
+
+def summed_stagewise(ds, s, cfg):
+    """Loss from the stepped rms_error, gradient summed over per-pair
+    stage-level reverse passes."""
+    n_out = sum(len(p.targets) for p in ds.pairs)
+    energy = 0.5 * n_out * rms_error(ds, s, cfg) ** 2
+    grad = sum(backprop_gradient(pair, s, cfg) for pair in ds.pairs)
+    return energy, grad
 
 
 # uniform(-6, 6) chunks mixed with the degenerate ones, in either unit
@@ -121,6 +136,36 @@ def test_engine_never_raises_the_purity_of_pure_inputs(s, dt, seed):
     assert (purity[0][1:] <= purity[1][:-1] + 1e-12).all()
 
 
+@settings(max_examples=4, deadline=None)
+@given(schedules)
+@example(Schedule(np.array([DEGENERATE["eps_only"]]), 75.0, ANGULAR))
+def test_walks_of_one_to_four_chunks_agree_with_stagewise_route(s):
+    """The crossing walk, forward and back, at every length the schedules
+    take. With one chunk the walk back from the seed has no inner
+    crossing: its only step is the seed's crossing into the chunk's
+    eigenbasis."""
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    energy, grad, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    ref_energy, ref_grad = summed_stagewise(ds, s, IntegratorConfig(0.25))
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_spectra_agree_with_stagewise_route(name):
+    s = Schedule(np.tile(DEGENERATE[name], (2, 1)), 75.0, PLAIN)
+    w = np.linalg.eigvalsh(s.hamiltonians()[0])
+    assert np.min(np.diff(w)) < 1e-12
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    cfg = IntegratorConfig(0.25)
+    energy, grad, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    ref_energy, ref_grad = summed_stagewise(ds, s, cfg)
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+
+
 def test_propagate_vec_matches_direct_integration():
     """The per-chunk eigenbasis states, rotated back to the lab frame, are
     the stepped loop's states at every chunk boundary, and the final
@@ -175,6 +220,34 @@ def test_engine_refuses_a_step_that_does_not_divide_the_chunk(dt):
         dataset_loss_grad(rhos, targets, mask, s, dt)
 
 
+def test_outputs_match_squared_expectations():
+    """The training route's outputs, read by ops.loss_terms from the
+    eigenbasis engine's final states, must equal the squared readout of
+    the stepped route."""
+    s = bundled_schedule("trained_set1")
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    _, _, out = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    rho_f, _ = evolve(rhos, s, IntegratorConfig(0.25))
+    assert np.abs(out - readout(rho_f) ** 2).max() < 1e-12
+    bell_ab = next(i for i, p in enumerate(ds.pairs)
+                   if p.state == catalog("Bell_AB"))
+    assert out[bell_ab, 0] == pytest.approx(0.9954, abs=1e-3)
+
+
+def test_dataset_loss_grad_agrees_with_stagewise_route():
+    s = bundled_schedule("set1")
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    energy, grad, outputs = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+
+    ref_energy, ref_grad = summed_stagewise(ds, s, IntegratorConfig(0.25))
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    scale = np.maximum(np.abs(ref_grad), 1e-12)
+    assert (np.abs(grad - ref_grad) / scale).max() < 1e-9
+    assert outputs.shape == (len(ds.pairs), 4)
+
+
 def test_dataset_loss_grad_dt_invariance():
     # P(dt F)^(75/dt) depends on dt, but RK4's error per step is
     # O((dt dw)^5), dw the largest eigenvalue gap of a chunk Hamiltonian,
@@ -186,3 +259,18 @@ def test_dataset_loss_grad_dt_invariance():
     e2, g2, _ = dataset_loss_grad(rhos, targets, mask, s, 0.125)
     assert e1 == pytest.approx(e2, rel=1e-9)
     assert np.abs(g1 - g2).max() < 1e-9
+
+
+@settings(max_examples=4, deadline=None)
+@given(arrays(float, (4, 9), elements=st.floats(-6.0, 6.0)))
+def test_random_schedules_agree_with_stepped_routes(values):
+    s = Schedule(values, 75.0, PLAIN)
+    ds = load_dataset("set1")
+    rhos, targets, mask = ds.arrays()
+    cfg = IntegratorConfig(0.25)
+    energy, grad, outputs = dataset_loss_grad(rhos, targets, mask, s, 0.25)
+    rho_f, _ = evolve(rhos, s, cfg)
+    assert np.abs(outputs - readout(rho_f) ** 2).max() < 1e-12
+    ref_energy, ref_grad = summed_stagewise(ds, s, cfg)
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
