@@ -14,7 +14,7 @@ trace drift stays visible as a correctness signal.
 
 One stepping loop, _stepped, holds the step arithmetic: evolve_batch_h
 and a recording evolve step their states with it, and evolve's
-coordinate walk takes its step matrices from it (see below). It only
+coordinate map takes its step matrices from it (see below). It only
 steps, and broadcasts over leading batch axes of rho (and of h, when
 given a matching stack), so finite differences run as one batch per
 chunk. Each entry point
@@ -27,17 +27,17 @@ states at the step boundaries: the adjoint steps its own state back with
 the loop under -H and rebuilds each step's Horner stages from them with
 the loop's stage factors and kernel.
 
-Unless it records, evolve steps coordinates rather than matrices. An 8x8
-Hermitian matrix has 64 real coordinates, read from its float view
-through one index table, _COORD, with _BASIS the matching basis
-matrices, and RK4's step is linear in rho, so each chunk's step is one
-(64, 64) real matrix, built from one _stepped step of the 64 basis
-matrices; a step of the batch is then one real product. A batch whose
-coordinates are nonzero in fewer places r than it has states (a sweep
-grid: 441 states, 6 or 10 coordinates) steps the r unit rows of those
-coordinates and recombines every state from them by one real product.
-The result differs from stepping each state only by round-off, and the
-product back to matrices makes it exactly Hermitian.
+Unless it records, evolve maps coordinates rather than stepping
+matrices. An 8x8 Hermitian matrix has 64 real coordinates, read from its
+float view through one index table, _COORD, with _BASIS the matching
+basis matrices, and RK4's step is linear in rho, so each chunk's step is
+one (64, 64) real matrix S, built from one _stepped step of the 64 basis
+matrices. Its n steps are S^n, raised by binary powering on the
+increment S - I (_power_increment) in about 2 log2(n) products, and the
+chunks' increments compose into one, so the whole schedule is one real
+product with the batch's coordinates, whatever its size. The result
+differs from stepping each state only by round-off, and the product back
+to matrices makes it exactly Hermitian.
 """
 from __future__ import annotations
 
@@ -321,16 +321,18 @@ def _step_matrix(h, dt):
     return x.reshape(64, 64).view(float)[:, _COORD]
 
 
-def _walk(rows, ss, steps):
-    """steps steps of each step matrix of ss in turn on the coordinate
-    rows, one product a step into a second array, the two swapped after
-    each; rows is written through."""
-    w = np.empty_like(rows)
-    for s in ss:
-        for _ in range(steps):
-            np.matmul(rows, s, out=w)
-            rows, w = w, rows
-    return rows
+def _power_increment(d, n):
+    """(I + d)^n - I for n >= 1, by binary powering (Knuth, TAOCP vol. 2,
+    4.6.3) on the increment: from the leading bit of n down, a square is
+    2p + p p and a set bit p + d + p d, so the identity never enters a
+    sum and the small increment of a step near the identity keeps its
+    low bits. About 2 log2(n) products; n = 1 gives d itself."""
+    p = d
+    for bit in bin(n)[3:]:
+        p = 2 * p + p @ p
+        if bit == "1":
+            p = p + d + p @ d
+    return p
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
@@ -346,17 +348,18 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     Recording steps the batch's matrices with _stepped and stores every
     step boundary, which is all the reference adjoint, _stepped_gradient,
     needs. Without it, one H per chunk serves the whole batch, and a step
-    is linear in rho, so evolve steps the batch's 64 real Hermitian
-    coordinates (_coordinates), each step one real product with the
-    chunk's step matrix (_step_matrix). A batch of n states whose
-    coordinates are nonzero in only r < n places (a sweep grid: 6 for
-    fig2, 10 for fig1) steps the r unit rows of those coordinates instead
-    and recombines every state from them by one real product; a
-    coordinate left out is zero in every state, so no threshold is
-    involved. One real product with _BASIS's float view turns the
-    coordinates back into matrices. Each of its floats is one coordinate
-    or its negation, so the result is exactly Hermitian, and it is the
-    stepped map of every state up to round-off.
+    is linear in rho, so evolve maps the batch's 64 real Hermitian
+    coordinates c (_coordinates). Each chunk's step matrix S
+    (_step_matrix) is raised to the chunk's step count n as the increment
+    (I + D)^n - I of D = S - I (_power_increment), the chunks' increments
+    compose as T + D_k + T D_k into one increment T of the schedule, and
+    the batch's final coordinates are c + c T, one real product. Adding
+    increments keeps the low bits that a step near the identity carries,
+    which a product of full matrices would round away. One real product
+    with _BASIS's float view turns the coordinates back into matrices.
+    Each of its floats is one coordinate or its negation, so the result
+    is exactly Hermitian, and it is the stepped map of every state up to
+    round-off.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -366,14 +369,12 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
         states = np.empty((steps * s.n_chunks + 1,) + rho.shape,
                           dtype=complex)
         return _stepped(rho, hs, cfg.dt, steps, states), Trajectory(states)
+    t = np.zeros((64, 64))
+    for h in hs:
+        d = _power_increment(_step_matrix(h, cfg.dt) - np.eye(64), steps)
+        t = t + d + t @ d
     c = _coordinates(rho)
-    used = np.flatnonzero((c != 0).any(axis=0))
-    split = len(used) < len(c)
-    rows = _walk(np.eye(64)[used] if split else c,
-                 [_step_matrix(h, cfg.dt) for h in hs], steps)
-    if split:
-        rows = c[:, used] @ rows
-    x = rows @ _BASIS.reshape(64, 64).view(float)
+    x = (c + c @ t) @ _BASIS.reshape(64, 64).view(float)
     return x.view(complex).reshape(rho.shape), None
 
 

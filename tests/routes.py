@@ -32,9 +32,9 @@ FORWARD = {
     # the recorded loop, _stepped: 2.2e-14
     "evolve, recorded": (lambda rhos, s, dt: evolve(
         rhos, s, IntegratorConfig(dt), record=True)[0], lambda steps: 1e-13),
-    # the coordinate walk, whose gap grows with the step count, most where
-    # a step is near the identity: 5.6e-14 at 150 steps, 9.7e-14 at 600,
-    # 2.7e-13 at 6 000
+    # each chunk's step matrix powered to its step count: 7.4e-15 at 150
+    # steps, 3.5e-14 at 600, 3.7e-14 at 1 500 near the identity, 5.4e-14
+    # at 6 000
     "evolve": (lambda rhos, s, dt: evolve(rhos, s, IntegratorConfig(dt))[0],
                lambda steps: 5e-14 + 1.5e-16 * steps),
     # _stepped's stacked product, each state its own copy of H: 2.2e-14
@@ -135,7 +135,7 @@ ZERO_TARGETS = dict.fromkeys(OBSERVABLE_IDS, 0.0)
 supports = st.sets(st.integers(0, 7), min_size=1).map(sorted)
 seeds = st.integers(0, 2 ** 32 - 1)
 # catalog states, or 1 to 80 random pure kets, real or complex, on a random
-# support: the coordinate walk splits a batch on either side of 64
+# support: batches on either side of the 64 Hermitian coordinates
 batches = st.one_of(
     st.lists(st.sampled_from(FIXED), min_size=1, unique=True).map(
         lambda names: np.stack([mix(catalog(n)) for n in names])),
@@ -148,7 +148,8 @@ THREE = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
 @settings(max_examples=10, deadline=None)
 @given(problems(), batches)
 # the bundled length, 300 steps a chunk: one chunk of set1 on the 25 fixed
-# catalog states, and one of trained_set1 on 70 complex kets, a split walk
+# catalog states (evolve 1.5e-14), and one of trained_set1 on 70 complex
+# kets, more states than coordinates (3.7e-15)
 @example((Schedule(bundled_schedule("set1").chunks[:1]), 0.25),
          np.stack([mix(catalog(n)) for n in FIXED]))
 @example((Schedule(bundled_schedule("trained_set1").chunks[:1], 75.0,
@@ -159,6 +160,10 @@ THREE = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
                    75.0, ANGULAR), 0.125), THREE)
 @example((TRAINED_SET2, 0.05),
          np.concatenate([THREE[1:2], load_dataset("set2").arrays()[0]]))
+# a step near the identity, 1 500 steps of a plain equal_K row at dt 0.05,
+# on 26 complex kets (evolve 3.7e-14)
+@example((Schedule(np.array([DEGENERATE["equal_K"]]), 75.0, PLAIN), 0.05),
+         densities(pure_kets(26, list(range(8)), True, 1)))
 def test_forward_routes(problem, rhos):
     s, dt = problem
     steps, ref = s.n_chunks * steps_of(s, dt), rhos

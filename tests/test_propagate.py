@@ -31,6 +31,7 @@ from qnnwitness.superop import _quartic
 from qnnwitness.witness import evaluate_many
 
 RNG = np.random.default_rng(13)
+EPS = np.finfo(float).eps
 
 SET1 = bundled_schedule("set1")
 TRAINED_SET2 = bundled_schedule("trained_set2")
@@ -314,19 +315,6 @@ def stepped_rows(monkeypatch):
     return rows
 
 
-@pytest.fixture
-def walked_rows(monkeypatch):
-    """A copy of the coordinate rows of each call evolve makes to _walk."""
-    rows, walk = [], propagate._walk
-
-    def copying(x, *args):
-        rows.append(x.copy())
-        return walk(x, *args)
-
-    monkeypatch.setattr(propagate, "_walk", copying)
-    return rows
-
-
 def direct(rho, s, dt):
     """The stepped loop on every state of rho, as evolve records it."""
     steps = IntegratorConfig(dt).steps_per_chunk(s.chunk_duration)
@@ -340,15 +328,14 @@ ONE_CHUNK = Schedule(bundled_schedule("trained_set2").chunks[:1])
 
 
 @pytest.mark.parametrize("record", [False, True])
-def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows,
-                                                       walked_rows, record):
-    """The fig2 grid's 21 x 21 states have amplitudes on |000>, |110> and
-    |111> only, all real: 3 diagonal and 3 real off-diagonal coordinates.
-    So the coordinate walk steps the 6 unit rows of those coordinates,
-    after one _stepped step of the 64 basis matrices builds the chunk's
-    step matrix, and the recombined states are the stepped states to
-    round-off, in the grid's shape, and exactly Hermitian. A recorded grid
-    is never split: its 441 states are stepped as they are."""
+def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows, record):
+    """Without recording, the fig2 grid's 21 x 21 states are never stepped:
+    one _stepped step of the 64 basis matrices, which span every Hermitian
+    state, builds the chunk's step matrix, and the grid's coordinates go
+    through its 300 steps as one product with their powered increment.
+    The result is the stepped states to round-off, in the grid's shape,
+    and exactly Hermitian. A recorded grid is stepped as it is: its 441
+    states, bit for bit the stepped loop."""
     cfg = IntegratorConfig(0.25)
     rho_f, traj = evolve(FIG2_GRID, ONE_CHUNK, cfg, record=record)
     assert stepped_rows == [441 if record else 64]
@@ -356,15 +343,9 @@ def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows,
     assert np.abs(rho_f - direct(FIG2_GRID, ONE_CHUNK, 0.25)).max() < 1e-14
     assert np.array_equal(rho_f, dagger(rho_f))
     if record:
-        assert walked_rows == []
         assert np.array_equal(rho_f, direct(FIG2_GRID, ONE_CHUNK, 0.25))
         assert traj.states.shape == (301,) + FIG2_GRID.shape
         assert np.array_equal(traj.states[-1], rho_f)
-    else:
-        # the diagonal coordinates 0, 6, 7, then the real parts of the
-        # upper entries (0, 6), (0, 7) and (6, 7), 5, 6 and 27 in _UPPER
-        [rows] = walked_rows
-        assert np.array_equal(rows, np.eye(64)[[0, 6, 7, 13, 14, 35]])
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -401,15 +382,14 @@ SET2_STATES = load_dataset("set2").arrays()[0]
     np.stack([mix(catalog(n))
               for n in ("Bell_AB", "flat_AC", "W", "GHZ_minus", "M")]),
     SET2_STATES], ids=["8x8", "1x8x8", "gate_5", "set2_13"])
-def test_a_batch_that_spans_its_size_is_stepped_as_it_is(walked_rows, rho):
-    """A batch with no more states than nonzero coordinates walks its own
-    coordinates, one row per state, to within round-off of the stepped
-    loop and exactly Hermitian."""
+def test_a_batch_that_spans_its_size_is_stepped_as_it_is(stepped_rows, rho):
+    """Whatever the batch, _stepped steps only the 64 basis matrices, once
+    per chunk, and the batch's own coordinates are mapped as they are: the
+    result is the stepped loop's to round-off, in the batch's shape and
+    exactly Hermitian."""
     cfg = IntegratorConfig(0.25)
     rho_f, _ = evolve(rho, ONE_CHUNK, cfg)
-    [rows] = walked_rows
-    assert np.array_equal(rows, propagate._coordinates(rho))
-    assert len(rows) == math.prod(rho.shape[:-2])
+    assert stepped_rows == [64]
     assert rho_f.shape == rho.shape
     assert np.abs(rho_f - direct(rho, ONE_CHUNK, 0.25)).max() < 1e-13
     assert np.array_equal(rho_f, dagger(rho_f))
@@ -420,8 +400,8 @@ def test_a_batch_that_spans_its_size_is_stepped_as_it_is(walked_rows, rho):
 @pytest.mark.parametrize("dt", [0.25, 0.05])
 def test_the_step_matrix_is_one_stepped_step_of_the_basis(convention, dt):
     """Each chunk's step matrix, mapped back through _BASIS, is one
-    _stepped step of the 64 basis matrices bit for bit: the coordinate
-    walk takes RK4's step arithmetic from _stepped alone."""
+    _stepped step of the 64 basis matrices bit for bit: evolve's
+    powering takes RK4's step arithmetic from _stepped alone."""
     s = Schedule(bundled_schedule("trained_set1").chunks, 75.0, convention)
     basis = propagate._BASIS.reshape(64, 64).view(float)
     for h in s.hamiltonians():
@@ -430,13 +410,35 @@ def test_the_step_matrix_is_one_stepped_step_of_the_basis(convention, dt):
                               _stepped(propagate._BASIS, (h,), dt, 1))
 
 
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_the_powered_increment_is_the_walk_of_the_step_matrix(dt):
+    """For every step count n from 1 to 40, and at 300, 1 500 and 7 500
+    (other bit patterns), I + _power_increment(D, n) is n products with a
+    trained_set1 chunk's step matrix S = I + D to round-off: a few ulp a
+    product, the walk's own. At n = 1 it is D bit for bit."""
+    h = bundled_schedule("trained_set1").hamiltonians()[0]
+    s = propagate._step_matrix(h, dt)
+    d = s - np.eye(64)
+    assert np.array_equal(propagate._power_increment(d, 1), d)
+    walked = np.eye(64)
+    for n in range(1, 7501):
+        walked = walked @ s
+        if n <= 40 or n in (300, 1500, 7500):
+            powered = np.eye(64) + propagate._power_increment(d, n)
+            assert np.abs(powered - walked).max() < 4 * EPS * n
+
+
 @pytest.mark.parametrize("rho", [mix(catalog("W")), SET2_STATES],
                          ids=["W", "set2_13"])
-def test_evolve_follows_the_stepped_loop_through_a_schedule(rho):
+def test_evolve_follows_the_stepped_loop_through_a_schedule(stepped_rows,
+                                                          rho):
     """Through all four chunks of trained_set2 at dt 0.05, 6 000 steps,
-    the coordinate walk stays within 1e-12 of the stepped loop and its
-    result is exactly Hermitian."""
+    each chunk's step matrix powered to its 1 500 steps and the four
+    increments composed into one stays within 1e-12 of the stepped loop;
+    _stepped steps the 64 basis matrices once a chunk, and the result is
+    exactly Hermitian."""
     rho_f, _ = evolve(rho, TRAINED_SET2, IntegratorConfig(0.05))
+    assert stepped_rows == [64] * 4
     assert np.abs(rho_f - direct(rho, TRAINED_SET2, 0.05)).max() < 1e-12
     assert np.array_equal(rho_f, dagger(rho_f))
 
