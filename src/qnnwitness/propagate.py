@@ -16,8 +16,8 @@ One stepping loop, _stepped, holds the step arithmetic: evolve_batch_h
 and a recording evolve step their states with it, and evolve's
 coordinate map takes its step matrices from it (see below). It only
 steps, and broadcasts over leading batch axes of rho (and of h, when
-given a matching stack), so finite differences run as one batch per
-chunk. Each entry point
+given a matching stack), so finite differences step all their perturbed
+parameter sets as one batch, each under its own H. Each entry point
 refuses a dt past RK4's stability limit once, from the spectra of the
 Hamiltonians it builds. Every line that knows RK4's step is in this
 module: the loop, its stage factors (_stage_factors) and commutator
@@ -37,7 +37,10 @@ increment S - I (_power_increment) in about 2 log2(n) products, and the
 chunks' increments compose into one, so the whole schedule is one real
 product with the batch's coordinates, whatever its size. The result
 differs from stepping each state only by round-off, and the product back
-to matrices makes it exactly Hermitian.
+to matrices makes it exactly Hermitian. Finite differences take the
+same increments (_increments) and the same product back (_matrices) for
+the chunks a perturbed parameter set shares with the unperturbed
+schedule, before and after its own.
 """
 from __future__ import annotations
 
@@ -335,6 +338,23 @@ def _power_increment(d, n):
     return p
 
 
+def _increments(hs, dt, steps):
+    """Each chunk's increment D_k = S_k^n - I, one (64, 64) real matrix
+    per H of hs: its step matrix (_step_matrix) raised to the chunk's
+    step count n by _power_increment."""
+    return [_power_increment(_step_matrix(h, dt) - np.eye(64), steps)
+            for h in hs]
+
+
+def _matrices(c):
+    """(n, 8, 8) the Hermitian matrices of (n, 64) coordinates, from one
+    real product with _BASIS's float view. Each float of the result is
+    one coordinate or its negation, so the result is exactly Hermitian,
+    and it is exactly the state that _coordinates read."""
+    x = c @ _BASIS.reshape(64, 64).view(float)
+    return x.view(complex).reshape(-1, 8, 8)
+
+
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
            record: bool = False):
     """Propagate rho0 through the whole schedule.
@@ -370,12 +390,10 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
                           dtype=complex)
         return _stepped(rho, hs, cfg.dt, steps, states), Trajectory(states)
     t = np.zeros((64, 64))
-    for h in hs:
-        d = _power_increment(_step_matrix(h, cfg.dt) - np.eye(64), steps)
+    for d in _increments(hs, cfg.dt, steps):
         t = t + d + t @ d
     c = _coordinates(rho)
-    x = (c + c @ t) @ _BASIS.reshape(64, 64).view(float)
-    return x.view(complex).reshape(rho.shape), None
+    return _matrices(c + c @ t).reshape(rho.shape), None
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
@@ -383,10 +401,11 @@ def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,
     """Forward-only evolution where every batch element has its own H.
 
     hs has shape (n_chunks, ...batch, 8, 8) matching rho0's batch axes.
-    The finite-difference gradient calls it once per chunk, with one
-    parameter set per batch element: each set's own H for that chunk. The
-    caller checks hs against RK4's stability limit first, as fd_gradient
-    does for all its Hamiltonians at once; this only steps.
+    The finite-difference gradient calls it once, with one chunk of hs:
+    each batch element is a perturbed parameter set, stepped through its
+    own chunk under its own H. The caller checks hs against RK4's
+    stability limit first, as fd_gradient does for all its Hamiltonians
+    at once; this only steps.
     """
     return _stepped(np.asarray(rho0), hs, dt, steps_per_chunk)
 

@@ -108,26 +108,33 @@ chunk_rows = st.lists(
 CHUNK_NS = 7.5
 
 
-@st.composite
-def problems(draw):
-    """(schedule, dt): 7.5 ns chunks in either convention at dt 0.25 or
-    0.05, scaled if drawn so to put the fastest at up to 0.9 of RK4's
-    stability limit."""
+def make_problem(rows, convention, dt, fraction):
+    """(schedule, dt): 7.5 ns chunks of the rows, "repeat" for the row
+    before, scaled if a fraction is given so to put the fastest at that
+    fraction of RK4's stability limit. A spread too small for the scale
+    to be finite (near the smallest normal float) is left as it is."""
     chunks = []
-    for row in draw(chunk_rows):
+    for row in rows:
         if isinstance(row, str):
             row = chunks[-1] if chunks else DEGENERATE["zero"]
         chunks.append(row)
-    s = Schedule(np.array(chunks, dtype=float), CHUNK_NS,
-                 draw(st.sampled_from([PLAIN, ANGULAR])))
-    dt = draw(st.sampled_from([0.25, 0.05]))
-    fraction = draw(st.one_of(st.none(), st.floats(0.1, 0.9)))
+    s = Schedule(np.array(chunks, dtype=float), CHUNK_NS, convention)
     w = np.linalg.eigvalsh(s.hamiltonians())
-    spread = (w[:, -1] - w[:, 0]).max()
+    spread = float((w[:, -1] - w[:, 0]).max())
     if fraction is not None and spread > 0:
         scale = fraction * RK4_STABLE_THETA / (dt * spread)
-        s = Schedule(scale * s.chunks, CHUNK_NS, s.convention)
+        if np.isfinite(scale):
+            s = Schedule(scale * s.chunks, CHUNK_NS, s.convention)
     return s, dt
+
+
+@st.composite
+def problems(draw):
+    """make_problem of drawn rows, convention, dt and fraction."""
+    return make_problem(draw(chunk_rows),
+                        draw(st.sampled_from([PLAIN, ANGULAR])),
+                        draw(st.sampled_from([0.25, 0.05])),
+                        draw(st.one_of(st.none(), st.floats(0.1, 0.9))))
 
 
 FIXED = [n for n in CATALOG_NAMES if n not in FAMILIES]
@@ -164,6 +171,9 @@ THREE = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
 # on 26 complex kets (evolve 3.7e-14)
 @example((Schedule(np.array([DEGENERATE["equal_K"]]), 75.0, PLAIN), 0.05),
          densities(pure_kets(26, list(range(8)), True, 1)))
+# a row of 1e-305 MHz, whose spread of ~1e-307 no finite scale brings to
+# the stability limit
+@example(make_problem([np.full(9, 1e-305)], PLAIN, 0.05, 0.9), THREE)
 def test_forward_routes(problem, rhos):
     s, dt = problem
     steps, ref = s.n_chunks * steps_of(s, dt), rhos

@@ -354,8 +354,9 @@ def test_a_sweep_grid_steps_only_the_basis_of_its_span(stepped_rows, record):
 def test_the_coordinates_rebuild_the_hermitized_batch(real, hermitian):
     """On seeded random batches of 70, sum_i c_i _BASIS[i] is the
     Hermitized batch bit for bit, as a sum over the nonzero coordinates
-    and as the one real product evolve takes with _BASIS's float view:
-    each of its floats is one coordinate, or its negation, times 1. A
+    and as _matrices, the one real product with _BASIS's float view that
+    evolve and fd_gradient take: each of its floats is one coordinate, or
+    its negation, times 1. A
     complex batch uses all 64 coordinates and a real one only the 36 of
     its real symmetric part, in table order."""
     rng = np.random.default_rng(23)
@@ -370,8 +371,7 @@ def test_the_coordinates_rebuild_the_hermitized_batch(real, hermitian):
     hermitized = (x + dagger(x)) / 2
     assert np.array_equal(np.tensordot(c[:, used], propagate._BASIS[used], 1),
                           hermitized)
-    product = c @ propagate._BASIS.reshape(64, 64).view(float)
-    assert np.array_equal(product.view(complex).reshape(x.shape), hermitized)
+    assert np.array_equal(propagate._matrices(c), hermitized)
 
 
 SET2_STATES = load_dataset("set2").arrays()[0]
