@@ -217,17 +217,18 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     controls are constant. Before and after it a set meets p's own
     Hamiltonians, whose chunks are each one linear map of the state's 64
     Hermitian coordinates, the increment D_j = S_j^n - I of the chunk's
-    powered step matrix (propagate._increments), as in evolve. So p's
-    coordinates are carried to the start of every chunk, c_(j+1) = c_j +
-    c_j D_j, and all 18 n_chunks sets are stepped through their own chunk
-    only, from p's state there, in one evolve_batch_h call: 72 state-chunks
-    at four chunks, in place of 288 for every set through every chunk.
-    Each chunk's 18 results then meet the composed increment of the chunks
-    after it, built last first as A <- D_j + A + D_j A, and one product
-    turns the coordinates back into matrices (propagate._matrices) for
-    one loss_terms. The differences are those of every set stepped
-    through every chunk up to round-off, and exactly those with one
-    chunk. Only p's Hamiltonians and the perturbed ones are built, and
+    powered step matrix (propagate._increments), which carries
+    coordinates c to c + c D_j, as in evolve. So p's coordinates are
+    carried to the start of every chunk, and all 18 n_chunks sets are
+    stepped through their own chunk only, from p's state there, in one
+    evolve_batch_h call: 72 state-chunks at four chunks, in place of 288
+    for every set through every chunk. Each chunk's 18 results are then
+    carried by the same rule through every chunk after it, in order, and
+    one product turns the coordinates back into matrices
+    (propagate._matrices) for one loss_terms. No two chunks' increments
+    are ever multiplied together. The differences are those of every set
+    stepped through every chunk up to round-off, and exactly those with
+    one chunk. Only p's Hamiltonians and the perturbed ones are built, and
     all pass the stability check, which names their chunk, before the
     first step. h must be a positive finite real step that moves every
     parameter: where p + h or p - h rounds to p, the difference would
@@ -249,20 +250,18 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     check_stable(np.linalg.eigvalsh(hs), cfg.dt)
     rho, targets, mask = pair.arrays()
     increments = _increments(hs[:, 0], cfg.dt, steps)
-    # p's coordinates entering each chunk
+    # p's coordinates entering each chunk, each carried from the last as
+    # c + c D
     entering = [_coordinates(rho)]
     for d in increments[:-1]:
         entering.append(entering[-1] + entering[-1] @ d)
     stepped = evolve_batch_h(
         np.repeat(_matrices(np.concatenate(entering)), 18, axis=0),
         hs[None, :, 1:].reshape(1, -1, 8, 8), cfg.dt, steps)
-    # each chunk's 18 sets on through the composed increment of the chunks
-    # after it, built last first
+    # each chunk's 18 sets on through every chunk after it, in order
     c = _coordinates(stepped).reshape(len(hs), 18, 64)
-    after = np.zeros((64, 64))
-    for k in reversed(range(len(hs))):
-        c[k] += c[k] @ after
-        after = increments[k] + after + increments[k] @ after
+    for k, d in enumerate(increments):
+        c[:k] += c[:k] @ d
     energies, _, _ = loss_terms(_matrices(c.reshape(-1, 64)), targets, mask)
     return (energies[0::2] - energies[1::2]) / (2 * h)
 

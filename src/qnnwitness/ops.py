@@ -61,7 +61,7 @@ def readout(rho: np.ndarray) -> np.ndarray:
     tr = np.einsum("...ii,ki->...k", rho, SIGNS)
     if not np.isfinite(tr).all():
         raise NonFinite("non-finite correlation: diverged or non-finite state")
-    worst = np.abs(tr.imag).max()
+    worst = np.abs(tr.imag).max(initial=0.0)
     if worst >= HERM_TOL:
         raise ImaginaryTraceError(
             f"imaginary trace {worst:.3e} exceeds {HERM_TOL:.0e}")

@@ -28,19 +28,20 @@ the loop under -H and rebuilds each step's Horner stages from them with
 the loop's stage factors and kernel.
 
 Unless it records, evolve maps coordinates rather than stepping
-matrices. An 8x8 Hermitian matrix has 64 real coordinates, read from its
-float view through one index table, _COORD, with _BASIS the matching
-basis matrices, and RK4's step is linear in rho, so each chunk's step is
-one (64, 64) real matrix S, built from one _stepped step of the 64 basis
-matrices. Its n steps are S^n, raised by binary powering on the
-increment S - I (_power_increment) in about 2 log2(n) products, and the
-chunks' increments compose into one, so the whole schedule is one real
-product with the batch's coordinates, whatever its size. The result
-differs from stepping each state only by round-off, and the product back
-to matrices makes it exactly Hermitian. Finite differences take the
-same increments (_increments) and the same product back (_matrices) for
-the chunks a perturbed parameter set shares with the unperturbed
-schedule, before and after its own.
+matrices. An 8x8 Hermitian matrix has 64 real coordinates, which
+_coordinates alone reads from its float view through one index table,
+_COORD, with _BASIS the matching basis matrices, and RK4's step is
+linear in rho, so each chunk's step is one (64, 64) real matrix S, built
+from one _stepped step of the 64 basis matrices. Its n steps are S^n,
+raised by binary powering on the increment D = S - I (_power_increment)
+in about 2 log2(n) products. The map has one rule: a chunk carries
+coordinates c to c + c D, one real product with the batch, whatever its
+size, and two chunks' increments never meet. The result differs from
+stepping each state only by round-off, and the product back to matrices
+makes it exactly Hermitian. Finite differences take the same increments
+(_increments), carry by the same rule through the chunks a perturbed
+parameter set shares with the unperturbed schedule, before and after its
+own, and take the same product back (_matrices).
 """
 from __future__ import annotations
 
@@ -317,11 +318,11 @@ def _coordinates(rho):
 
 def _step_matrix(h, dt):
     """The (64, 64) real step matrix S of H = h: row i holds the
-    coordinates of one _stepped step of _BASIS[i], so that c @ S holds
-    those of one step of the state with coordinates c. The stepped basis
-    is exactly Hermitian, so its coordinates are read as they are."""
-    x = _stepped(_BASIS, h[None], dt, 1)
-    return x.reshape(64, 64).view(float)[:, _COORD]
+    coordinates (_coordinates) of one _stepped step of _BASIS[i], so that
+    c @ S holds those of one step of the state with coordinates c. The
+    stepped basis is exactly Hermitian, so Hermitizing it there leaves it
+    bit for bit as it is."""
+    return _coordinates(_stepped(_BASIS, h[None], dt, 1))
 
 
 def _power_increment(d, n):
@@ -371,15 +372,14 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     is linear in rho, so evolve maps the batch's 64 real Hermitian
     coordinates c (_coordinates). Each chunk's step matrix S
     (_step_matrix) is raised to the chunk's step count n as the increment
-    (I + D)^n - I of D = S - I (_power_increment), the chunks' increments
-    compose as T + D_k + T D_k into one increment T of the schedule, and
-    the batch's final coordinates are c + c T, one real product. Adding
-    increments keeps the low bits that a step near the identity carries,
-    which a product of full matrices would round away. One real product
-    with _BASIS's float view turns the coordinates back into matrices.
-    Each of its floats is one coordinate or its negation, so the result
-    is exactly Hermitian, and it is the stepped map of every state up to
-    round-off.
+    D_k = (I + D)^n - I of D = S - I (_power_increment), and chunk by
+    chunk the batch's coordinates are carried as c + c D_k, one real
+    product a chunk. Adding the increment keeps the low bits that a step
+    near the identity carries, which a product with the full matrix would
+    round away. One real product with _BASIS's float view turns the
+    coordinates back into matrices. Each of its floats is one coordinate
+    or its negation, so the result is exactly Hermitian, and it is the
+    stepped map of every state up to round-off.
     """
     rho = np.asarray(rho0)
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -389,11 +389,10 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
         states = np.empty((steps * s.n_chunks + 1,) + rho.shape,
                           dtype=complex)
         return _stepped(rho, hs, cfg.dt, steps, states), Trajectory(states)
-    t = np.zeros((64, 64))
-    for d in _increments(hs, cfg.dt, steps):
-        t = t + d + t @ d
     c = _coordinates(rho)
-    return _matrices(c + c @ t).reshape(rho.shape), None
+    for d in _increments(hs, cfg.dt, steps):
+        c = c + c @ d
+    return _matrices(c).reshape(rho.shape), None
 
 
 def evolve_batch_h(rho0: np.ndarray, hs: np.ndarray, dt: float,

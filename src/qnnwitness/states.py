@@ -93,7 +93,8 @@ def mix_many(specs) -> np.ndarray:
     spec's density in component order."""
     owner = [i for i, spec in enumerate(specs) for _ in spec.kets]
     weights = np.array([w for spec in specs for w in spec.weights])
-    kets = np.array([k for spec in specs for k in spec.kets], dtype=complex)
+    kets = np.array([k for spec in specs for k in spec.kets],
+                    dtype=complex).reshape(-1, 8)
     terms = weights[:, None, None] * (kets[:, :, None] * kets[:, None, :].conj())
     rhos = np.zeros((len(specs), 8, 8), dtype=complex)
     np.add.at(rhos, owner, terms)

@@ -135,20 +135,22 @@ class SweepGrid:
 def _crossing_locus(alphas, betas, outputs):
     """Per beta row, the alpha where out_AB crosses out_ABC.
 
-    Linear interpolation between the adjacent samples of the first sign
-    change; rows without a crossing are omitted.
+    The first crossing along alpha: a sample where the difference is zero
+    crosses at its own alpha, and two adjacent samples of opposite signs
+    at the linear interpolation between them. Rows without a crossing are
+    omitted.
     """
     locus = []
     for i, beta in enumerate(betas):
         diff = outputs[i, :, 0] - outputs[i, :, 3]
-        for j in range(len(alphas) - 1):
-            a, b = diff[j], diff[j + 1]
-            if a == 0.0:
-                locus.append((float(beta), float(alphas[j])))
+        sign = np.sign(diff)
+        for j, alpha in enumerate(alphas):
+            if sign[j] == 0:
+                locus.append((float(beta), float(alpha)))
                 break
-            if (a < 0) != (b < 0):
-                frac = abs(a) / (abs(a) + abs(b))
-                alpha_star = alphas[j] + frac * (alphas[j + 1] - alphas[j])
+            if j + 1 < len(alphas) and sign[j] * sign[j + 1] < 0:
+                frac = abs(diff[j]) / (abs(diff[j]) + abs(diff[j + 1]))
+                alpha_star = alpha + frac * (alphas[j + 1] - alpha)
                 locus.append((float(beta), float(alpha_star)))
                 break
     return tuple(locus)

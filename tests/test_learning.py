@@ -205,9 +205,9 @@ def test_fd_gradient_is_the_all_rows_batch_bit_for_bit(n_chunks, convention,
 def test_fd_gradient_is_the_all_rows_batch(n_chunks, convention, state):
     """Taking p's chunks before and after each set's own chunk as their
     powered step matrices moves the differences only by round-off: the
-    largest gap measured is 1.3e-11 at dt 0.25. A dropped increment, or
-    the later chunks composed in the wrong order, moves them by far more
-    than the bound."""
+    largest gap measured is 1.3e-11 at dt 0.25. A dropped increment, or a
+    set carried through its own chunk's increment as well as stepped
+    through that chunk, moves them by far more than the bound."""
     numeric, reference = fd_and_all_rows(n_chunks, convention, state)
     assert np.abs(numeric - reference).max() <= 1e-10
 

@@ -433,10 +433,10 @@ def test_the_powered_increment_is_the_walk_of_the_step_matrix(dt):
 def test_evolve_follows_the_stepped_loop_through_a_schedule(stepped_rows,
                                                           rho):
     """Through all four chunks of trained_set2 at dt 0.05, 6 000 steps,
-    each chunk's step matrix powered to its 1 500 steps and the four
-    increments composed into one stays within 1e-12 of the stepped loop;
-    _stepped steps the 64 basis matrices once a chunk, and the result is
-    exactly Hermitian."""
+    each chunk's step matrix powered to its 1 500 steps and the batch's
+    coordinates carried through the four increments in turn stays within
+    1e-12 of the stepped loop; _stepped steps the 64 basis matrices once
+    a chunk, and the result is exactly Hermitian."""
     rho_f, _ = evolve(rho, TRAINED_SET2, IntegratorConfig(0.05))
     assert stepped_rows == [64] * 4
     assert np.abs(rho_f - direct(rho, TRAINED_SET2, 0.05)).max() < 1e-12

@@ -237,6 +237,10 @@ def test_mix_many_is_the_loop_over_components():
     assert np.array_equal(mix(specs[-1]), loop[-1])
 
 
+def test_mix_many_of_no_specs_is_empty():
+    assert mix_many(()).shape == (0, 8, 8)
+
+
 def test_catalog_rejects_unknown_and_bad_arity():
     with pytest.raises(UnknownState):
         catalog("Bell_CA")

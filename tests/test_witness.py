@@ -74,6 +74,13 @@ def test_evaluate_many_matches_single_calls():
             assert outs[i, j] == pytest.approx(single[key])
 
 
+def test_evaluate_many_of_no_states_is_empty():
+    """An empty stack is no states to check or step: (0, 4) outputs."""
+    outs = evaluate_many(np.empty((0, 8, 8)), bundled_schedule("trained_set2"),
+                         FAST)
+    assert outs.shape == (0, 4)
+
+
 @pytest.mark.parametrize("probe, what", [
     (np.eye(8, k=1), r"\|rho - rho\+\| = 1 "),  # trace 0, not Hermitian
     (3 * np.eye(8), r"\|tr rho - 1\| = 23 "),
@@ -244,6 +251,27 @@ def test_crossing_rows_interpolate_between_grid_points():
     # the locus tracks the diagonal
     mids = [(b, a) for b, a in grid.crossing if 0.2 <= b <= 0.9]
     assert mids and max(abs(a - b) for b, a in mids) < 0.15
+
+
+def crossing_of(diff):
+    """The locus of one beta row whose out_AB - out_ABC is diff, over
+    evenly spaced alphas in [0, 1]."""
+    outputs = np.zeros((1, len(diff), 4))
+    outputs[0, :, 0] = diff
+    return witness._crossing_locus(np.linspace(0.0, 1.0, len(diff)),
+                                   np.array([0.5]), outputs)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+def test_a_zero_difference_crosses_at_its_own_alpha(sign):
+    """A zero at the first, a middle or the last sample is a crossing at
+    that alpha, whichever side the row comes from; a sign change between
+    samples is interpolated, and a row that keeps one sign has none."""
+    for diff, alpha in (([0.0, 0.1, 0.2], 0.0), ([0.2, 0.0, -0.1], 0.5),
+                        ([0.2, 0.0, 0.1], 0.5), ([0.2, 0.1, 0.0], 1.0),
+                        ([0.75, -0.25, -0.5], 0.375)):
+        assert crossing_of(sign * np.array(diff)) == ((0.5, alpha),)
+    assert crossing_of(sign * np.array([0.3, 0.2, 0.1])) == ()
 
 
 def test_sweep_csv_layout(tmp_path):
