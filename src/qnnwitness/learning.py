@@ -27,6 +27,7 @@ outputs, and its loss, outputs and adjoint seed through ops.loss_terms.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -177,8 +178,10 @@ class TrainConfig(IntegratorConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        # a bool is an int too, but not of type int
-        if type(self.epochs) is not int or self.epochs < 0:
+        # a bool is an Integral too, but never an epoch count
+        if (isinstance(self.epochs, bool)
+                or not isinstance(self.epochs, numbers.Integral)
+                or self.epochs < 0):
             raise ValueError(f"epochs must be a non-negative integer, "
                              f"got {self.epochs!r:.40}")
         if not (math.isfinite(real_setting(self.learning_rate,

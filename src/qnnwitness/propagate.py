@@ -238,13 +238,6 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     return rho
 
 
-def _contract(x, w):
-    """sum_n x[n] @ w[n] for (steps, 8, 8) stacks, as one gemm over the
-    (n, j) pairs: numpy's einsum runs this contraction in its own C loop,
-    several times slower than BLAS."""
-    return x.transpose(1, 0, 2).reshape(8, -1) @ w.reshape(-1, 8)
-
-
 def _stepped_gradient(states, seed, hs, dt):
     """dE/dH of each chunk, (n_chunks, 8, 8), by reverse mode through the
     stepped loop: states is a single state's recorded trajectory, hs the
@@ -274,7 +267,8 @@ def _stepped_gradient(states, seed, hs, dt):
     (dt/j) Im tr(G [u_j, a_j]) to generator G's derivative, which is
     (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are Hermitian and G real
     symmetric; the sum of u_j a_j over a chunk's steps is one gemm per
-    term (_contract).
+    term, np.tensordot over the (step, j) pairs: numpy's einsum runs this
+    contraction in its own C loop, several times slower than BLAS.
     """
     xs = states[:-1].reshape(len(hs), -1, 8, 8)
     steps = xs.shape[1]
@@ -295,11 +289,11 @@ def _stepped_gradient(states, seed, hs, dt):
         for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
             _flow(u.view(float).reshape(-1, 16), m, work, y)
             y += x
-        cs[k] = dt * _contract(y2, a)
+        cs[k] = dt * np.tensordot(y2, a, ((0, 2), (0, 1)))
         # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
         for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
             _flow(a.view(float).reshape(-1, 16), -m, work, a)
-            cs[k] += (dt / j) * _contract(u, a)
+            cs[k] += (dt / j) * np.tensordot(u, a, ((0, 2), (0, 1)))
     return 2 * cs.imag
 
 

@@ -82,6 +82,15 @@ def test_evaluate_json_output(isolated_config, capsys):
     assert "|000>" in doc["state"]
 
 
+def test_evaluate_json_renders_every_part_it_can_print(isolated_config,
+                                                      capsys):
+    code, out, _ = run(capsys, "evaluate", "--params", "trained_set1",
+                       "--state", "|000> + 0.0000000000005*|011>",
+                       "--dt", "0.25", "--json")
+    assert code == 0
+    assert json.loads(out)["state"] == "|000> + 0.0000000000005*|011>"
+
+
 def test_evaluate_parametric_state_argument(isolated_config, capsys):
     code, out, _ = run(capsys, "evaluate", "--params", "trained_set2",
                        "--state", "fig2(0.0, 1.0)", "--dt", "0.25", "--json")
@@ -370,6 +379,30 @@ def test_evaluate_refuses_a_schedule_it_cannot_run(isolated_config, tmp_path,
     assert code == 2 and out == "" and field in err
 
 
+@pytest.mark.parametrize("chunks, n, code, message", [
+    ([ROW] * 4, "100000", 2, "limit of 500 grid points per axis"),
+    ([[1150.0] * 9] * 4, "500", 1, "stability limit"),
+])
+def test_a_grid_that_cannot_run_is_refused_before_its_states(
+        isolated_config, tmp_path, capsys, monkeypatch, chunks, n, code,
+        message):
+    """A grid past the size limit, and one on a schedule past RK4's
+    stability limit at dt 0.25, are refused before any state is built."""
+    def no_state(*args):
+        pytest.fail("a sweep state was built for a grid that cannot run")
+
+    monkeypatch.setattr(witness, "catalog", no_state)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"chunks": chunks}))
+    grid = tmp_path / "grid.csv"
+    got, out, err = run(capsys, "sweep", "--family", "fig2", "--n", n,
+                        "--params", str(path), "--dt", "0.25",
+                        "--out", str(grid))
+    assert got == code and out == "" and message in err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not grid.exists()
+
+
 def test_a_step_count_past_any_float_is_a_usage_error(isolated_config,
                                                     tmp_path, capsys):
     path = tmp_path / "big.json"
@@ -583,9 +616,10 @@ def test_sweep_writes_grid_and_crossing(isolated_config, tmp_path, capsys):
 
 
 def test_sweep_fig1_skips_crossing_file(isolated_config, tmp_path, capsys):
+    # a full grid at the default-sized step: 441 states through 6 000 steps
     grid_path = tmp_path / "g1.csv"
-    argv = ("sweep", "--family", "fig1", "--n", "3", "--params",
-            "trained_set1", "--out", str(grid_path), "--dt", "0.25")
+    argv = ("sweep", "--family", "fig1", "--n", "21", "--params",
+            "trained_set1", "--out", str(grid_path), "--dt", "0.05")
     # fig1 has no crossing locus: asking for its file is a usage error,
     # refused before the grid runs
     code, out, err = run(capsys, *argv,
@@ -594,7 +628,7 @@ def test_sweep_fig1_skips_crossing_file(isolated_config, tmp_path, capsys):
     assert not grid_path.exists() and not (tmp_path / "c.csv").exists()
     code, *_ = run(capsys, *argv)
     assert code == 0
-    assert grid_path.exists()
+    assert len(grid_path.read_text().splitlines()) == 1 + 441
     assert not (tmp_path / "g1.crossing.csv").exists()
 
 

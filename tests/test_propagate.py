@@ -559,10 +559,10 @@ def one_call_gradient(states, seed, hs, dt):
         for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
             propagate._flow(u.view(float).reshape(-1, 16), m, work, y)
             y += x
-        cs[k] = dt * propagate._contract(y2, a)
+        cs[k] = dt * np.tensordot(y2, a, ((0, 2), (0, 1)))
         for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
             propagate._flow(a.view(float).reshape(-1, 16), -m, work, a)
-            cs[k] += (dt / j) * propagate._contract(u, a)
+            cs[k] += (dt / j) * np.tensordot(u, a, ((0, 2), (0, 1)))
     return 2 * cs.imag
 
 
