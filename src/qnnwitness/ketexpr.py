@@ -41,6 +41,10 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
+        if m is None and text[pos] == "|":
+            raise KetSyntaxError(
+                "malformed basis ket: a basis ket is '|' followed by three "
+                "0/1 digits and '>'", _byte_offset(text, pos))
         if m is None:
             raise KetSyntaxError(
                 f"unexpected character {text[pos]!r}", _byte_offset(text, pos))

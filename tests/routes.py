@@ -4,8 +4,22 @@ generated problems (MacIver & Hatfield-Dodds, JOSS 4(43), 1891 (2019)).
 A FORWARD row maps (rhos, schedule, dt) to final states, held to the
 textbook RK4 loop of conftest run chunk by chunk; a GRADIENT row maps
 (pairs, schedule, dt) to dE/dp summed over the pairs, held to the tangent
-below. Each bound has the largest gap measured beside it. Add a route as
-a row; retire one by deleting its row."""
+below, and its loss and outputs, where it gives them, to the tangent's.
+Each bound has the largest gap measured beside it.
+
+forward_failures and gradient_failures run a table's rows on one problem
+and return those that fail, each with its excess over its bounds or what
+it raised. The two properties below assert that none fails, and
+tests/test_mutants.py that each planted fault fails exactly the rows it
+names. Add a route as a row; retire one by deleting its row, its name
+from the mutant rows, and each mutant row that fails that route alone.
+
+A mutant row is (module, function, text, replacement, the rows that must
+fail): the function's source with the text, which must occur in it
+exactly once, replaced, and patched into every module that binds the
+function. Add one for each fault the table must catch. If no row fails
+it, add an example here on which one does; never drop the mutant or
+loosen a bound."""
 
 import numpy as np
 from conftest import DEGENERATE, classical_rk4, densities, pure_kets
@@ -17,7 +31,7 @@ from qnnwitness.hamiltonian import (ANGULAR, PLAIN, Schedule,
                                     build_hamiltonian, bundled_schedule)
 from qnnwitness.learning import (Dataset, IntegratorConfig, TrainingPair,
                                  backprop_gradient, fd_gradient, load_dataset)
-from qnnwitness.ops import OBSERVABLE_IDS, loss_terms
+from qnnwitness.ops import OBSERVABLE_IDS, SIGNS
 from qnnwitness.propagate import RK4_STABLE_THETA, evolve, evolve_batch_h
 from qnnwitness.states import CATALOG_NAMES, FAMILIES, StateSpec, catalog, mix
 from qnnwitness.superop import dataset_loss_grad, propagate_vec
@@ -47,9 +61,37 @@ FORWARD = {
 }
 
 
+def failures(table, excess):
+    """{row: its excess over its bounds, or what it raised} for each row
+    of the table on which excess(route, bound) is not <= 0."""
+    failed = {}
+    for name, (route, bound) in table.items():
+        try:
+            over = excess(route, bound)
+        except Exception as exc:
+            failed[name] = exc
+        else:
+            if not over <= 0:
+                failed[name] = over
+    return failed
+
+
+def forward_failures(problem, rhos):
+    """The failures of the FORWARD rows, against the textbook loop."""
+    s, dt = problem
+    steps, ref = s.n_chunks * steps_of(s, dt), rhos
+    for h in s.hamiltonians():
+        ref = classical_rk4(ref, h, dt, steps_of(s, dt))
+    return failures(FORWARD, lambda route, bound: np.abs(
+        route(rhos, s, dt) - ref).max() - bound(steps))
+
+
 def tangent_gradient(pairs, s, dt):
     """dE/dp summed over the pairs by forward mode through the textbook
-    loop, and the sum over the pairs of the largest entry of drho/dp.
+    loop; the sum over the pairs of the largest entry of drho/dp; and the
+    loss E and the outputs y^2 of the loop's final states, written here
+    from their definitions, as a reference apart from ops.loss_terms,
+    which every route reads them from.
     RK4 on H~ = [[H, dH], [0, H]], rho~ = [[rho, 0], [0, rho]] carries the
     derivative of the RK4 map along dH in its upper-right block, as every
     stage is a polynomial in the commutator with H~ (Van Loan, IEEE Trans.
@@ -65,38 +107,72 @@ def tangent_gradient(pairs, s, dt):
         h_pair[..., :8, :8] = h_pair[..., 8:, 8:] = h
         h_pair[-9:, 0, :8, 8:] = generators
         x = classical_rk4(x, h_pair, dt, steps_of(s, dt))
-    _, _, seed = loss_terms(x[0, :, :8, :8], targets, mask)
+    # y = tr(rho_f P), E = 1/2 sum resid^2 with resid = mask (target - y^2):
     # E depends on rho_f through its diagonal only, with dE/drho_ii = seed_i
+    y = np.einsum("bii,ki->bk", x[0, :, :8, :8], SIGNS).real
+    resid = (targets - y * y) * mask
+    seed = (-2 * resid * y) @ SIGNS
     drho = x[1:, :, :8, 8:]
     gradient = np.einsum("bi,nbii->n", seed, drho).real
-    return gradient, np.abs(drho).max(axis=(0, 2, 3)).sum()
+    return (gradient, np.abs(drho).max(axis=(0, 2, 3)).sum(),
+            0.5 * (resid * resid).sum(), y * y)
 
 
-def summed(route):
-    return lambda pairs, s, dt: sum(route(p, s, IntegratorConfig(dt))
-                                    for p in pairs)
+def summed(route, pairs, s, dt):
+    """(None, route's gradient summed over the pairs, None), for a route
+    that gives no loss and no outputs."""
+    return None, sum(route(p, s, IntegratorConfig(dt)) for p in pairs), None
 
 
 # name: (route, allowed gap to the tangent in each component, given the
 # route's gradient g and the exact bound: 2e-14 of the largest component a
 # step of a chunk, as the engine's face sums n powers of modulus <= 1 that
 # may cancel, plus 1e-13 of drho, for the round-off that a small seed
-# -2 resid y carries from the route's final states)
+# -2 resid y carries from the route's final states). A route maps (pairs,
+# schedule, dt) to (E, dE/dp, outputs), E and outputs None where it gives
+# none, and each row names its route only when it is called, so that a
+# route patched in this module is the one the row runs
 GRADIENT = {
     # the stepped reverse pass, pair by pair: 1.1e-13 of the largest;
     # 8.8e-15 of drho on a gradient of 2e-3 of it
-    "backprop_gradient": (summed(backprop_gradient), lambda g, exact: exact),
+    "backprop_gradient": (
+        lambda pairs, s, dt: summed(backprop_gradient, pairs, s, dt),
+        lambda g, exact: exact),
     # the engine, the pairs as one batch: 7.1e-15 of the largest a step,
     # 1.1e-12 at 150; 3.2e-14 of drho on a gradient of 9e-4 of it
     "dataset_loss_grad": (lambda pairs, s, dt: dataset_loss_grad(
-        *Dataset("drawn", tuple(pairs)).arrays(), s, dt)[1],
+        *Dataset("drawn", tuple(pairs)).arrays(), s, dt),
         lambda g, exact: exact),
     # central differences, pair by pair, on the CLI grad-check's rule: 1e-6
     # of each component plus 1e-9 for their own round-off, which reached
     # 9.4e-13 on a component of 1.9e-10
-    "fd_gradient": (summed(fd_gradient),
+    "fd_gradient": (lambda pairs, s, dt: summed(fd_gradient, pairs, s, dt),
                     lambda g, exact: 1e-6 * np.abs(g) + 1e-9),
 }
+# a route's loss, per graded output, and each of its outputs against the
+# tangent's: 16 times propagate_vec's bound, as an output y^2 moves by at
+# most 2 |y| sum_i |drho_ii|, and E by at most |resid| <= 1 times each
+# graded output's move; 6.6e-15 and 2.4e-14 measured
+LOSS_BOUND, OUTPUT_BOUND = 1e-11, 1e-11
+
+
+def gradient_failures(problem, pairs):
+    """The failures of the GRADIENT rows, against the tangent."""
+    s, dt = problem
+    tangent, drho, energy, outputs = tangent_gradient(pairs, s, dt)
+    exact = 2e-14 * steps_of(s, dt) * np.abs(tangent).max() + 1e-13 * drho
+    graded = sum(len(p.targets) for p in pairs)
+
+    def excess(route, allowed):
+        e, g, y2 = route(pairs, s, dt)
+        over = (np.abs(g - tangent) - allowed(g, exact)).max()
+        if e is None:
+            return over
+        assert y2.shape == outputs.shape, f"outputs {y2.shape}"
+        return max(over, abs(e - energy) - LOSS_BOUND * graded,
+                   np.abs(y2 - outputs).max() - OUTPUT_BOUND)
+    return failures(GRADIENT, excess)
+
 
 # a chunk is uniform(-6, 6) MHz, a row with a degenerate spectrum, all
 # zero among them, or the chunk before it repeated
@@ -150,6 +226,12 @@ batches = st.one_of(
               supports, st.booleans(), seeds))
 TRAINED_SET2 = bundled_schedule("trained_set2")
 THREE = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
+# the problem of tests/test_mutants.py, with THREE or W_PAIR: two random
+# plain chunks at half the stability limit, 30 steps each
+MUTANT_PROBLEM = make_problem(
+    list(np.random.default_rng(0).uniform(-6.0, 6.0, (2, 9))), PLAIN, 0.25,
+    0.5)
+W_PAIR = [TrainingPair(catalog("W"), {"AB": 0.3, "ABC": 0.6})]
 
 
 @settings(max_examples=10, deadline=None)
@@ -174,17 +256,10 @@ THREE = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
 # a row of 1e-305 MHz, whose spread of ~1e-307 no finite scale brings to
 # the stability limit
 @example(make_problem([np.full(9, 1e-305)], PLAIN, 0.05, 0.9), THREE)
+@example(MUTANT_PROBLEM, THREE)
 def test_forward_routes(problem, rhos):
-    s, dt = problem
-    steps, ref = s.n_chunks * steps_of(s, dt), rhos
-    for h in s.hamiltonians():
-        ref = classical_rk4(ref, h, dt, steps_of(s, dt))
-    failed = {}
-    for name, (route, bound) in FORWARD.items():
-        gap = np.abs(route(rhos, s, dt) - ref).max()
-        if not gap <= bound(steps):
-            failed[name] = gap
-    assert not failed, f"{failed} over {steps} steps"
+    failed = forward_failures(problem, rhos)
+    assert not failed, failed
 
 
 # one pair: a catalog state or random pure ket, random targets on some outputs
@@ -216,14 +291,7 @@ one_pair = st.builds(
 @example((Schedule(np.array([[942.80904158, 1885.61808316] + [0.0] * 7]),
                    CHUNK_NS), 0.25),
          [TrainingPair(catalog("Cr_AB"), {"AB": 0.0, "AC": 1.0})])
+@example(MUTANT_PROBLEM, W_PAIR)
 def test_gradient_routes(problem, pairs):
-    s, dt = problem
-    tangent, drho = tangent_gradient(pairs, s, dt)
-    exact = 2e-14 * steps_of(s, dt) * np.abs(tangent).max() + 1e-13 * drho
-    failed = {}
-    for name, (route, allowed) in GRADIENT.items():
-        g = route(pairs, s, dt)
-        excess = (np.abs(g - tangent) - allowed(g, exact)).max()
-        if not excess <= 0:
-            failed[name] = excess
-    assert not failed, f"excess {failed} over an exact bound of {exact:.3g}"
+    failed = gradient_failures(problem, pairs)
+    assert not failed, failed

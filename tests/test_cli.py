@@ -116,10 +116,12 @@ def test_exit_codes(isolated_config, capsys, monkeypatch):
                        "--state", "mix{0.3: |000>, 0.3: |111>}")
     assert code == 1 and "weights" in err
 
-    # unparseable expression: usage error
-    code, _, err = run(capsys, "evaluate", "--params", "set1",
-                       "--state", "|00>")
-    assert code == 2
+    # unparseable expression: usage error, a malformed ket named as one
+    for text in ("|00>", "|0000>", "|012>", "0.5*|00> + |111>"):
+        code, _, err = run(capsys, "evaluate", "--params", "set1",
+                           "--state", text)
+        assert code == 2
+        assert "a basis ket is '|' followed by three 0/1 digits" in err
 
     # unknown catalog name: usage error with a hint
     code, _, err = run(capsys, "evaluate", "--params", "set1",

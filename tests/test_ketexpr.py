@@ -94,10 +94,12 @@ def test_error_carries_byte_offset():
 
 
 def test_malformed_basis_label():
-    with pytest.raises(KetSyntaxError):
-        parse_state("|00>")
-    with pytest.raises(KetSyntaxError):
-        parse_state("|002>")
+    for text, offset in (("|00>", 0), ("|002>", 0), ("|0000>", 0),
+                         ("|012>", 0), ("0.5*|00> + |111>", 4)):
+        with pytest.raises(KetSyntaxError, match=r"a basis ket is '\|' "
+                           r"followed by three 0/1 digits and '>'") as err:
+            parse_state(text)
+        assert err.value.offset == offset
 
 
 def test_unterminated_mixture():
