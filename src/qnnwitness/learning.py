@@ -282,6 +282,14 @@ def rms_error(ds: Dataset, s: Schedule,
     return _rms(loss_terms(rho_f, targets, mask)[0].sum(), mask.sum())
 
 
+def _last_finite(history) -> str:
+    """The clause naming the last epoch of a finite history, or none."""
+    if not history:
+        return "; there is no finite epoch before it"
+    return (f"; the last finite epoch is {len(history) - 1}, "
+            f"RMS {history[-1]:.6g}")
+
+
 def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     """Batch gradient descent with momentum; deterministic.
 
@@ -289,7 +297,8 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
     RMS at the parameters entering epoch e, so a 0-epoch call returns the
     initial schedule and an empty history. A dt that does not divide the
     chunk duration is rejected before epoch 0, and a non-finite RMS or
-    gradient raises DivergenceError.
+    gradient raises DivergenceError, which also names the last finite
+    epoch and its RMS.
     """
     rhos, targets, mask = load_dataset(ds).arrays()
     graded = mask.sum()
@@ -303,12 +312,13 @@ def train(ds: Dataset, init: Schedule, cfg: TrainConfig = TrainConfig()):
             energy, grad, _ = superop.dataset_loss_grad(
                 rhos, targets, mask, current, cfg.dt)
         except DivergenceError as exc:
-            raise DivergenceError(f"epoch {epoch}: {exc}") from None
+            raise DivergenceError(
+                f"epoch {epoch}: {exc}{_last_finite(history)}") from None
         rms = _rms(energy, graded)
         history.append(rms)
         if not (math.isfinite(rms) and np.isfinite(grad).all()):
-            raise DivergenceError(
-                f"non-finite RMS or gradient at epoch {epoch}")
+            raise DivergenceError(f"non-finite RMS or gradient at epoch "
+                                  f"{epoch}{_last_finite(history[:-1])}")
         if rms > 10.0 * history[0]:
             raise DivergenceError(
                 f"RMS {rms:.3e} exceeds 10x initial {history[0]:.3e} "

@@ -274,11 +274,13 @@ one_pair = st.builds(
 
 @settings(max_examples=10, deadline=None)
 @given(problems(), one_pair)
-# all-zero and repeated chunks, and each degenerate row twice
+# all-zero and repeated chunks, on W and on the mixed state M; and each
+# degenerate row twice
 @example((Schedule(np.array([np.linspace(-6.0, 6.0, 9), np.zeros(9),
                              np.full(9, 2.5), np.full(9, 2.5)]),
                    CHUNK_NS, ANGULAR), 0.25),
-         [TrainingPair(catalog("W"), {"AB": 0.64, "ABC": 0.27})])
+         [TrainingPair(catalog("W"), {"AB": 0.64, "ABC": 0.27}),
+          TrainingPair(catalog("M"), ZERO_TARGETS)])
 @example((Schedule(np.repeat(list(DEGENERATE.values()), 2, axis=0),
                    CHUNK_NS), 0.25), [load_dataset("set1").pairs[0]])
 # one chunk, where the walk back from the seed has no inner crossing, on

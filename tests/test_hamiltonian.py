@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import DEGENERATE
 
 from qnnwitness.errors import QnnError
 from qnnwitness.hamiltonian import (
@@ -74,6 +75,10 @@ def test_build_hamiltonian_broadcasts_over_chunks():
     assert stacked.shape == (4, 8, 8)
     for k in range(4):
         assert np.allclose(stacked[k], build_hamiltonian(chunks[k], PLAIN))
+    # the rows the tests take for degenerate spectra have them
+    w = np.linalg.eigvalsh(build_hamiltonian(
+        np.array(list(DEGENERATE.values())), PLAIN))
+    assert (np.diff(w).min(axis=1) < 1e-12).all()
 
 
 def test_schedule_rejects_non_finite_values_and_bad_duration():

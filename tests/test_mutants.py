@@ -1,7 +1,8 @@
 """The mutant table: planted faults, each of which must fail exactly the
 rows of the route table it names on routes.MUTANT_PROBLEM, an example
 that both route properties pass (DeMillo, Lipton & Sayward, IEEE
-Computer 11(4), 34 (1978)). tests/routes.py says how a row is built."""
+Computer 11(4), 34 (1978)); every row of the route table fails at least
+one of them. tests/routes.py says how a row is built."""
 
 import inspect
 import sys
@@ -58,7 +59,17 @@ MUTANTS = [
     pytest.param(superop, "dataset_loss_grad", "return float(energies.sum())",
                  "return float(energies.sum()) * (1 + 1e-9)",
                  {"dataset_loss_grad"}, id="engine_loss"),
+    # each chunk's end state in place of its start
+    pytest.param(superop, "propagate_vec",
+                 "return states[:-1], states[-1], ops",
+                 "return states[1:], states[-1], ops",
+                 {"dataset_loss_grad"}, id="chunk_starts"),
 ]
+
+
+def test_every_route_table_row_fails_a_mutant():
+    assert set().union(*(p.values[-1] for p in MUTANTS)) == (
+        set(routes.FORWARD) | set(routes.GRADIENT))
 
 
 @pytest.mark.parametrize("module, name, text, replacement, rows", MUTANTS)

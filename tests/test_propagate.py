@@ -30,7 +30,6 @@ from qnnwitness.states import CATALOG_NAMES, FAMILIES, catalog, mix
 from qnnwitness.superop import _quartic
 from qnnwitness.witness import evaluate_many
 
-RNG = np.random.default_rng(13)
 EPS = np.finfo(float).eps
 
 SET1 = bundled_schedule("set1")
@@ -41,8 +40,11 @@ CATALOG_BATCH = np.stack([mix(catalog(n)) for n in CATALOG_NAMES
                           if n not in FAMILIES])
 
 
-def random_schedule(scale=6.0):
-    return Schedule(RNG.uniform(-scale, scale, size=(4, 9)), 75.0, PLAIN)
+def random_schedule(seed):
+    """A uniform(-6, 6) schedule drawn from its own seed, so that a test
+    gets the same schedule whichever tests run before it."""
+    rng = np.random.default_rng(seed)
+    return Schedule(rng.uniform(-6.0, 6.0, size=(4, 9)), 75.0, PLAIN)
 
 
 def test_config_validates_step():
@@ -105,7 +107,7 @@ def test_purity_preserved_for_pure_input():
 
 
 def test_energy_constant_within_each_chunk():
-    s = random_schedule()
+    s = random_schedule(13)
     hs = s.hamiltonians()
     cfg = IntegratorConfig(0.25)
     steps = cfg.steps_per_chunk(s.chunk_duration)
@@ -117,7 +119,7 @@ def test_energy_constant_within_each_chunk():
 
 
 def test_reversibility():
-    s = random_schedule()
+    s = random_schedule(14)
     backward = Schedule(-s.chunks[::-1], s.chunk_duration, s.convention)
     cfg = IntegratorConfig(0.25)
     mid, _ = evolve(BELL, s, cfg)
@@ -157,19 +159,9 @@ def test_evolve_is_batch_transparent():
         assert np.abs(batch[i] - single).max() < 1e-14
 
 
-def test_batched_per_element_hamiltonians():
-    s = random_schedule()
-    cfg = IntegratorConfig(0.25)
-    steps = cfg.steps_per_chunk(s.chunk_duration)
-    hs = np.repeat(s.hamiltonians()[:, None], 2, axis=1)
-    rho0 = np.broadcast_to(BELL, (2, 8, 8))
-    out = evolve_batch_h(rho0, hs, cfg.dt, steps)
-    ref, _ = evolve(BELL, s, cfg)
-    assert np.abs(out - ref).max() < 1e-13
-
-
-def random_hamiltonians(n):
-    g = RNG.uniform(-1.0, 1.0, size=(n, 8, 8))
+def random_hamiltonians(n, seed):
+    """n real symmetric 8 x 8 matrices drawn from their own seed."""
+    g = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 8, 8))
     return g + g.swapaxes(-1, -2)
 
 
@@ -179,7 +171,7 @@ def test_stepped_states_are_exactly_hermitian():
     assert np.array_equal(rho_f, dagger(rho_f))
     assert np.array_equal(traj.states, dagger(traj.states))
     hs = SET1.hamiltonians()[:, None] + 0.1 * random_hamiltonians(
-        len(CATALOG_BATCH))
+        len(CATALOG_BATCH), 15)
     out = evolve_batch_h(CATALOG_BATCH, hs, cfg.dt,
                          cfg.steps_per_chunk(SET1.chunk_duration))
     assert np.array_equal(out, dagger(out))
@@ -191,7 +183,7 @@ def test_one_product_stages_match_the_two_product_step():
     the rows of tests/routes.py, one H per chunk, cannot take."""
     dt, steps = 0.25, IntegratorConfig(0.25).steps_per_chunk(75.0)
     hs = SET1.hamiltonians()[0] + 0.5 * random_hamiltonians(
-        len(CATALOG_BATCH))
+        len(CATALOG_BATCH), 16)
     stepped = evolve_batch_h(CATALOG_BATCH, hs[None], dt, steps)
     assert np.abs(stepped - classical_rk4(CATALOG_BATCH, hs, dt, steps)
                   ).max() < 1e-13
@@ -247,15 +239,13 @@ def flow_loop(rho, hs, dt, steps):
     return np.stack(states)
 
 
-# two chunks of SET1; the last case gives each of 5 states its own H,
-# drawn from its own generator so that RNG's draws stay where they were
-_G = np.random.default_rng(17).uniform(-1.0, 1.0, size=(5, 8, 8))
+# two chunks of SET1; the last case gives each of 5 states its own H
 STEPPED_CASES = [
     (BELL, SET1.hamiltonians()[:2]),
     (CATALOG_BATCH[:1], SET1.hamiltonians()[:2]),
     (CATALOG_BATCH[:13], SET1.hamiltonians()[:2]),
     (CATALOG_BATCH[:5],
-     SET1.hamiltonians()[:2, None] + 0.1 * (_G + _G.swapaxes(-1, -2))),
+     SET1.hamiltonians()[:2, None] + 0.1 * random_hamiltonians(5, 17)),
 ]
 
 
@@ -377,21 +367,24 @@ def test_the_coordinates_rebuild_the_hermitized_batch(real, hermitian):
 SET2_STATES = load_dataset("set2").arrays()[0]
 
 
-@pytest.mark.parametrize("rho", [
-    BELL, CATALOG_BATCH[:1],
-    np.stack([mix(catalog(n))
-              for n in ("Bell_AB", "flat_AC", "W", "GHZ_minus", "M")]),
-    SET2_STATES], ids=["8x8", "1x8x8", "gate_5", "set2_13"])
-def test_a_batch_that_spans_its_size_is_stepped_as_it_is(stepped_rows, rho):
+@pytest.mark.parametrize("rho, s", [
+    (BELL, ONE_CHUNK), (CATALOG_BATCH[:1], ONE_CHUNK),
+    (np.stack([mix(catalog(n))
+               for n in ("Bell_AB", "flat_AC", "W", "GHZ_minus", "M")]),
+     ONE_CHUNK),
+    (SET2_STATES, ONE_CHUNK), (SET2_STATES, TRAINED_SET2)],
+    ids=["8x8", "1x8x8", "gate_5", "set2_13", "set2_13_four_chunks"])
+def test_a_batch_that_spans_its_size_is_stepped_as_it_is(stepped_rows, rho,
+                                                         s):
     """Whatever the batch, _stepped steps only the 64 basis matrices, once
     per chunk, and the batch's own coordinates are mapped as they are: the
     result is the stepped loop's to round-off, in the batch's shape and
     exactly Hermitian."""
     cfg = IntegratorConfig(0.25)
-    rho_f, _ = evolve(rho, ONE_CHUNK, cfg)
-    assert stepped_rows == [64]
+    rho_f, _ = evolve(rho, s, cfg)
+    assert stepped_rows == [64] * s.n_chunks
     assert rho_f.shape == rho.shape
-    assert np.abs(rho_f - direct(rho, ONE_CHUNK, 0.25)).max() < 1e-13
+    assert np.abs(rho_f - direct(rho, s, 0.25)).max() < 1e-13
     assert np.array_equal(rho_f, dagger(rho_f))
 
 
@@ -426,21 +419,6 @@ def test_the_powered_increment_is_the_walk_of_the_step_matrix(dt):
         if n <= 40 or n in (300, 1500, 7500):
             powered = np.eye(64) + propagate._power_increment(d, n)
             assert np.abs(powered - walked).max() < 4 * EPS * n
-
-
-@pytest.mark.parametrize("rho", [mix(catalog("W")), SET2_STATES],
-                         ids=["W", "set2_13"])
-def test_evolve_follows_the_stepped_loop_through_a_schedule(stepped_rows,
-                                                          rho):
-    """Through all four chunks of trained_set2 at dt 0.05, 6 000 steps,
-    each chunk's step matrix powered to its 1 500 steps and the batch's
-    coordinates carried through the four increments in turn stays within
-    1e-12 of the stepped loop; _stepped steps the 64 basis matrices once
-    a chunk, and the result is exactly Hermitian."""
-    rho_f, _ = evolve(rho, TRAINED_SET2, IntegratorConfig(0.05))
-    assert stepped_rows == [64] * 4
-    assert np.abs(rho_f - direct(rho, TRAINED_SET2, 0.05)).max() < 1e-12
-    assert np.array_equal(rho_f, dagger(rho_f))
 
 
 @settings(max_examples=12, deadline=None)
@@ -531,10 +509,11 @@ def test_recorded_states_are_rk4_steps():
 def test_rk4_step_adjoint_is_the_step_under_minus_h(n):
     """<A, T^n B> = <T'^n A, B> for T one RK4 step under H and T' one
     under -H: the identity the reference adjoint steps its state back by."""
-    g = RNG.normal(size=(8, 8))
+    rng = np.random.default_rng(18)
+    g = rng.normal(size=(8, 8))
     h = g + g.T
-    a, b = (m + m.conj().T for m in (RNG.normal(size=(2, 8, 8))
-                                     + 1j * RNG.normal(size=(2, 8, 8))))
+    a, b = (m + m.conj().T for m in (rng.normal(size=(2, 8, 8))
+                                     + 1j * rng.normal(size=(2, 8, 8))))
     forward, backward, same_sign = b, a, a
     for _ in range(n):
         forward = _stepped(forward, (h,), 0.1, 1)

@@ -2,10 +2,7 @@
 what its states keep, what it refuses, and how its loss and gradient
 move with dt. Its final states, and its loss, outputs and gradient, are
 rows of tests/routes.py, held there to the textbook RK4 loop and its
-tangent. The three comparisons with the stepped routes left here, on
-degenerate spectra, at every chunk boundary and of the outputs, repeat
-rows of that table; each goes once the mutants of tests/test_mutants.py
-that it fails are shown to fail a row of the table."""
+tangent."""
 
 import numpy as np
 import pytest
@@ -15,15 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qnnwitness.hamiltonian import ANGULAR, PLAIN, Schedule, bundled_schedule
-from qnnwitness.learning import (
-    IntegratorConfig,
-    backprop_gradient,
-    load_dataset,
-    rms_error,
-)
-from qnnwitness.ops import dagger, readout
-from qnnwitness.propagate import evolve, evolve_expm
-from qnnwitness.states import catalog, mix
+from qnnwitness.learning import load_dataset
+from qnnwitness.ops import dagger
+from qnnwitness.propagate import evolve_expm
 from qnnwitness.superop import (
     _PAIR,
     _geometric_sum,
@@ -32,18 +23,17 @@ from qnnwitness.superop import (
     propagate_vec,
 )
 
-RNG = np.random.default_rng(17)
-
 
 def test_chunk_map_reproduces_rk4():
     """One chunk's map V (t^n o V^T rho V) V^T is n classical RK4 steps,
     also on a non-Hermitian matrix, on a step large enough that RK4
     visibly differs from exp."""
-    values = RNG.uniform(-6.0, 6.0, size=(1, 9))
+    rng = np.random.default_rng(17)
+    values = rng.uniform(-6.0, 6.0, size=(1, 9))
     s = Schedule(values, 75.0, ANGULAR)
     dt, n = 1.5, 50
     h = s.hamiltonians()[0]
-    rho = RNG.normal(size=(8, 8)) + 1j * RNG.normal(size=(8, 8))
+    rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     (v, _, _, tn, _), steps = chunk_operators(s, dt)
     assert steps == n
     via_map = v[0] @ (tn[0] * (v[0].T @ rho @ v[0])) @ v[0].T
@@ -57,9 +47,10 @@ def test_geometric_sum(n):
     """_geometric_sum(t, n) is sum_m x^m y^(n-1-m) over the pairs (x, y)
     = (t_j, t_l), j <= l, also where x == y or |x - y| = 1e-12, where
     (x^n - y^n)/(x - y) would cancel; and its walk's last power is t^n."""
-    x = np.exp(1j * RNG.uniform(-0.5, 0.5, size=4)) * RNG.uniform(0.9, 1.0, size=4)
+    rng = np.random.default_rng(18)
+    x = np.exp(1j * rng.uniform(-0.5, 0.5, size=4)) * rng.uniform(0.9, 1.0, size=4)
     t = np.concatenate([x[:1], x[:1], x[1:2], x[1:2] + 1e-12, x[2:],
-                        RNG.normal(size=2) * 0.5])
+                        rng.normal(size=2) * 0.5])
     got, tn = _geometric_sum(t, n)
     assert got.shape == (36,)
     ref = np.array([[sum(a ** m * b ** (n - 1 - m) for m in range(n))
@@ -68,15 +59,6 @@ def test_geometric_sum(n):
     for j, l in [(0, 1), (5, 5)]:
         assert abs(got[_PAIR[j, l]] - n * t[j] ** (n - 1)) < n * 1e-12
     assert np.abs(tn - t ** n).max() < np.abs(t ** n).max() * 1e-12
-
-
-def summed_stagewise(ds, s, cfg):
-    """Loss from the stepped rms_error, gradient summed over per-pair
-    stage-level reverse passes."""
-    n_out = sum(len(p.targets) for p in ds.pairs)
-    energy = 0.5 * n_out * rms_error(ds, s, cfg) ** 2
-    grad = sum(backprop_gradient(pair, s, cfg) for pair in ds.pairs)
-    return energy, grad
 
 
 # uniform(-6, 6) chunks mixed with the degenerate ones, in either unit
@@ -140,35 +122,6 @@ def test_engine_never_raises_the_purity_of_pure_inputs(s, dt, seed):
     assert (purity[0][1:] <= purity[1][:-1] + 1e-12).all()
 
 
-@pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_degenerate_spectra_agree_with_stagewise_route(name):
-    s = Schedule(np.tile(DEGENERATE[name], (2, 1)), 75.0, PLAIN)
-    w = np.linalg.eigvalsh(s.hamiltonians()[0])
-    assert np.min(np.diff(w)) < 1e-12
-    ds = load_dataset("set1")
-    rhos, targets, mask = ds.arrays()
-    cfg = IntegratorConfig(0.25)
-    energy, grad, _ = dataset_loss_grad(rhos, targets, mask, s, 0.25)
-    ref_energy, ref_grad = summed_stagewise(ds, s, cfg)
-    assert energy == pytest.approx(ref_energy, rel=1e-12)
-    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
-
-
-def test_propagate_vec_matches_direct_integration():
-    """The per-chunk eigenbasis states, rotated back to the lab frame, are
-    the stepped loop's states at every chunk boundary, and the final
-    state is its last."""
-    rhos = np.stack([mix(catalog(n)) for n in ("Bell_AB", "W", "GHZ_minus")])
-    for name in ("set1", "trained_set2"):
-        s = bundled_schedule(name)
-        for dt in (0.25, 0.05):
-            states, final, ((v, *_), steps) = propagate_vec(rhos, s, dt)
-            _, traj = evolve(rhos, s, IntegratorConfig(dt), record=True)
-            lab = v[:, None] @ states @ v.transpose(0, 2, 1)[:, None]
-            assert np.abs(lab - traj.states[:-1:steps]).max() < 1e-12
-            assert np.abs(final - traj.states[-1]).max() < 1e-12
-
-
 def test_engine_only_reads_its_inputs():
     """propagate_vec and dataset_loss_grad never write through rhos,
     targets or mask. Dataset.arrays' stack is already contiguous complex,
@@ -206,21 +159,6 @@ def test_engine_refuses_a_step_that_does_not_divide_the_chunk(dt):
         propagate_vec(rhos, s, dt)
     with pytest.raises(ValueError, match="integer multiple"):
         dataset_loss_grad(rhos, targets, mask, s, dt)
-
-
-def test_outputs_match_squared_expectations():
-    """The training route's outputs, read by ops.loss_terms from the
-    eigenbasis engine's final states, must equal the squared readout of
-    the stepped route."""
-    s = bundled_schedule("trained_set1")
-    ds = load_dataset("set1")
-    rhos, targets, mask = ds.arrays()
-    _, _, out = dataset_loss_grad(rhos, targets, mask, s, 0.25)
-    rho_f, _ = evolve(rhos, s, IntegratorConfig(0.25))
-    assert np.abs(out - readout(rho_f) ** 2).max() < 1e-12
-    bell_ab = next(i for i, p in enumerate(ds.pairs)
-                   if p.state == catalog("Bell_AB"))
-    assert out[bell_ab, 0] == pytest.approx(0.9954, abs=1e-3)
 
 
 def test_dataset_loss_grad_dt_invariance():
