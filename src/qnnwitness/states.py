@@ -7,8 +7,10 @@ however it is built, so only ratios matter when defining a pattern.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -26,13 +28,21 @@ def normalize(raw) -> np.ndarray:
     if amps.size != 8:
         raise ValueError(f"a ket holds 8 amplitudes, got {amps.size}")
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(amps)
-    if not np.isfinite(norm):
+        norm = _norm(amps)
+    if not math.isfinite(norm):
         raise NonFinite("amplitudes must be finite, with a norm below ~1e154")
     if norm < 1e-150:
         raise ZeroVector("cannot normalize the zero vector")
     amps = amps.reshape(8) / norm
-    return amps / np.linalg.norm(amps)
+    return amps / _norm(amps)
+
+
+def _norm(amps) -> float:
+    """np.linalg.norm(amps) by that function's own arithmetic for a
+    complex array, bit for bit, without its dispatch."""
+    amps = amps.ravel(order="K")
+    re, im = amps.real, amps.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 @dataclass(frozen=True)
@@ -45,14 +55,18 @@ class StateSpec:
     def __post_init__(self):
         if len(self.weights) != len(self.kets):
             raise InvalidWeights("one weight per component required")
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise InvalidWeights(f"mixture weights must be finite, got {w}")
-        if np.any(w < 0):
-            raise InvalidWeights(f"negative mixture weight {w.min()}")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise InvalidWeights(
-                f"mixture weights sum to {float(w.sum())!r}, not 1")
+        array = np.asarray(self.weights, dtype=float)
+        w = array.tolist()
+        if not all(map(math.isfinite, w)):
+            raise InvalidWeights(f"mixture weights must be finite, got {array}")
+        if min(w, default=0.0) < 0:
+            raise InvalidWeights(f"negative mixture weight {array.min()}")
+        # below 8 terms np.sum adds left to right from 0.0; Python's own
+        # sum compensates its rounding from 3.12 on
+        total = (reduce(operator.add, w, 0.0) if len(w) < 8
+                 else float(array.sum()))
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise InvalidWeights(f"mixture weights sum to {total!r}, not 1")
         object.__setattr__(self, "kets",
                            tuple(tuple(normalize(k)) for k in self.kets))
 
@@ -97,7 +111,10 @@ def mix_many(specs) -> np.ndarray:
                     dtype=complex).reshape(-1, 8)
     terms = weights[:, None, None] * (kets[:, :, None] * kets[:, None, :].conj())
     rhos = np.zeros((len(specs), 8, 8), dtype=complex)
-    np.add.at(rhos, owner, terms)
+    if len(owner) == len(specs):  # every spec pure: one term per density
+        rhos += terms
+    else:
+        np.add.at(rhos, owner, terms)
     return rhos
 
 

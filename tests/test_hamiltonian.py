@@ -24,8 +24,6 @@ from qnnwitness.hamiltonian import (
 )
 from qnnwitness.ops import SX, SZ, kron3
 
-RNG = np.random.default_rng(11)
-
 E2 = np.eye(2)
 
 
@@ -41,15 +39,17 @@ def test_generator_stack_matches_parameter_names():
 
 
 def test_build_hamiltonian_is_linear_in_parameters():
-    v1 = RNG.normal(size=9)
-    v2 = RNG.normal(size=9)
+    rng = np.random.default_rng(11)
+    v1 = rng.normal(size=9)
+    v2 = rng.normal(size=9)
     h1 = build_hamiltonian(v1, PLAIN)
     h2 = build_hamiltonian(v2, PLAIN)
     assert np.allclose(build_hamiltonian(v1 + 2.0 * v2, PLAIN), h1 + 2.0 * h2)
 
 
 def test_convention_scales_frequency():
-    v = RNG.normal(size=9)
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=9)
     ratio = ANGULAR.omega_per_MHz / PLAIN.omega_per_MHz
     assert ratio == pytest.approx(2.0 * np.pi)
     assert np.allclose(build_hamiltonian(v, ANGULAR),
@@ -60,9 +60,10 @@ def test_convention_scales_frequency():
 def test_parameter_gradient_is_the_transpose_of_build_hamiltonian(convention):
     """<T(M), p> = <M, H(p)> for the linear map H = build_hamiltonian and
     its transpose T = parameter_gradient, on random stacks."""
+    rng = np.random.default_rng(13)
     for _ in range(5):
-        p = RNG.normal(size=(4, 9))
-        m = RNG.normal(size=(4, 8, 8))
+        p = rng.normal(size=(4, 9))
+        m = rng.normal(size=(4, 8, 8))
         lhs = np.sum(parameter_gradient(m, convention) * p)
         rhs = np.sum(m * build_hamiltonian(p, convention))
         assert abs(lhs - rhs) <= 1e-14
@@ -70,7 +71,8 @@ def test_parameter_gradient_is_the_transpose_of_build_hamiltonian(convention):
 
 
 def test_build_hamiltonian_broadcasts_over_chunks():
-    chunks = RNG.normal(size=(4, 9))
+    rng = np.random.default_rng(14)
+    chunks = rng.normal(size=(4, 9))
     stacked = build_hamiltonian(chunks, PLAIN)
     assert stacked.shape == (4, 8, 8)
     for k in range(4):
@@ -82,7 +84,8 @@ def test_build_hamiltonian_broadcasts_over_chunks():
 
 
 def test_schedule_rejects_non_finite_values_and_bad_duration():
-    chunks = RNG.normal(size=(4, 9))
+    rng = np.random.default_rng(15)
+    chunks = rng.normal(size=(4, 9))
     for duration in (0.0, -75.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="chunk_duration_ns"):
             Schedule(chunks, duration, PLAIN)
@@ -108,7 +111,8 @@ def test_schedule_refuses_chunks_that_are_not_n_by_9():
 
 
 def test_flatten_unflatten_round_trip():
-    s = Schedule(RNG.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
+    rng = np.random.default_rng(16)
+    s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
     flat = s.flatten()
     assert flat.shape == (36,)
     back = unflatten(flat, s)
@@ -117,7 +121,8 @@ def test_flatten_unflatten_round_trip():
 
 
 def test_save_load_round_trip(tmp_path):
-    s = Schedule(RNG.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
+    rng = np.random.default_rng(17)
+    s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
     path = tmp_path / "sched.json"
     save_schedule(s, path)
     back = resolve_schedule(path)

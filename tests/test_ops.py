@@ -15,16 +15,13 @@ from qnnwitness.ops import (
     readout,
 )
 
-RNG = np.random.default_rng(7)
-
-
-def random_density(rng=RNG):
+def random_density(rng):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
 
-def random_complex(shape, rng=RNG):
+def random_complex(shape, rng):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
@@ -58,9 +55,10 @@ def test_observables_are_parity_products():
 def test_expectation_is_real_diagonal_sum():
     """readout is Re tr(rho P_k) for each sign row, on single states and
     batches alike, including non-Hermitian input with a real trace."""
-    rhos = np.stack([random_density() for _ in range(5)])
+    rng = np.random.default_rng(7)
+    rhos = np.stack([random_density(rng) for _ in range(5)])
     # off-diagonal junk leaves tr(rho P) real, so the guard stays quiet
-    skewed = rhos + random_complex((5, 8, 8)) * (1 - np.eye(8))
+    skewed = rhos + random_complex((5, 8, 8), rng) * (1 - np.eye(8))
     for batch in (rhos, skewed):
         out = readout(batch)
         assert out.shape == (5, 4) and out.dtype == float
@@ -75,20 +73,22 @@ def test_expectation_is_real_diagonal_sum():
 
 
 def test_expectation_rejects_complex_trace():
-    rho = random_density()
+    rng = np.random.default_rng(8)
+    rho = random_density(rng)
     e0, e7 = np.diag(np.eye(8)[0]), np.diag(np.eye(8)[7])
     readout(rho + 1e-11j * e0)  # below the 1e-10 guard
     for bad in (rho + 1.0j * e0,  # imaginary population
-                random_complex((8, 8)),
+                random_complex((8, 8), rng),
                 np.stack([rho, rho + 1e-9j * e7])):
         with pytest.raises(ImaginaryTraceError):
             readout(bad)
 
 
 def test_readout_rejects_non_finite_correlations():
+    rng = np.random.default_rng(9)
     # NaN fails every comparison, so the imaginary-part guard alone let a
     # diverged state through as NaN outputs
-    rho = random_density()
+    rho = random_density(rng)
     for value in (np.nan, np.inf, complex(0.0, np.nan)):
         bad = rho.copy()
         bad[3, 3] = value
@@ -118,9 +118,10 @@ def test_loss_terms_match_written_out_arithmetic():
     """Energies and outputs are the explicit diag(rho) . sign sums, and
     the seed is the derivative of the energy in diag(rho), by central
     differences, on a random masked batch with two leading axes."""
-    rhos = np.stack([random_density() for _ in range(6)]).reshape(2, 3, 8, 8)
-    targets = RNG.uniform(0.0, 1.0, size=(2, 3, 4))
-    mask = (RNG.random((2, 3, 4)) < 0.6).astype(float)
+    rng = np.random.default_rng(10)
+    rhos = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 8, 8)
+    targets = rng.uniform(0.0, 1.0, size=(2, 3, 4))
+    mask = (rng.random((2, 3, 4)) < 0.6).astype(float)
     assert 0 < mask.sum() < mask.size
     energies, outputs, seed = loss_terms(rhos, targets, mask)
     assert (energies.shape, outputs.shape, seed.shape) == (
@@ -148,7 +149,8 @@ def test_commutator_of_commuting_operators_vanishes():
 
 
 def test_dagger_handles_batches():
-    batch = RNG.normal(size=(5, 8, 8)) + 1j * RNG.normal(size=(5, 8, 8))
+    rng = np.random.default_rng(11)
+    batch = random_complex((5, 8, 8), rng)
     out = dagger(batch)
     for i in range(5):
         assert np.array_equal(out[i], batch[i].conj().T)

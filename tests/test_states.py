@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qnnwitness.errors import (
     ArityError,
@@ -13,6 +18,7 @@ from qnnwitness.propagate import IntegratorConfig
 from qnnwitness.states import (
     CATALOG_NAMES,
     FAMILIES,
+    WEIGHT_TOL,
     StateSpec,
     catalog,
     mix,
@@ -58,6 +64,48 @@ def test_normalize_rejects_non_finite_amplitudes():
         amps[3] = bad
         with pytest.raises(NonFinite):
             normalize(amps)
+
+
+def linalg_normalize(raw):
+    """normalize as np.linalg.norm divided twice: the oracle for the
+    inlined norm."""
+    amps = np.asarray(raw, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(amps)
+    if not np.isfinite(norm):
+        raise NonFinite("amplitudes must be finite, with a norm below ~1e154")
+    if norm < 1e-150:
+        raise ZeroVector("cannot normalize the zero vector")
+    amps = amps.reshape(8) / norm
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def scaled_kets(draw):
+    """8 amplitudes in the unit square times 10^-160..10^160, which spans
+    both refusals by size, sometimes with one non-finite entry."""
+    parts = draw(arrays(float, 16, elements=st.floats(-1.0, 1.0)))
+    ket = (parts[:8] + 1j * parts[8:]) * 10.0 ** draw(st.integers(-160, 160))
+    bad = draw(st.sampled_from(
+        [None, None, None, np.nan, np.inf, -np.inf, complex(0.0, np.nan)]))
+    if bad is not None:
+        ket[draw(st.integers(0, 7))] = bad
+    return ket
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_kets())
+@example(np.full(8, 1e-140 + 0j)).via("the smallest scale kept")
+@example(np.full(8, 1e150 + 0j)).via("the largest scale kept")
+@example(np.full(8, 1e200 + 0j)).via("the overflow")
+def test_normalize_is_the_twice_divided_linalg_norm(ket):
+    try:
+        want = linalg_normalize(ket)
+    except (NonFinite, ZeroVector) as refusal:
+        with pytest.raises(type(refusal), match=f"^{re.escape(str(refusal))}$"):
+            normalize(ket)
+    else:
+        assert normalize(ket).tobytes() == want.tobytes()
 
 
 def test_direct_construction_normalizes_every_ket():
@@ -208,6 +256,50 @@ def test_mixture_weights_validated():
             StateSpec(weights=(1.0,), kets=((bad,) + e0[1:],))
 
 
+def numpy_weight_refusal(weights):
+    """StateSpec's weight checks as numpy reductions, the oracle for its
+    float checks: the refusal's message, or None to accept."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        return f"mixture weights must be finite, got {w}"
+    if np.any(w < 0):
+        return f"negative mixture weight {w.min()}"
+    if abs(w.sum() - 1.0) > WEIGHT_TOL:
+        return f"mixture weights sum to {float(w.sum())!r}, not 1"
+    return None
+
+
+@st.composite
+def weight_tuples(draw):
+    """1 to 10 weights: any mix of [-1, 1], NaN and +-inf, or positive
+    weights scaled to sum to 1, or to 1 +- about WEIGHT_TOL."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        weight = st.one_of(st.floats(-1.0, 1.0),
+                           st.sampled_from([np.nan, np.inf, -np.inf]))
+        return tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+    raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    off = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    off *= WEIGHT_TOL * draw(st.floats(0.999, 1.001))
+    return tuple(x / sum(raw) * (1.0 + off) for x in raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_tuples())
+@example(()).via("no weights")
+@example((-0.0,)).via("a negative zero")
+@example((0.1,) * 10).via("numpy's own sum")
+def test_weights_are_checked_as_the_numpy_reductions_did(weights):
+    kets = tuple(np.eye(8)[k % 8] for k in range(len(weights)))
+    refusal = numpy_weight_refusal(weights)
+    if refusal is None:
+        StateSpec(weights=weights, kets=kets)
+    else:
+        with pytest.raises(InvalidWeights) as raised:
+            StateSpec(weights=weights, kets=kets)
+        assert (raised.type, str(raised.value)) == (InvalidWeights, refusal)
+
+
 def test_mixture_density_is_weighted_sum():
     a = amplitudes("GHZ_plus")
     b = amplitudes("W")
@@ -216,14 +308,19 @@ def test_mixture_density_is_weighted_sum():
                        0.25 * ket_to_density(a) + 0.75 * ket_to_density(b))
 
 
-def test_mix_many_is_the_loop_over_components():
+@pytest.mark.parametrize("with_mixtures", [True, False],
+                         ids=["with_mixtures", "all_pure"])
+def test_mix_many_is_the_loop_over_components(with_mixtures):
     """The one-pass stack equals, bit for bit, the loop that adds each
-    weighted projector to a zero density in component order, for pure
-    states and mixtures of one to three kets in one batch."""
+    weighted projector to a zero density in component order: for pure
+    states and mixtures of one to three kets in one batch, and for a
+    batch of pure states only, which adds no two terms."""
     rng = np.random.default_rng(8)
     specs = [catalog(n, *((0.3, 0.8) if n in FAMILIES else ()))
              for n in CATALOG_NAMES]
-    for parts in (1, 2, 3):
+    if not with_mixtures:
+        specs = [spec for spec in specs if spec.is_pure]
+    for parts in (1, 2, 3) if with_mixtures else ():
         kets = rng.normal(size=(parts, 8)) + 1j * rng.normal(size=(parts, 8))
         specs.append(StateSpec.mixture(
             list(zip(rng.dirichlet(np.ones(parts)), kets))))
@@ -233,8 +330,9 @@ def test_mix_many_is_the_loop_over_components():
         for w, ket in spec.components():
             rho += w * ket_to_density(ket)
         loop.append(rho)
-    assert np.array_equal(mix_many(specs), np.stack(loop))
-    assert np.array_equal(mix(specs[-1]), loop[-1])
+    # bytes, not values: a -0.0 part where the loop has +0.0 is a change
+    assert mix_many(specs).tobytes() == np.stack(loop).tobytes()
+    assert mix(specs[-1]).tobytes() == loop[-1].tobytes()
 
 
 def test_mix_many_of_no_specs_is_empty():
