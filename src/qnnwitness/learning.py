@@ -58,7 +58,7 @@ from .propagate import (
     evolve_batch_h,
     real_setting,
 )
-from .states import CATALOG_NAMES, StateSpec, catalog, mix, mix_many
+from .states import CATALOG_NAMES, StateSpec, catalog, mix
 
 
 # a bare name, or a name with a parenthesized argument list
@@ -138,10 +138,9 @@ class Dataset:
             raise ValueError(f"dataset {self.name!r} has no pairs")
 
     def arrays(self):
-        """(rhos, targets, mask) stacks in OBSERVABLE_IDS order, each
-        built in one pass over the pairs: the rows TrainingPair.arrays
-        gives, stacked."""
-        return (mix_many([p.state for p in self.pairs]),
+        """(rhos, targets, mask) stacks in OBSERVABLE_IDS order: the rows
+        TrainingPair.arrays gives, stacked."""
+        return (np.stack([mix(p.state) for p in self.pairs]),
                 *_target_rows(self.pairs))
 
 

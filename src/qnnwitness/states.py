@@ -67,8 +67,9 @@ class StateSpec:
                  else float(array.sum()))
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidWeights(f"mixture weights sum to {total!r}, not 1")
-        object.__setattr__(self, "kets",
-                           tuple(tuple(normalize(k)) for k in self.kets))
+        object.__setattr__(self, "weights", tuple(w))
+        object.__setattr__(self, "kets", tuple(
+            tuple(normalize(k).tolist()) for k in self.kets))
 
     @classmethod
     def pure(cls, ket) -> "StateSpec":
@@ -93,29 +94,17 @@ class StateSpec:
 
     def components(self):
         for w, k in zip(self.weights, self.kets):
-            yield float(w), np.asarray(k, dtype=complex)
+            yield w, np.asarray(k, dtype=complex)
 
 
 def mix(spec: StateSpec) -> np.ndarray:
-    """Convex combination of rank-1 projectors."""
-    return mix_many((spec,))[0]
-
-
-def mix_many(specs) -> np.ndarray:
-    """(B, 8, 8) stack of mix(spec) over a sequence of specs, in one pass:
-    every component's weighted projector at once, each added into its
-    spec's density in component order."""
-    owner = [i for i, spec in enumerate(specs) for _ in spec.kets]
-    weights = np.array([w for spec in specs for w in spec.weights])
-    kets = np.array([k for spec in specs for k in spec.kets],
-                    dtype=complex).reshape(-1, 8)
-    terms = weights[:, None, None] * (kets[:, :, None] * kets[:, None, :].conj())
-    rhos = np.zeros((len(specs), 8, 8), dtype=complex)
-    if len(owner) == len(specs):  # every spec pure: one term per density
-        rhos += terms
-    else:
-        np.add.at(rhos, owner, terms)
-    return rhos
+    """Convex combination of rank-1 projectors, each weighted projector
+    added into a zero density in component order."""
+    # from zeros, a -0.0 part of a lone projector is +0.0 (GHZ_minus)
+    rho = np.zeros((8, 8), dtype=complex)
+    for w, k in spec.components():
+        rho += w * (k[:, None] * k[None, :].conj())
+    return rho
 
 
 _ZERO = np.array([1.0, 0.0])

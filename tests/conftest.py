@@ -6,6 +6,8 @@ round-off, which pins the package's form to the textbook one."""
 
 import numpy as np
 
+from qnnwitness.hamiltonian import PLAIN, Schedule
+
 
 def rhs(h, rho):
     """-i [h, rho] for any rho, by two products; Hermitian whenever rho
@@ -25,6 +27,13 @@ def classical_rk4(rho, h, dt, steps=1):
         k4 = rhs(h, rho + dt * k3)
         rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return rho
+
+
+def random_schedule(seed):
+    """A uniform(-6, 6) schedule drawn from its own seed, so that a test
+    gets the same schedule whichever tests run before it."""
+    rng = np.random.default_rng(seed)
+    return Schedule(rng.uniform(-6.0, 6.0, size=(4, 9)), 75.0, PLAIN)
 
 
 # chunk rows whose Hamiltonians have degenerate spectra

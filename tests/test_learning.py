@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_schedule
 
 from qnnwitness import learning, propagate, superop
 from qnnwitness.errors import DivergenceError, KetSyntaxError, QnnError
@@ -30,13 +31,6 @@ from qnnwitness.states import catalog, mix, StateSpec
 ZERO_TARGETS = {"AB": 0.0, "AC": 0.0, "BC": 0.0, "ABC": 0.0}
 # the partial-entanglement target of set1's P states, as originally trained
 P_STATE_TARGET = 0.44317
-
-
-def random_schedule(seed):
-    """A uniform(-6, 6) schedule drawn from its own seed, so that a test
-    gets the same schedule whichever tests run before it."""
-    rng = np.random.default_rng(seed)
-    return Schedule(rng.uniform(-6.0, 6.0, size=(4, 9)), 75.0, PLAIN)
 
 
 def test_resolve_state_accepts_names_and_expressions():

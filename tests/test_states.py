@@ -22,7 +22,6 @@ from qnnwitness.states import (
     StateSpec,
     catalog,
     mix,
-    mix_many,
     normalize,
 )
 from qnnwitness.witness import evaluate
@@ -289,11 +288,23 @@ def weight_tuples(draw):
 @example(()).via("no weights")
 @example((-0.0,)).via("a negative zero")
 @example((0.1,) * 10).via("numpy's own sum")
+@example(("0.5", "0.5")).via("numbers written as strings")
+@example((np.float32(0.25), np.float32(0.75))).via("single precision")
 def test_weights_are_checked_as_the_numpy_reductions_did(weights):
+    """An accepted spec keeps its weights as the Python floats it checked,
+    and its kets as Python complex numbers, and mix weights each
+    projector by them; a refused one fails as the numpy reductions
+    would."""
     kets = tuple(np.eye(8)[k % 8] for k in range(len(weights)))
     refusal = numpy_weight_refusal(weights)
     if refusal is None:
-        StateSpec(weights=weights, kets=kets)
+        spec = StateSpec(weights=weights, kets=kets)
+        floats = np.asarray(weights, dtype=float)
+        assert spec.weights == tuple(floats.tolist())
+        assert all(type(w) is float for w in spec.weights)
+        assert all(type(a) is complex for k in spec.kets for a in k)
+        assert np.array_equal(mix(spec), sum(
+            w * ket_to_density(k) for w, k in zip(floats, kets)))
     else:
         with pytest.raises(InvalidWeights) as raised:
             StateSpec(weights=weights, kets=kets)
@@ -310,11 +321,10 @@ def test_mixture_density_is_weighted_sum():
 
 @pytest.mark.parametrize("with_mixtures", [True, False],
                          ids=["with_mixtures", "all_pure"])
-def test_mix_many_is_the_loop_over_components(with_mixtures):
-    """The one-pass stack equals, bit for bit, the loop that adds each
-    weighted projector to a zero density in component order: for pure
-    states and mixtures of one to three kets in one batch, and for a
-    batch of pure states only, which adds no two terms."""
+def test_mix_is_the_loop_over_components(with_mixtures):
+    """mix equals, bit for bit, the loop that adds each weighted projector
+    to a zero density in component order: for every catalog state and
+    mixtures of one to three kets, and for the pure states alone."""
     rng = np.random.default_rng(8)
     specs = [catalog(n, *((0.3, 0.8) if n in FAMILIES else ()))
              for n in CATALOG_NAMES]
@@ -324,19 +334,12 @@ def test_mix_many_is_the_loop_over_components(with_mixtures):
         kets = rng.normal(size=(parts, 8)) + 1j * rng.normal(size=(parts, 8))
         specs.append(StateSpec.mixture(
             list(zip(rng.dirichlet(np.ones(parts)), kets))))
-    loop = []
     for spec in specs:
         rho = np.zeros((8, 8), dtype=complex)
         for w, ket in spec.components():
             rho += w * ket_to_density(ket)
-        loop.append(rho)
-    # bytes, not values: a -0.0 part where the loop has +0.0 is a change
-    assert mix_many(specs).tobytes() == np.stack(loop).tobytes()
-    assert mix(specs[-1]).tobytes() == loop[-1].tobytes()
-
-
-def test_mix_many_of_no_specs_is_empty():
-    assert mix_many(()).shape == (0, 8, 8)
+        # bytes, not values: a -0.0 part where the loop has +0.0 is a change
+        assert mix(spec).tobytes() == rho.tobytes()
 
 
 def test_catalog_rejects_unknown_and_bad_arity():
