@@ -107,6 +107,44 @@ def test_unterminated_mixture():
         parse_state("mix{0.5: |000>, 0.5: |111>")
 
 
+BASIS_MESSAGE = ("malformed basis ket: a basis ket is '|' followed by three "
+                 "0/1 digits and '>'")
+
+
+@pytest.mark.parametrize("text, kind, message, offset", [
+    ("|000> + $", KetSyntaxError, "unexpected character '$'", 8),
+    # a no-break space is one character and two bytes
+    ("|000>\u00a0+ $", KetSyntaxError, "unexpected character '$'", 9),
+    ("|00>", KetSyntaxError, BASIS_MESSAGE, 0),
+    ("9" * 400 + "*|000>", KetSyntaxError,
+     "coefficient is not a finite number", 0),
+    ("1/sqrt(0)*|000>", KetSyntaxError,
+     "coefficient is not a finite number", 0),
+    ("0.5*", KetSyntaxError, "expected basis, found ''", 4),
+    ("mix{|000>}", KetSyntaxError, "expected number, found '|000>'", 4),
+    # a weight may carry a minus, never a plus
+    ("mix{+1: |000>}", KetSyntaxError, "expected number, found '+'", 4),
+    ("mix{0.5 |000>}", KetSyntaxError, "expected ':', found '|000>'", 8),
+    ("mix{0.5: |000>, 0.5: |111>", KetSyntaxError, "expected '}', found ''",
+     26),
+    ("|000> |111>", KetSyntaxError, "expected end, found '|111>'", 6),
+    ("mix{1: |000>}}", KetSyntaxError, "expected end, found '}'", 13),
+    ("|000> + 0.5", KetSyntaxError,
+     "a bare number is not a state; multiply a basis ket", 8),
+    ("|000> + +", KetSyntaxError, "expected a term, found '+'", 8),
+    ("mix{0.5i: |000>, 0.5: |111>}", InvalidWeights,
+     "mixture weight 0.5i is not a real number", None),
+])
+def test_each_refusal_names_its_message_and_byte_offset(
+        text, kind, message, offset):
+    with pytest.raises(kind) as err:
+        parse_state(text)
+    assert type(err.value) is kind
+    assert getattr(err.value, "offset", None) == offset
+    suffix = "" if offset is None else f" (at offset {offset})"
+    assert str(err.value) == message + suffix
+
+
 def _small_parts(fill):
     """(3, 2, 8) parts, all fill except parts[0, 0, 0] = parts[0, 1, 0] = 1."""
     parts = np.full((3, 2, 8), fill)
