@@ -273,14 +273,7 @@ def main(argv=None) -> int:
                               if value is not None}}
         cfg = settings(**{f.name: given[f.name] for f in fields(settings)
                           if f.name in given})
-        # Every subcommand refuses a non-finite result (the readout raises
-        # NonFinite, training DivergenceError), so numpy's overflow warnings
-        # on the way there would only precede that message. So the
-        # RuntimeWarning-as-error policy under pytest does not reach a
-        # route called through main; the same routes are tested directly,
-        # outside main, where it does.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args, cfg, schedule, config)
+        return args.func(args, cfg, schedule, config)
     except (QnnError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

@@ -70,89 +70,63 @@ def _number_value(text: str, offset: int) -> complex:
     return value
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise KetSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, text, off = self.take()
-        if kind != "op" or text != op:
-            raise KetSyntaxError(f"expected {op!r}, found {text!r}", off)
-
-    # state := sum | "mix{" wterm ("," wterm)* "}"
-    def state(self) -> StateSpec:
-        if self.peek()[0] == "mix":
-            self.take()
-            pairs = [self.wterm()]
-            while self.peek()[:2] == ("op", ","):
-                self.take()
-                pairs.append(self.wterm())
-            self.expect_op("}")
-            self.take("end")
-            return StateSpec.mixture(pairs)
-        amps = self.sum()
-        self.take("end")
-        return StateSpec.pure(amps)
-
-    def wterm(self):
-        sign = 1.0
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            sign = -1.0
-        kind, text, off = self.take("number")
-        w = sign * _number_value(text, off)
-        if w.imag != 0:
-            raise InvalidWeights(f"mixture weight {text} is not a real number")
-        self.expect_op(":")
-        return (w.real, self.sum())
-
-    def sum(self) -> np.ndarray:
-        amps = np.zeros(8, dtype=complex)
-        sign = 1.0
-        # leading minus accepted as shorthand for 0 - term
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
-            sign = -1.0
-        elif self.peek()[:2] == ("op", "+"):
-            self.take()
-        self.term(amps, sign)
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            sign = 1.0 if self.take()[1] == "+" else -1.0
-            self.term(amps, sign)
-        return amps
-
-    def term(self, amps: np.ndarray, sign: float):
-        kind, text, off = self.peek()
-        if kind == "number":
-            self.take()
-            if self.peek()[:2] == ("op", "*"):
-                self.take()
-                bk, bt, boff = self.take("basis")
-                amps[int(bt[1:4], 2)] += sign * _number_value(text, off)
-                return
-            raise KetSyntaxError(
-                "a bare number is not a state; multiply a basis ket", off)
-        if kind == "basis":
-            self.take()
-            amps[int(text[1:4], 2)] += sign
-            return
-        raise KetSyntaxError(f"expected a term, found {text!r}", off)
-
-
 def parse_state(expr: str) -> StateSpec:
     """Parse a ket expression or mixture into a StateSpec."""
-    return _Parser(expr).state()
+    tokens = _tokenize(expr)
+    pos = 0
+
+    def take(kind=None, text=None):
+        nonlocal pos
+        tok = tokens[pos]
+        if kind not in (None, tok[0]) or text not in (None, tok[1]):
+            want = kind if text is None else repr(text)
+            raise KetSyntaxError(f"expected {want}, found {tok[1]!r}", tok[2])
+        pos += 1
+        return tok
+
+    def sign(signs="+-"):
+        """-1.0 or 1.0 if the next token is one of signs, which it takes;
+        None if it is not."""
+        if tokens[pos][0] != "op" or tokens[pos][1] not in signs:
+            return None
+        return -1.0 if take()[1] == "-" else 1.0
+
+    def ket() -> np.ndarray:
+        amps = np.zeros(8, dtype=complex)
+        # leading minus accepted as shorthand for 0 - term
+        s = sign() or 1.0
+        while s is not None:
+            kind, text, offset = take()
+            if kind == "basis":
+                amps[int(text[1:4], 2)] += s
+            elif kind != "number":
+                raise KetSyntaxError(f"expected a term, found {text!r}", offset)
+            elif take()[1] != "*":
+                raise KetSyntaxError(
+                    "a bare number is not a state; multiply a basis ket", offset)
+            else:
+                basis = take("basis")[1]
+                amps[int(basis[1:4], 2)] += s * _number_value(text, offset)
+            s = sign()
+        return amps
+
+    if tokens[0][0] != "mix":
+        amps = ket()
+        take("end")
+        return StateSpec.pure(amps)
+    pairs = []
+    while not pairs or tokens[pos][1] == ",":
+        take()  # "mix{", then each ","
+        w_sign = sign("-") or 1.0
+        _, text, offset = take("number")
+        w = w_sign * _number_value(text, offset)
+        if w.imag != 0:
+            raise InvalidWeights(f"mixture weight {text} is not a real number")
+        take(text=":")
+        pairs.append((w.real, ket()))
+    take(text="}")
+    take("end")
+    return StateSpec.mixture(pairs)
 
 
 def _fmt_number(x: float) -> str:
@@ -163,23 +137,19 @@ def _fmt_number(x: float) -> str:
 
 
 def _render_sum(amps: np.ndarray) -> str:
-    parts = []
+    text = ""
     for idx in range(8):
-        a = amps[idx]
         basis = f"|{idx >> 2 & 1}{idx >> 1 & 1}{idx & 1}>"
-        for value, suffix in ((a.real, ""), (a.imag, "i")):
+        for value, suffix in ((amps[idx].real, ""), (amps[idx].imag, "i")):
             mag = _fmt_number(abs(value))
             if mag == "0.0":
                 continue
             coeff = f"{mag}{suffix}*"
             if mag == "1.0":
                 coeff = "1i*" if suffix else ""
-            parts.append(("-" if value < 0 else "+", f"{coeff}{basis}"))
-    first_sign, first = parts[0]
-    text = (first if first_sign == "+" else f"-{first}")
-    for sign, part in parts[1:]:
-        text += f" {sign} {part}"
-    return text
+            text += f"{' - ' if value < 0 else ' + '}{coeff}{basis}"
+    # the first part's sign is a bare "-", or nothing for "+"
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 def render(spec: StateSpec) -> str:

@@ -7,6 +7,7 @@ however it is built, so only ratios matter when defining a pattern.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -45,6 +46,20 @@ def _norm(amps) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _weight(w) -> float:
+    """w as numpy reads it as a float, or InvalidWeights naming it: a bool,
+    a complex number, or anything numpy does not read as one float."""
+    if isinstance(w, float):
+        return float(w)
+    value = None
+    if not (isinstance(w, (bool, np.bool_)) or np.iscomplexobj(w)):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            value = np.asarray(w, dtype=float)
+    if value is None or value.ndim:
+        raise InvalidWeights(f"mixture weight {w!r:.40} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """A pure ket or an explicit convex mixture of kets, each normalized."""
@@ -55,16 +70,16 @@ class StateSpec:
     def __post_init__(self):
         if len(self.weights) != len(self.kets):
             raise InvalidWeights("one weight per component required")
-        array = np.asarray(self.weights, dtype=float)
-        w = array.tolist()
+        w = [_weight(x) for x in self.weights]
         if not all(map(math.isfinite, w)):
-            raise InvalidWeights(f"mixture weights must be finite, got {array}")
+            raise InvalidWeights(
+                f"mixture weights must be finite, got {np.array(w)}")
         if min(w, default=0.0) < 0:
-            raise InvalidWeights(f"negative mixture weight {array.min()}")
+            raise InvalidWeights(f"negative mixture weight {np.min(w)}")
         # below 8 terms np.sum adds left to right from 0.0; Python's own
         # sum compensates its rounding from 3.12 on
         total = (reduce(operator.add, w, 0.0) if len(w) < 8
-                 else float(array.sum()))
+                 else float(np.sum(w)))
         if abs(total - 1.0) > WEIGHT_TOL:
             raise InvalidWeights(f"mixture weights sum to {total!r}, not 1")
         object.__setattr__(self, "weights", tuple(w))
@@ -79,7 +94,7 @@ class StateSpec:
     def mixture(cls, pairs) -> "StateSpec":
         """From (weight, ket) pairs; pairs may be any iterable, read once."""
         pairs = tuple(pairs)
-        return cls(weights=tuple(float(w) for w, _ in pairs),
+        return cls(weights=tuple(w for w, _ in pairs),
                    kets=tuple(k for _, k in pairs))
 
     @property

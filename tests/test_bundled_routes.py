@@ -1,9 +1,9 @@
 """Every route on the bundled schedules, at the default step and at a
-finer one. The CLI runs each command under np.errstate, which hides
-numpy's warnings; these call the routes directly, where the test
-configuration raises each RuntimeWarning as an error, so an overflow or
-NaN on the way to an output or a gradient fails at the line that makes
-it, not later as a DivergenceError or a plausible number."""
+finer one. The test configuration raises each RuntimeWarning as an
+error, so an overflow or NaN on the way to an output or a gradient fails
+at the line that makes it, not later as a DivergenceError or a plausible
+number. These call the routes directly, so that a failure names the
+route, not the CLI command that reached it."""
 
 import numpy as np
 import pytest

@@ -255,6 +255,38 @@ def test_mixture_weights_validated():
             StateSpec(weights=(1.0,), kets=((bad,) + e0[1:],))
 
 
+@pytest.mark.parametrize("build", [
+    lambda weights, kets: StateSpec(weights=weights, kets=kets),
+    lambda weights, kets: StateSpec.mixture(zip(weights, kets)),
+], ids=["direct", "mixture"])
+@pytest.mark.parametrize("weight, message", [
+    (None, "mixture weights must be finite, got [nan  1.]"),
+    (0.5j, "mixture weight 0.5j is not a real number"),
+    (np.complex128(0.5),
+     "mixture weight np.complex128(0.5+0j) is not a real number"),
+    ("abc", "mixture weight 'abc' is not a real number"),
+    (True, "mixture weight True is not a real number"),
+    (False, "mixture weight False is not a real number"),
+    (np.bool_(True), "mixture weight np.True_ is not a real number"),
+    ([0.5], "mixture weight [0.5] is not a real number"),
+    (10 ** 400, "mixture weight 1" + "0" * 39 + " is not a real number"),
+    ("0.5", None),
+    (np.float32(0.5), None),
+], ids=["None", "complex", "numpy_complex", "text", "True", "False",
+        "numpy_bool", "list", "huge_int", "numeric_text", "float32"])
+def test_both_constructors_read_each_weight_alike(build, weight, message):
+    """Each weight is read once, in StateSpec, as numpy reads a float:
+    a bool, a complex number or anything numpy does not read as one float
+    is refused by name, whichever constructor is given it."""
+    kets = (np.eye(8)[0], np.eye(8)[7])
+    if message is None:
+        assert build((weight, 0.5), kets).weights == (0.5, 0.5)
+        return
+    with pytest.raises(InvalidWeights) as raised:
+        build((weight, 1.0), kets)
+    assert str(raised.value) == message
+
+
 def numpy_weight_refusal(weights):
     """StateSpec's weight checks as numpy reductions, the oracle for its
     float checks: the refusal's message, or None to accept."""
