@@ -7,9 +7,10 @@ dataset for batch training.
 
 Two independent gradient routes exist on purpose. backprop_gradient is
 the reference: reverse mode through every step of the actual stepped
-integration. It records the trajectory and seeds the adjoint here; the
-step arithmetic it walks back, like every other line that knows RK4's
-step, lives in propagate.py, beside the stepped loop. The training loop
+integration. It seeds the adjoint here; the step arithmetic it walks,
+like every other line that knows RK4's step, lives in propagate.py,
+beside the stepped loop, which steps the chunks side by side, each from
+a boundary state that the coordinate map carries. The training loop
 instead calls the fast path in superop.py, which applies each chunk's n
 RK4 steps at once in the eigenbasis of its Hamiltonian and gets the same
 discrete adjoint from the divided-difference form of the derivative of
@@ -49,6 +50,7 @@ from .ketexpr import parse_state
 from .ops import OBSERVABLE_IDS, loss_terms
 from .propagate import (
     IntegratorConfig,
+    _carried,
     _coordinates,
     _increments,
     _matrices,
@@ -197,15 +199,23 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
                       cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Exact loss gradient by reverse mode through every stepped RK4 step.
 
-    The forward pass records the pair's trajectory, ops.loss_terms gives
-    the seed dE/drho(t_f), and propagate._stepped_gradient, beside the
-    stepped loop whose step arithmetic it walks back, turns both into each
-    chunk's dE/dH.
+    The schedule's Hamiltonians pass the stability check once, here.
+    propagate._stepped_gradient, beside the stepped loop whose step
+    arithmetic it walks back, records the pair's state forward and the
+    adjoint state back through every chunk, all chunks side by side, each
+    from a boundary state that the coordinate map carries, and turns them
+    into each chunk's dE/dH; ops.loss_terms gives the seed dE/drho(t_f)
+    from the forward states' last. The gradient is the sequential walk's
+    up to round-off; with one chunk the recorded states are that walk's
+    bit for bit.
     """
     rho0, targets, mask = pair.arrays()
-    rho_f, traj = evolve(rho0, s, cfg, record=True)
-    seed = np.diag(loss_terms(rho_f, targets, mask)[2])
-    dh = _stepped_gradient(traj.states, seed, s.hamiltonians(), cfg.dt)
+    steps = cfg.steps_per_chunk(s.chunk_duration)
+    hs = s.hamiltonians()
+    check_stable(np.linalg.eigvalsh(hs), cfg.dt)
+    dh = _stepped_gradient(
+        rho0, hs, cfg.dt, steps,
+        lambda rho_f: np.diag(loss_terms(rho_f, targets, mask)[2]))
     return parameter_gradient(dh, s.convention).reshape(-1)
 
 
@@ -252,13 +262,9 @@ def fd_gradient(pair: TrainingPair, s: Schedule,
     check_stable(np.linalg.eigvalsh(hs), cfg.dt)
     rho, targets, mask = pair.arrays()
     increments = _increments(hs[:, 0], cfg.dt, steps)
-    # p's coordinates entering each chunk, each carried from the last as
-    # c + c D
-    entering = [_coordinates(rho)]
-    for d in increments[:-1]:
-        entering.append(entering[-1] + entering[-1] @ d)
+    # p's state entering each chunk, carried from the last as c + c D
     stepped = evolve_batch_h(
-        np.repeat(_matrices(np.concatenate(entering)), 18, axis=0),
+        np.repeat(_carried(rho, increments[:-1]), 18, axis=0),
         hs[None, :, 1:].reshape(1, -1, 8, 8), cfg.dt, steps)
     # each chunk's 18 sets on through every chunk after it, in order
     c = _coordinates(stepped).reshape(len(hs), 18, 64)

@@ -22,10 +22,12 @@ refuses a dt past RK4's stability limit once, from the spectra of the
 Hamiltonians it builds. Every line that knows RK4's step is in this
 module: the loop, its stage factors (_stage_factors) and commutator
 kernel (_flow), and the reference adjoint (_stepped_gradient), which
-learning.backprop_gradient calls. A recorded trajectory keeps only the
-states at the step boundaries: the adjoint steps its own state back with
-the loop under -H and rebuilds each step's Horner stages from them with
-the loop's stage factors and kernel.
+learning.backprop_gradient calls. The adjoint records only the states at
+the step boundaries, forward and back, and rebuilds each step's Horner
+stages from them with the loop's stage factors and kernel. It steps all
+of a state's chunks side by side, in one stacked _stepped call each way
+(under -H back), each chunk from a boundary state that the coordinate map
+below carries to it.
 
 Unless it records, evolve maps coordinates rather than stepping
 matrices. An 8x8 Hermitian matrix has 64 real coordinates, which
@@ -41,7 +43,10 @@ stepping each state only by round-off, and the product back to matrices
 makes it exactly Hermitian. Finite differences take the same increments
 (_increments), carry by the same rule through the chunks a perturbed
 parameter set shares with the unperturbed schedule, before and after its
-own, and take the same product back (_matrices).
+own, and take the same product back (_matrices). The reference adjoint
+carries the state to each chunk's start by the same rule, through the
+same helper as finite differences (_carried), and its seed back to each
+chunk's end by the increments' adjoints in the trace metric.
 """
 from __future__ import annotations
 
@@ -238,65 +243,6 @@ def _stepped(rho, hs, dt, steps_per_chunk, states=None):
     return rho
 
 
-def _stepped_gradient(states, seed, hs, dt):
-    """dE/dH of each chunk, (n_chunks, 8, 8), by reverse mode through the
-    stepped loop: states is a single state's recorded trajectory, hs the
-    chunks' Hamiltonians it was stepped under and seed dE/drho at its last
-    state, Hermitian.
-
-    A step is P(dt F) for a real-coefficient quartic P and F x =
-    -i [H, x]; F+ = -F, so the adjoint of a step is the same step under
-    -H. A _stepped call under -H of a chunk thus walks the adjoint state
-    back through that chunk, recording it at every step; -H has H's
-    spread, so the forward pass's stability check covers it. The chunks
-    are walked last first, each from the state the one after it ended at,
-    so that only one chunk's adjoint states are held at a time. _stepped
-    Hermitizes an exactly Hermitian state exactly, so the walk is bit for
-    bit one _stepped call through every chunk.
-
-    _stepped takes P(dt F) in Horner's form, with F_j = (dt/j) F:
-    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
-    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
-    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
-    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
-    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
-    Both are built at once for all of a chunk's steps, by _flow on
-    (steps, 8, 8) stacks of the recorded x and a_1, with _stepped's stage
-    factors (negated for -F_j), so every u_j and a_j is exactly
-    Hermitian; the chain runs in place on the recorded a_1. Term j adds
-    (dt/j) Im tr(G [u_j, a_j]) to generator G's derivative, which is
-    (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are Hermitian and G real
-    symmetric; the sum of u_j a_j over a chunk's steps is one gemm per
-    term, np.tensordot over the (step, j) pairs: numpy's einsum runs this
-    contraction in its own C loop, several times slower than BLAS.
-    """
-    xs = states[:-1].reshape(len(hs), -1, 8, 8)
-    steps = xs.shape[1]
-    lam = np.empty((steps + 1, 8, 8), dtype=complex)
-    a = lam[1:]
-    y2, y3, y4, b = np.empty((4,) + xs.shape[1:], dtype=complex)
-    work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
-    cs = np.empty((len(hs), 8, 8), dtype=complex)
-    for k in reversed(range(len(hs))):
-        h, x = hs[k], xs[k]
-        # recorded last first, so that lam[n + 1] meets the result of the
-        # chunk's step n, which x[n] enters; the chain below overwrites
-        # a = lam[1:] and the next chunk's walk all of lam, so lam[0], the
-        # state this chunk starts from and that walk's seed, is copied out
-        _stepped(seed, -h[None], dt, steps, lam[::-1])
-        seed = lam[0].copy()
-        m1, m2, m3, m4 = _stage_factors(h, dt)
-        for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
-            _flow(u.view(float).reshape(-1, 16), m, work, y)
-            y += x
-        cs[k] = dt * np.tensordot(y2, a, ((0, 2), (0, 1)))
-        # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
-        for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
-            _flow(a.view(float).reshape(-1, 16), -m, work, a)
-            cs[k] += (dt / j) * np.tensordot(u, a, ((0, 2), (0, 1)))
-    return 2 * cs.imag
-
-
 def _coordinates(rho):
     """(n, 64) the Hermitian coordinates of rho's n states, so that the
     Hermitized state b is sum_i c[b, i] _BASIS[i]. The batch is Hermitized
@@ -350,6 +296,106 @@ def _matrices(c):
     return x.view(complex).reshape(-1, 8, 8)
 
 
+# the trace inner product in coordinates: tr(X Y) = sum_i w_i c_i d_i for
+# Hermitian X, Y of coordinates c, d (_coordinates), w_i 1 on the 8
+# diagonal coordinates and 2 on the 56 others, each of which stands for
+# an entry and its conjugate
+_METRIC = np.repeat([1.0, 2.0], [8, 56])
+# the steps of a chunk whose stage stacks the reference adjoint builds at
+# once, so that its memory does not grow with the chunk's step count
+_BLOCK_STEPS = 64
+
+
+def _carried(rho, increments):
+    """(len(increments) + 1, 8, 8): the single state rho, Hermitized, then
+    carried through each increment in turn by the map's rule, coordinates
+    c to c + c D, each back as its Hermitian matrix (_matrices)."""
+    c = [_coordinates(rho)]
+    for d in increments:
+        c.append(c[-1] + c[-1] @ d)
+    return _matrices(np.concatenate(c))
+
+
+def _chunk_walks(rho, hs, dt, steps, seed_of):
+    """(xs, lams), each (n_chunks, steps + 1, 8, 8): the forward and the
+    adjoint state at every step boundary of each chunk, for the single
+    state rho stepped under hs and the adjoint seed seed_of(its last
+    state), Hermitian.
+
+    All chunks are stepped side by side, each from its own boundary state,
+    in one stacked _stepped call each way: multiple shooting (Lions, Maday
+    & Turinici, C. R. Acad. Sci. Paris 332, 661 (2001)), with the
+    coordinate map as the cheap propagator. Forward, chunk k starts from
+    rho carried through the increments D_j of the chunks before it
+    (_increments), as evolve carries it. Backward, it ends at the seed
+    carried back through the chunks after it by each increment's adjoint
+    in the trace metric W = diag(_METRIC), W D_j^T W^-1: an exact scaling
+    by powers of two, and the increment of the steps under -H up to
+    round-off. The buffers are chunk-major, so that a chunk's states are
+    one contiguous slice, and _stepped writes them through a transposed
+    view, the adjoint's reversed: lams[k, n] and xs[k, n] are both at step
+    boundary n of chunk k. With one chunk both walks are the sequential
+    ones bit for bit; with more they differ from them by round-off.
+    """
+    increments = _increments(hs, dt, steps)
+    xs, lams = np.empty((2, len(hs), steps + 1, 8, 8), dtype=complex)
+    _stepped(_carried(rho, increments[:-1]), hs[None], dt, steps,
+             xs.swapaxes(0, 1))
+    back = [_METRIC[:, None] * d.T / _METRIC for d in increments[:0:-1]]
+    _stepped(_carried(seed_of(xs[-1, -1]), back)[::-1], -hs[None], dt,
+             steps, lams[:, ::-1].swapaxes(0, 1))
+    return xs, lams
+
+
+def _stepped_gradient(rho, hs, dt, steps, seed_of):
+    """dE/dH of each chunk, (n_chunks, 8, 8), by reverse mode through the
+    stepped loop (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+    SIAM 2008, ch. 3-4): the single state rho stepped under hs, steps a
+    chunk, with seed_of(its last state) = dE/drho there, Hermitian. The
+    caller has checked hs against RK4's stability limit; -H has H's
+    spread, so that covers the adjoint's steps as well.
+
+    A step is P(dt F) for a real-coefficient quartic P and F x =
+    -i [H, x]; F+ = -F, so the adjoint of a step is the same step under
+    -H, and _chunk_walks records the forward and adjoint states of every
+    chunk. _stepped takes P(dt F) in Horner's form, with F_j = (dt/j) F:
+    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
+    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
+    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
+    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
+    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
+    Both are built for _BLOCK_STEPS of a chunk's steps at a time, by _flow
+    on stacks of the recorded x and a_1, with _stepped's stage factors
+    (negated for -F_j), so every u_j and a_j is exactly Hermitian; the
+    chain runs in place on the recorded a_1. Term j adds
+    (dt/j) Im tr(G [u_j, a_j]) to generator G's derivative, which is
+    (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are Hermitian and G real
+    symmetric; the sum of u_j a_j over a block's steps is one gemm per
+    term, np.tensordot over the (step, j) pairs: numpy's einsum runs this
+    contraction in its own C loop, several times slower than BLAS.
+    """
+    xs, lams = _chunk_walks(rho, hs, dt, steps, seed_of)
+    stacks = np.empty((4, min(steps, _BLOCK_STEPS), 8, 8), dtype=complex)
+    cs = np.zeros((len(hs), 8, 8), dtype=complex)
+    for k, h in enumerate(hs):
+        m1, m2, m3, m4 = _stage_factors(h, dt)
+        for n in range(0, steps, _BLOCK_STEPS):
+            # a[i] meets the result of the step that x[i] enters
+            x = xs[k, :-1][n:n + _BLOCK_STEPS]
+            a = lams[k, 1:][n:n + _BLOCK_STEPS]
+            y2, y3, y4, b = stacks[:, :len(x)]
+            work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
+            for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
+                _flow(u.view(float).reshape(-1, 16), m, work, y)
+                y += x
+            cs[k] += dt * np.tensordot(y2, a, ((0, 2), (0, 1)))
+            # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
+            for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
+                _flow(a.view(float).reshape(-1, 16), -m, work, a)
+                cs[k] += (dt / j) * np.tensordot(u, a, ((0, 2), (0, 1)))
+    return 2 * cs.imag
+
+
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
            record: bool = False):
     """Propagate rho0 through the whole schedule.
@@ -360,9 +406,9 @@ def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),
     Hamiltonians are checked against RK4's stability limit once, before
     the first step.
 
-    Recording steps the batch's matrices with _stepped and stores every
-    step boundary, which is all the reference adjoint, _stepped_gradient,
-    needs. Without it, one H per chunk serves the whole batch, and a step
+    Recording steps the batch's matrices with _stepped, chunk after
+    chunk, and stores every step boundary: the sequential trajectory.
+    Without it, one H per chunk serves the whole batch, and a step
     is linear in rho, so evolve maps the batch's 64 real Hermitian
     coordinates c (_coordinates). Each chunk's step matrix S
     (_step_matrix) is raised to the chunk's step count n as the increment

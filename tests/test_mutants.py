@@ -30,8 +30,13 @@ MUTANTS = [
                  "return 2 * (1 + 1e-8) * cs.imag", {"backprop_gradient"},
                  id="stepped_adjoint"),
     pytest.param(propagate, "_power_increment", "return p",
-                 "return 2 * p + p @ p", {"evolve", "fd_gradient"},
+                 "return 2 * p + p @ p",
+                 {"evolve", "fd_gradient", "backprop_gradient"},
                  id="extra_square"),
+    # the adjoint carry as the plain transpose, without the trace metric
+    pytest.param(propagate, "_chunk_walks",
+                 "_METRIC[:, None] * d.T / _METRIC", "d.T",
+                 {"backprop_gradient"}, id="adjoint_carry_metric"),
     pytest.param(learning, "fd_gradient", "c[:k] += c[:k] @ d",
                  "c[:k + 1] += c[:k + 1] @ d", {"fd_gradient"},
                  id="own_chunk_carry"),
@@ -47,7 +52,8 @@ MUTANTS = [
                  {"backprop_gradient", "dataset_loss_grad"},
                  id="seed_sign"),
     pytest.param(propagate, "_coordinates", "c *= 0.5", "c *= 0.5000001",
-                 {"evolve", "fd_gradient"}, id="coordinates"),
+                 {"evolve", "fd_gradient", "backprop_gradient"},
+                 id="coordinates"),
     pytest.param(propagate, "_stepped", "_flow(rho_f, m4, work, x)",
                  "_flow(rho_f, m3, work, x)", STEPPED,
                  id="first_stage_on_m3"),

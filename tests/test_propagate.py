@@ -513,8 +513,10 @@ def test_rk4_step_adjoint_is_the_step_under_minus_h(n):
 
 
 def one_call_gradient(states, seed, hs, dt):
-    """The reference adjoint as one _stepped call through every chunk,
-    recording the whole adjoint trajectory before any chain runs."""
+    """The sequential reference adjoint: from evolve's recorded trajectory,
+    one _stepped call walks the adjoint state back through every chunk,
+    recording it all before any chain runs, and each chunk's stages and
+    terms are built for all its steps at once."""
     xs = states[:-1].reshape(len(hs), -1, 8, 8)
     lams = np.empty_like(states)
     _stepped(seed, -hs[::-1], dt, xs.shape[1], lams[::-1])
@@ -533,23 +535,69 @@ def one_call_gradient(states, seed, hs, dt):
     return 2 * cs.imag
 
 
+def random_seed(rng):
+    """A random real symmetric adjoint seed."""
+    seed = rng.normal(size=(8, 8))
+    return seed + seed.T
+
+
 @pytest.mark.parametrize("dt", [0.25, 0.05])
-def test_the_adjoint_walks_back_chunk_by_chunk_bit_for_bit(dt):
-    """Walking the adjoint state back one chunk at a time, each chunk from
-    the last one's boundary state, gives the one-call walk's gradient bit
-    for bit, on random schedules and on trained_set2."""
-    rng = np.random.default_rng(31)
+def test_one_chunk_walks_are_the_sequential_walks_bit_for_bit(dt):
+    """With one chunk no boundary state is carried: the recorded forward
+    states are evolve's recorded trajectory, and the adjoint states the
+    walk back from the seed under -H, bit for bit, on a random row and on
+    trained_set2's first."""
+    rng = np.random.default_rng(36)
     cfg = IntegratorConfig(dt)
-    for name, s in (
-            ("Bell_AB", Schedule(rng.uniform(-6.0, 6.0, size=(4, 9)))),
-            ("W", TRAINED_SET2)):
-        _, traj = evolve(mix(catalog(name)), s, cfg, record=True)
-        seed = rng.normal(size=(8, 8))
-        seed = seed + seed.T
+    steps = cfg.steps_per_chunk(75.0)
+    for name, chunks in (("Bell_AB", rng.uniform(-6.0, 6.0, size=(1, 9))),
+                         ("W", TRAINED_SET2.chunks[:1])):
+        s, rho, seed = Schedule(chunks), mix(catalog(name)), random_seed(rng)
         hs = s.hamiltonians()
-        assert np.array_equal(
-            propagate._stepped_gradient(traj.states, seed, hs, dt),
-            one_call_gradient(traj.states, seed, hs, dt))
+        xs, lams = propagate._chunk_walks(rho, hs, dt, steps, lambda _: seed)
+        lam = np.empty((steps + 1, 8, 8), dtype=complex)
+        _stepped(seed, -hs, dt, steps, lam[::-1])
+        _, trajectory = evolve(rho, s, cfg, record=True)
+        assert np.array_equal(xs[0], trajectory.states)
+        assert np.array_equal(lams[0], lam)
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+@pytest.mark.parametrize("n_chunks", [2, 3, 4])
+def test_the_adjoint_is_the_sequential_walk_up_to_round_off(n_chunks, dt):
+    """Stepping the chunks side by side from carried boundary states moves
+    the gradient from the sequential walk's only by round-off: relative to
+    the largest component, the largest gap measured here and on 20 other
+    random problems is 2.4e-14 at dt 0.25 and 1.5e-13 at dt 0.05. A carry
+    that drops the metric, or skips a chunk, moves it by far more."""
+    rng = np.random.default_rng(n_chunks)
+    cfg = IntegratorConfig(dt)
+    for name, convention in (("GHZ_minus", PLAIN), ("M", ANGULAR)):
+        s = Schedule(rng.uniform(-6.0, 6.0, size=(n_chunks, 9)), 75.0,
+                     convention)
+        rho, hs, seed = mix(catalog(name)), s.hamiltonians(), random_seed(rng)
+        got = propagate._stepped_gradient(
+            rho, hs, dt, cfg.steps_per_chunk(75.0), lambda _: seed)
+        reference = one_call_gradient(
+            evolve(rho, s, cfg, record=True)[1].states, seed, hs, dt)
+        assert np.abs(got - reference).max() <= 1e-12 * np.abs(
+            reference).max()
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_the_metric_scaled_transpose_is_the_increment_under_minus_h(dt):
+    """W D^T W^-1, the adjoint of a chunk's increment D in the trace
+    metric, is the increment of the same steps under -H up to round-off:
+    at most 4.4e-16 apart on 10 random schedules, for entries of up to
+    1.5, where the plain transpose D^T is off by more than 0.1."""
+    steps = IntegratorConfig(dt).steps_per_chunk(75.0)
+    hs = random_schedule(36).hamiltonians()
+    metric = propagate._METRIC
+    for d, reverse in zip(propagate._increments(hs, dt, steps),
+                          propagate._increments(-hs, dt, steps)):
+        assert np.abs(metric[:, None] * d.T / metric - reverse).max() <= (
+            4 * EPS)
+        assert np.abs(d.T - reverse).max() > 0.1
 
 
 def test_stability_limit_is_where_a_step_starts_to_grow():
