@@ -1,7 +1,9 @@
 """Exception types shared across the package, the one reader and the type
-checks of every JSON input file, and the one writer of every output file."""
+checks of every JSON input file, the type check of a real-valued setting,
+and the one writer of every output file."""
 import csv
 import json
+import numbers
 import sys
 
 _JSON_KINDS = {float: "a number", int: "an integer", str: "a string",
@@ -39,6 +41,14 @@ def json_value(value, kind: type, field: str):
                          f"got {value!r:.40}")
     if kind is float and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{field} must be a finite number, got {value!r:.40}")
+    return value
+
+
+def real_setting(value, field: str):
+    """value if it is a real number, else a ValueError naming the field;
+    a bool is refused, although Python counts it as a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a real number, got {value!r:.40}")
     return value
 
 

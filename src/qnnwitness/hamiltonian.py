@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import (QnnError, json_field, json_object, json_value,
-                     read_json, write_json)
+                     read_json, real_setting, write_json)
 from .ops import OBSERVABLES, embed_pauli
 
 PARAM_NAMES = (
@@ -94,7 +94,9 @@ class Schedule:
         object.__setattr__(self, "chunks", chunks)
         if not self.n_chunks:
             raise ValueError("chunks must hold at least one row")
-        if not (np.isfinite(self.chunk_duration) and self.chunk_duration > 0):
+        if not (np.isfinite(real_setting(self.chunk_duration,
+                                         "chunk_duration_ns"))
+                and self.chunk_duration > 0):
             raise ValueError(f"chunk_duration_ns must be a positive number of "
                              f"ns, got {self.chunk_duration}")
 

@@ -43,6 +43,7 @@ from .errors import (
     json_object,
     json_value,
     read_json,
+    real_setting,
     write_csv,
 )
 from .hamiltonian import Schedule, parameter_gradient, unflatten
@@ -58,7 +59,6 @@ from .propagate import (
     check_stable,
     evolve,
     evolve_batch_h,
-    real_setting,
 )
 from .states import CATALOG_NAMES, StateSpec, catalog, mix
 
@@ -110,7 +110,7 @@ class TrainingPair:
         for key, value in self.targets.items():
             if key not in OBSERVABLE_IDS:
                 raise ValueError(f"unknown observable id {key!r}")
-            if not 0.0 <= value <= 1.0:
+            if not 0.0 <= real_setting(value, f"target {key}") <= 1.0:
                 raise ValueError(f"target {key}={value} outside [0, 1]")
 
     def arrays(self):

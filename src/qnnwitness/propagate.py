@@ -51,12 +51,11 @@ chunk's end by the increments' adjoints in the trace metric.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, real_setting
 from .hamiltonian import Schedule
 from .ops import dagger
 
@@ -66,14 +65,6 @@ RK4_STABLE_THETA = 2 * math.sqrt(2)
 # duration is refused instead of stepped for ever; 75 ns at dt 0.05 is
 # 1 500 steps, at dt 0.01 7 500
 MAX_STEPS_PER_CHUNK = 10 ** 6
-
-
-def real_setting(value, field: str):
-    """value if it is a real number, else a ValueError naming the field;
-    a bool is refused, although Python counts it as a number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{field} must be a real number, got {value!r:.40}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,6 @@ def test_evaluate_text_output(isolated_config, capsys):
     assert "none" in lines[3]
 
 
-def test_evaluate_json_output(isolated_config, capsys):
-    code, out, _ = run(capsys, "evaluate", "--params", "trained_set2",
-                       "--state", "GHZ_minus", "--dt", "0.25", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["labels"]["ABC"] == "strong"
-    assert doc["outputs"]["ABC"] > 0.9
-    assert "|000>" in doc["state"]
-
-
 def test_evaluate_json_renders_every_part_it_can_print(isolated_config,
                                                       capsys):
     code, out, _ = run(capsys, "evaluate", "--params", "trained_set1",
@@ -89,17 +79,6 @@ def test_evaluate_json_renders_every_part_it_can_print(isolated_config,
                        "--dt", "0.25", "--json")
     assert code == 0
     assert json.loads(out)["state"] == "|000> + 0.0000000000005*|011>"
-
-
-def test_evaluate_parametric_state_argument(isolated_config, capsys):
-    code, out, _ = run(capsys, "evaluate", "--params", "trained_set2",
-                       "--state", "fig2(0.0, 1.0)", "--dt", "0.25", "--json")
-    assert code == 0
-    ref_code, ref_out, _ = run(capsys, "evaluate", "--params", "trained_set2",
-                               "--state", "GHZ_plus", "--dt", "0.25", "--json")
-    ref = json.loads(ref_out)["outputs"]
-    for key, value in json.loads(out)["outputs"].items():
-        assert value == pytest.approx(ref[key], abs=1e-12)
 
 
 def test_evaluate_expression_state(isolated_config, capsys):
@@ -565,6 +544,7 @@ def test_state_text_means_the_same_in_api_and_cli(isolated_config, capsys,
         assert code == 0
         doc = json.loads(out)
         assert doc["outputs"] == report.outputs
+        assert doc["labels"] == report.labels
         assert doc["state"] == render(spec)
     else:
         error, exit_code, word = expected
@@ -645,13 +625,16 @@ def test_grad_check_passes_on_healthy_build(isolated_config, capsys):
 def test_grad_check_allows_the_round_off_of_differences(isolated_config,
                                                          capsys, monkeypatch):
     """Each component may deviate by 1e-6 of its size plus 1e-9: 3e-11 on
-    a 1e-5 component passes, 1e-5 relative on the largest one fails."""
+    a 1e-5 component passes and 1e-8 fails, and 1e-5 relative on the
+    largest one fails."""
     numeric = np.geomspace(1e-5, 1.0, 4 * len(PARAM_NAMES))
-    small, large = numeric.copy(), numeric.copy()
+    small, off, large = numeric.copy(), numeric.copy(), numeric.copy()
     small[0] += 3e-11
+    off[0] += 1e-8
     large[-1] *= 1 + 1e-5
     monkeypatch.setattr(learning, "fd_gradient", lambda *a, **k: numeric)
     for exact, expected, verdict in ((small, 0, "passed"),
+                                     (off, 1, "FAILED"),
                                      (large, 1, "FAILED")):
         monkeypatch.setattr(learning, "backprop_gradient",
                             lambda *a, **k: exact)

@@ -86,7 +86,8 @@ def test_build_hamiltonian_broadcasts_over_chunks():
 def test_schedule_rejects_non_finite_values_and_bad_duration():
     rng = np.random.default_rng(15)
     chunks = rng.normal(size=(4, 9))
-    for duration in (0.0, -75.0, np.nan, np.inf):
+    # a bool would run 1 ns chunks
+    for duration in (0.0, -75.0, np.nan, np.inf, True, "75"):
         with pytest.raises(ValueError, match="chunk_duration_ns"):
             Schedule(chunks, duration, PLAIN)
     with pytest.raises(ValueError, match="chunks must hold at least one row"):
@@ -112,7 +113,7 @@ def test_schedule_refuses_chunks_that_are_not_n_by_9():
 
 def test_flatten_unflatten_round_trip():
     rng = np.random.default_rng(16)
-    s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
+    s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, ANGULAR)
     flat = s.flatten()
     assert flat.shape == (36,)
     back = unflatten(flat, s)
@@ -122,13 +123,14 @@ def test_flatten_unflatten_round_trip():
 
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(17)
-    s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, PLAIN)
     path = tmp_path / "sched.json"
-    save_schedule(s, path)
-    back = resolve_schedule(path)
-    assert np.allclose(back.chunks, s.chunks)
-    assert back.chunk_duration == s.chunk_duration
-    assert back.convention.name == "plain"
+    for convention in (PLAIN, ANGULAR):
+        s = Schedule(rng.normal(size=(4, 9)), DEFAULT_CHUNK_NS, convention)
+        save_schedule(s, path)
+        back = resolve_schedule(path)
+        assert np.allclose(back.chunks, s.chunks)
+        assert back.chunk_duration == s.chunk_duration
+        assert back.convention is convention
 
 
 def test_load_applies_caller_default_convention(tmp_path):

@@ -52,8 +52,9 @@ def test_training_pair_validation():
         TrainingPair(spec, {})
     with pytest.raises(ValueError, match="XY"):
         TrainingPair(spec, {"XY": 0.5})
-    with pytest.raises(ValueError):
-        TrainingPair(spec, {"AB": 1.5})
+    for target in (1.5, True, "0.5"):
+        with pytest.raises(ValueError, match="target AB"):
+            TrainingPair(spec, {"AB": target})
     with pytest.raises(ValueError, match="no pairs"):
         Dataset("empty", ())
 

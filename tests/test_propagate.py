@@ -43,8 +43,10 @@ CATALOG_BATCH = np.stack([mix(catalog(n)) for n in CATALOG_NAMES
 def test_config_validates_step():
     assert IntegratorConfig(0.25).steps_per_chunk(75.0) == 300
     assert IntegratorConfig().dt == DEFAULT_DT_NS
-    with pytest.raises(ValueError):
-        IntegratorConfig(0.4).steps_per_chunk(75.0)  # 187.5 steps
+    # 187.5 steps, and 1e-12 steps, which rounds to none
+    for dt, duration in ((0.4, 75.0), (1.0, 1e-12)):
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            IntegratorConfig(dt).steps_per_chunk(duration)
     for dt in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="positive finite"):
             IntegratorConfig(dt)
@@ -441,16 +443,6 @@ def test_recorded_states_are_not_aliased():
     assert np.array_equal(traj.states[-1], final)
 
 
-def test_rk4_step_accuracy_against_exact_rotation():
-    h = SET1.hamiltonians()[0]
-    w, v = np.linalg.eigh(h)
-    dt = 0.05
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    exact = u @ BELL @ u.conj().T
-    stepped = _stepped(BELL, (h,), dt, 1)
-    assert np.abs(stepped - exact).max() < 1e-12
-
-
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("theta", [0.05, 0.5, 1.5, RK4_STABLE_THETA])
 def test_a_step_multiplies_each_eigen_component_by_the_quartic(seed, theta):
@@ -469,28 +461,6 @@ def test_a_step_multiplies_each_eigen_component_by_the_quartic(seed, theta):
     factor = _quartic(dt * (w[:, None] - w[None, :]))
     got = v.T @ _stepped(rho, (h,), dt, 1) @ v
     assert np.abs(got - factor * (v.T @ rho @ v)).max() < 4e-15
-
-
-def test_trajectory_recording():
-    cfg = IntegratorConfig(0.25)
-    rho_f, traj = evolve(BELL, SET1, cfg, record=True)
-    n_steps = 4 * cfg.steps_per_chunk(75.0)
-    assert traj.states.shape == (n_steps + 1, 8, 8)
-    assert np.array_equal(traj.states[0], BELL)
-    assert np.array_equal(traj.states[-1], rho_f)
-
-
-def test_recorded_states_are_rk4_steps():
-    """Each recorded state is the RK4 step of the one before it, under the
-    Hamiltonian of the chunk that step lies in."""
-    cfg = IntegratorConfig(0.25)
-    steps = cfg.steps_per_chunk(75.0)
-    _, traj = evolve(BELL, SET1, cfg, record=True)
-    hs = SET1.hamiltonians()
-    for n in (0, 1, steps - 1, steps, 4 * steps - 1):
-        assert np.array_equal(traj.states[n + 1],
-                              _stepped(traj.states[n], (hs[n // steps],),
-                                       cfg.dt, 1))
 
 
 @pytest.mark.parametrize("n", [1, 7])

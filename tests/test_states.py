@@ -126,6 +126,8 @@ def test_direct_construction_refuses_bad_kets():
         StateSpec(weights=(1.0,), kets=((1.0, 0.0, 0.0),))
     with pytest.raises(ZeroVector):
         StateSpec.mixture([(0.5, np.eye(8)[0]), (0.5, np.zeros(8))])
+    with pytest.raises(InvalidWeights, match="one weight per component"):
+        StateSpec(weights=(1.0,), kets=())
 
 
 def test_ket_to_density_is_projector():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_schedule
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -33,7 +34,8 @@ FAST = IntegratorConfig(0.25)
 
 
 def test_classify_thresholds():
-    labels = classify({"AB": 0.05, "AC": 0.3, "BC": 0.95, "ABC": 0.1})
+    # each threshold is the least value of its label
+    labels = classify({"AB": 0.0999, "AC": 0.1, "BC": 0.7, "ABC": 0.6999})
     assert labels == {"AB": "none", "AC": "partial",
                       "BC": "strong", "ABC": "partial"}
 
@@ -227,8 +229,10 @@ def test_sweep_validates_arguments(monkeypatch):
 
 
 def test_fig1_sweep_has_no_crossing_locus():
-    s = bundled_schedule("trained_set1")
-    grid = sweep("fig1", 3, s, FAST)
+    # on this schedule out_AB crosses out_ABC in every row of fig1's grid
+    grid = sweep("fig1", 3, random_schedule(3), FAST)
+    assert len(witness._crossing_locus(grid.alphas, grid.betas,
+                                       grid.outputs)) == 3
     assert grid.crossing == ()
 
 
