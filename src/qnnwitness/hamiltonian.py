@@ -87,7 +87,13 @@ class Schedule:
     convention: UnitConvention = DEFAULT_CONVENTION
 
     def __post_init__(self):
-        chunks = np.asarray(self.chunks, dtype=float)
+        # a complex value would lose its imaginary part to the float
+        # conversion and a bool run as 0 or 1 MHz
+        chunks = np.asarray(self.chunks)
+        if chunks.dtype.kind not in "iuf":
+            raise ValueError(f"chunks must hold real numbers, got dtype "
+                             f"{chunks.dtype}")
+        chunks = chunks.astype(float, copy=False)
         if chunks.ndim != 2 or chunks.shape[1] != len(PARAM_NAMES):
             raise ValueError(f"chunks must have shape (n_chunks, "
                              f"{len(PARAM_NAMES)}), got {chunks.shape}")

@@ -9,8 +9,9 @@ Two independent gradient routes exist on purpose. backprop_gradient is
 the reference: reverse mode through every step of the actual stepped
 integration. It seeds the adjoint here; the step arithmetic it walks,
 like every other line that knows RK4's step, lives in propagate.py,
-beside the stepped loop, which steps the chunks side by side, each from
-a boundary state that the coordinate map carries. The training loop
+beside the stepped loop. There a step is one product of the state's 64
+coordinates with the step's increment, all chunks side by side, each
+from a boundary state that the coordinate map carries. The training loop
 instead calls the fast path in superop.py, which applies each chunk's n
 RK4 steps at once in the eigenbasis of its Hamiltonian and gets the same
 discrete adjoint from the divided-difference form of the derivative of
@@ -201,13 +202,14 @@ def backprop_gradient(pair: TrainingPair, s: Schedule,
 
     The schedule's Hamiltonians pass the stability check once, here.
     propagate._stepped_gradient, beside the stepped loop whose step
-    arithmetic it walks back, records the pair's state forward and the
-    adjoint state back through every chunk, all chunks side by side, each
-    from a boundary state that the coordinate map carries, and turns them
-    into each chunk's dE/dH; ops.loss_terms gives the seed dE/drho(t_f)
-    from the forward states' last. The gradient is the sequential walk's
-    up to round-off; with one chunk the recorded states are that walk's
-    bit for bit.
+    arithmetic it walks back, walks the pair's state forward through
+    every chunk in the coordinate map, one step increment at a time, all
+    chunks side by side, each from a boundary state that the map carries,
+    and records only those coordinates. It walks the adjoint back in
+    blocks of steps, turns each block and the forward steps it meets back
+    into matrices, and contracts them into each chunk's dE/dH;
+    ops.loss_terms gives the seed dE/drho(t_f) from the last forward
+    state. The gradient is the sequential matrix walk's up to round-off.
     """
     rho0, targets, mask = pair.arrays()
     steps = cfg.steps_per_chunk(s.chunk_duration)

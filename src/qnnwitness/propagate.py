@@ -22,12 +22,12 @@ refuses a dt past RK4's stability limit once, from the spectra of the
 Hamiltonians it builds. Every line that knows RK4's step is in this
 module: the loop, its stage factors (_stage_factors) and commutator
 kernel (_flow), and the reference adjoint (_stepped_gradient), which
-learning.backprop_gradient calls. The adjoint records only the states at
-the step boundaries, forward and back, and rebuilds each step's Horner
-stages from them with the loop's stage factors and kernel. It steps all
-of a state's chunks side by side, in one stacked _stepped call each way
-(under -H back), each chunk from a boundary state that the coordinate map
-below carries to it.
+learning.backprop_gradient calls. The adjoint walks the coordinate map
+below one step at a time, all of a state's chunks side by side, each
+from a boundary state that the map carries to it. It records only the
+coordinates of the forward step boundaries, walks the adjoint back a
+block of steps at a time, and rebuilds each block's Horner stages as
+matrices, with the loop's stage factors and kernel.
 
 Unless it records, evolve maps coordinates rather than stepping
 matrices. An 8x8 Hermitian matrix has 64 real coordinates, which
@@ -46,7 +46,10 @@ parameter set shares with the unperturbed schedule, before and after its
 own, and take the same product back (_matrices). The reference adjoint
 carries the state to each chunk's start by the same rule, through the
 same helper as finite differences (_carried), and its seed back to each
-chunk's end by the increments' adjoints in the trace metric.
+chunk's end by the increments' adjoints in the trace metric. It steps
+by each chunk's one-step increment S - I, which _step_increment builds
+from the stages without their last sum, so that the identity rounds
+none of its low bits away.
 """
 from __future__ import annotations
 
@@ -256,6 +259,22 @@ def _step_matrix(h, dt):
     return _coordinates(_stepped(_BASIS, h[None], dt, 1))
 
 
+def _step_increment(h, dt):
+    """The (64, 64) real increment D1 = S - I of _step_matrix(h, dt),
+    built from the stages of _stepped's step without its last sum: F_1 y_2
+    on each basis matrix. I + D1 is S bit for bit, but S has rounded each
+    diagonal entry 1 + x to the spacing of the floats near 1, so S - I
+    keeps only the top bits of an x of ~dt |H|, and a walk of n steps by
+    S - I repeats that rounding n times."""
+    y, b = _BASIS.copy(), np.empty((64, 8, 8), dtype=complex)
+    work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
+    # the basis enters each stage's sum but F_1's
+    for m, x in zip(_stage_factors(h, dt)[::-1], (_BASIS, _BASIS, _BASIS, 0)):
+        _flow(y.view(float).reshape(-1, 16), m, work, y)
+        y += x
+    return _coordinates(y)
+
+
 def _power_increment(d, n):
     """(I + d)^n - I for n >= 1, by binary powering (Knuth, TAOCP vol. 2,
     4.6.3) on the increment: from the leading bit of n down, a square is
@@ -292,9 +311,10 @@ def _matrices(c):
 # diagonal coordinates and 2 on the 56 others, each of which stands for
 # an entry and its conjugate
 _METRIC = np.repeat([1.0, 2.0], [8, 56])
-# the steps of a chunk whose stage stacks the reference adjoint builds at
-# once, so that its memory does not grow with the chunk's step count
-_BLOCK_STEPS = 64
+# the steps of every chunk whose adjoint states and stage stacks the
+# reference adjoint holds at once, so that they do not grow with the
+# chunk's step count
+_BLOCK_STEPS = 32
 
 
 def _carried(rho, increments):
@@ -307,84 +327,97 @@ def _carried(rho, increments):
     return _matrices(np.concatenate(c))
 
 
-def _chunk_walks(rho, hs, dt, steps, seed_of):
-    """(xs, lams), each (n_chunks, steps + 1, 8, 8): the forward and the
-    adjoint state at every step boundary of each chunk, for the single
-    state rho stepped under hs and the adjoint seed seed_of(its last
-    state), Hermitian.
-
-    All chunks are stepped side by side, each from its own boundary state,
-    in one stacked _stepped call each way: multiple shooting (Lions, Maday
-    & Turinici, C. R. Acad. Sci. Paris 332, 661 (2001)), with the
-    coordinate map as the cheap propagator. Forward, chunk k starts from
-    rho carried through the increments D_j of the chunks before it
-    (_increments), as evolve carries it. Backward, it ends at the seed
-    carried back through the chunks after it by each increment's adjoint
-    in the trace metric W = diag(_METRIC), W D_j^T W^-1: an exact scaling
-    by powers of two, and the increment of the steps under -H up to
-    round-off. The buffers are chunk-major, so that a chunk's states are
-    one contiguous slice, and _stepped writes them through a transposed
-    view, the adjoint's reversed: lams[k, n] and xs[k, n] are both at step
-    boundary n of chunk k. With one chunk both walks are the sequential
-    ones bit for bit; with more they differ from them by round-off.
-    """
-    increments = _increments(hs, dt, steps)
-    xs, lams = np.empty((2, len(hs), steps + 1, 8, 8), dtype=complex)
-    _stepped(_carried(rho, increments[:-1]), hs[None], dt, steps,
-             xs.swapaxes(0, 1))
-    back = [_METRIC[:, None] * d.T / _METRIC for d in increments[:0:-1]]
-    _stepped(_carried(seed_of(xs[-1, -1]), back)[::-1], -hs[None], dt,
-             steps, lams[:, ::-1].swapaxes(0, 1))
-    return xs, lams
-
-
 def _stepped_gradient(rho, hs, dt, steps, seed_of):
     """dE/dH of each chunk, (n_chunks, 8, 8), by reverse mode through the
     stepped loop (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
-    SIAM 2008, ch. 3-4): the single state rho stepped under hs, steps a
-    chunk, with seed_of(its last state) = dE/drho there, Hermitian. The
-    caller has checked hs against RK4's stability limit; -H has H's
-    spread, so that covers the adjoint's steps as well.
+    SIAM 2008, ch. 3-4 and 12): the single state rho stepped under hs,
+    steps a chunk, with seed_of(its last state) = dE/drho there,
+    Hermitian. The caller has checked hs against RK4's stability limit.
 
-    A step is P(dt F) for a real-coefficient quartic P and F x =
-    -i [H, x]; F+ = -F, so the adjoint of a step is the same step under
-    -H, and _chunk_walks records the forward and adjoint states of every
-    chunk. _stepped takes P(dt F) in Horner's form, with F_j = (dt/j) F:
-    y_4 = x + F_4 x, y_3 = x + F_3 y_4, y_2 = x + F_2 y_3 and
-    x' = x + F_1 y_2. For the adjoint state a_1 that meets x', a change
-    dF of F changes <a_1, x'> by sum_j (dt/j) <a_j, dF u_j>, where
-    u = (y_2, y_3, y_4, x) are the inputs of F_1..F_4 and
-    a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1) is a plain product chain.
-    Both are built for _BLOCK_STEPS of a chunk's steps at a time, by _flow
-    on stacks of the recorded x and a_1, with _stepped's stage factors
-    (negated for -F_j), so every u_j and a_j is exactly Hermitian; the
-    chain runs in place on the recorded a_1. Term j adds
-    (dt/j) Im tr(G [u_j, a_j]) to generator G's derivative, which is
-    (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are Hermitian and G real
-    symmetric; the sum of u_j a_j over a block's steps is one gemm per
-    term, np.tensordot over the (step, j) pairs: numpy's einsum runs this
-    contraction in its own C loop, several times slower than BLAS.
+    Both walks run in coordinates, with all chunks side by side: multiple
+    shooting (Lions, Maday & Turinici, C. R. Acad. Sci. Paris 332, 661
+    (2001)), with the coordinate map as the cheap propagator. A step of
+    chunk k carries coordinates c to c + c D1_k, with D1_k = S_k - I its
+    step increment (_step_increment), as one stacked product for all
+    chunks. Forward, chunk k starts from rho carried through the powered
+    increments D_j of the chunks before it (_carried), as evolve carries
+    it, and only the 64 coordinates of each step boundary are recorded.
+    Backward, the seed is carried to each chunk's end by the adjoints of
+    the D_j after it in the trace metric W = diag(_METRIC), W D_j^T W^-1,
+    and from there stepped back by W D1_k^T W^-1: exact scalings of the
+    transposes by powers of two, and the increments under -H up to
+    round-off. The adjoint is walked back one block of _BLOCK_STEPS
+    steps at a time and never held whole, and each block is contracted
+    with the forward record's matching steps before the next. The
+    gradient is the sequential walk's up to round-off.
+
+    _stepped takes a step P(dt F), F x = -i [H, x], in Horner's form,
+    with F_j = (dt/j) F: y_4 = x + F_4 x, y_3 = x + F_3 y_4,
+    y_2 = x + F_2 y_3 and x' = x + F_1 y_2. For the adjoint state a_1
+    that meets x', a change dF of F changes <a_1, x'> by
+    sum_j (dt/j) <a_j, dF u_j>, where u = (y_2, y_3, y_4, x) are the
+    inputs of F_1..F_4 and a_j = F_(j-1)+ a_(j-1) = -F_(j-1) a_(j-1)
+    (F+ = -F) is a plain product chain. For each block, the recorded x
+    and a_1 of every chunk go back to matrices (_matrices), and the u_j
+    and a_j are built from them by _flow with _stepped's stage factors
+    (negated for -F_j), so each is exactly Hermitian; the chain runs in
+    place. Term j adds (dt/j) Im tr(G [u_j, a_j]) to generator G's
+    derivative, which is (dt/j) 2 Im tr(G u_j a_j) because u_j, a_j are
+    Hermitian and G real symmetric. Over a block's steps, the sum of
+    u_j a_j is U^H A for U and A its stacks of u_j and a_j as (8 steps, 8)
+    matrices, since each u_j is Hermitian, and its imaginary part is read
+    from one real product U_f^T A_f of their float views, every chunk's
+    in one stacked call: numpy's einsum runs such contractions in its own
+    C loop, several times slower than BLAS.
     """
-    xs, lams = _chunk_walks(rho, hs, dt, steps, seed_of)
-    stacks = np.empty((4, min(steps, _BLOCK_STEPS), 8, 8), dtype=complex)
-    cs = np.zeros((len(hs), 8, 8), dtype=complex)
-    for k, h in enumerate(hs):
-        m1, m2, m3, m4 = _stage_factors(h, dt)
-        for n in range(0, steps, _BLOCK_STEPS):
-            # a[i] meets the result of the step that x[i] enters
-            x = xs[k, :-1][n:n + _BLOCK_STEPS]
-            a = lams[k, 1:][n:n + _BLOCK_STEPS]
-            y2, y3, y4, b = stacks[:, :len(x)]
-            work = b.view(float).reshape(-1, 16), b, b.swapaxes(-1, -2)
-            for u, m, y in ((x, m4, y4), (y4, m3, y3), (y3, m2, y2)):
-                _flow(u.view(float).reshape(-1, 16), m, work, y)
-                y += x
-            cs[k] += dt * np.tensordot(y2, a, ((0, 2), (0, 1)))
-            # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
-            for j, m, u in ((2, m1, y3), (3, m2, y4), (4, m3, x)):
-                _flow(a.view(float).reshape(-1, 16), -m, work, a)
-                cs[k] += (dt / j) * np.tensordot(u, a, ((0, 2), (0, 1)))
-    return 2 * cs.imag
+    n_chunks, block = len(hs), min(steps, _BLOCK_STEPS)
+    d1 = np.stack([_step_increment(h, dt) for h in hs])
+    increments = [_power_increment(d, steps) for d in d1]
+    # xs[n, k] holds chunk k's coordinates at its step boundary n as a
+    # column, so that a step reads the contiguous rows of D1_k^T
+    xs = np.empty((steps + 1, n_chunks, 64, 1))
+    xs[0, ..., 0] = _coordinates(_carried(rho, increments[:-1]))
+    forward = np.ascontiguousarray(d1.transpose(0, 2, 1))
+    for n in range(steps):
+        np.matmul(forward, xs[n], out=xs[n + 1])
+        xs[n + 1] += xs[n]
+    seed = seed_of(_matrices(xs[-1, -1].T)[0])
+    ends = _carried(seed, [_METRIC[:, None] * d.T / _METRIC
+                           for d in increments[:0:-1]])
+    # lams[i, k] holds chunk k's adjoint at a block's step boundary i
+    lams = np.empty((block + 1, n_chunks, 64, 1))
+    lams[0, ..., 0] = _coordinates(ends[::-1])
+    # W D1_k^T W^-1, transposed for columns
+    back = d1 * _METRIC / _METRIC[:, None]
+    m1, m2, m3, m4 = _stage_factors(hs, dt)
+    stacks = np.empty((4, n_chunks * block, 8, 8), dtype=complex)
+    g = np.zeros((n_chunks, 16, 16))
+    for n in reversed(range(0, steps, _BLOCK_STEPS)):
+        size = min(steps - n, _BLOCK_STEPS)
+        lams[size] = lams[0]
+        for i in range(size, 0, -1):
+            np.matmul(back, lams[i], out=lams[i - 1])
+            lams[i - 1] += lams[i]
+        # a[k, i] meets the result of the step that x[k, i] enters
+        x, a = (_matrices(c[..., 0].swapaxes(0, 1)).reshape(
+            n_chunks, size, 8, 8) for c in (xs[n:n + size], lams[1:size + 1]))
+        y2, y3, y4, b = stacks[:, :n_chunks * size].reshape(
+            4, n_chunks, size, 8, 8)
+        xf, y2f, y3f, y4f, af, bf = (v.view(float).reshape(n_chunks, -1, 16)
+                                     for v in (x, y2, y3, y4, a, b))
+        work = bf, b, b.swapaxes(-1, -2)
+        for u, m, y in ((xf, m4, y4), (y4f, m3, y3), (y3f, m2, y2)):
+            _flow(u, m, work, y)
+            y += x
+        g += dt * np.matmul(y2f.swapaxes(1, 2), af)
+        # a_j = -F_(j-1) a_(j-1) meets u_j, the input of F_j
+        for j, m, u in ((2, m1, y3f), (3, m2, y4f), (4, m3, xf)):
+            _flow(af, -m, work, a)
+            g += (dt / j) * np.matmul(u.swapaxes(1, 2), af)
+    # g[k, p, s, q, t] sums the products of u[.., p] and a[.., q], s and t
+    # 0 for the real part and 1 for the imaginary
+    g = g.reshape(n_chunks, 8, 2, 8, 2)
+    return 2 * (g[:, :, 0, :, 1] - g[:, :, 1, :, 0])
 
 
 def evolve(rho0, s: Schedule, cfg: IntegratorConfig = IntegratorConfig(),

@@ -92,6 +92,11 @@ def test_schedule_rejects_non_finite_values_and_bad_duration():
             Schedule(chunks, duration, PLAIN)
     with pytest.raises(ValueError, match="chunks must hold at least one row"):
         Schedule(chunks[:0], DEFAULT_CHUNK_NS, PLAIN)
+    # a complex value would run as its real part, a bool as 0 or 1 MHz
+    for bad in (np.full((1, 9), 1 + 2j), np.ones((1, 9), dtype=bool)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"chunks must hold real numbers, got dtype {bad.dtype}")):
+            Schedule(bad, DEFAULT_CHUNK_NS, PLAIN)
     for bad in (np.nan, np.inf):
         corrupt = chunks.copy()
         corrupt[2, 5] = bad

@@ -26,17 +26,21 @@ MUTANTS = [
     pytest.param(superop, "_quartic", "return out", "return out * (1 + 1e-9)",
                  {"propagate_vec", "dataset_loss_grad"},
                  id="quartic"),
-    pytest.param(propagate, "_stepped_gradient", "return 2 * cs.imag",
-                 "return 2 * (1 + 1e-8) * cs.imag", {"backprop_gradient"},
+    pytest.param(propagate, "_stepped_gradient", "return 2 * (",
+                 "return 2 * (1 + 1e-8) * (", {"backprop_gradient"},
                  id="stepped_adjoint"),
     pytest.param(propagate, "_power_increment", "return p",
                  "return 2 * p + p @ p",
                  {"evolve", "fd_gradient", "backprop_gradient"},
                  id="extra_square"),
-    # the adjoint carry as the plain transpose, without the trace metric
-    pytest.param(propagate, "_chunk_walks",
+    # the adjoint's carry and its step as the plain transpose, without the
+    # trace metric
+    pytest.param(propagate, "_stepped_gradient",
                  "_METRIC[:, None] * d.T / _METRIC", "d.T",
                  {"backprop_gradient"}, id="adjoint_carry_metric"),
+    pytest.param(propagate, "_stepped_gradient",
+                 "d1 * _METRIC / _METRIC[:, None]", "d1",
+                 {"backprop_gradient"}, id="adjoint_step_metric"),
     pytest.param(learning, "fd_gradient", "c[:k] += c[:k] @ d",
                  "c[:k + 1] += c[:k + 1] @ d", {"fd_gradient"},
                  id="own_chunk_carry"),
@@ -54,9 +58,14 @@ MUTANTS = [
     pytest.param(propagate, "_coordinates", "c *= 0.5", "c *= 0.5000001",
                  {"evolve", "fd_gradient", "backprop_gradient"},
                  id="coordinates"),
+    # the reference adjoint builds its step increments itself, from the
+    # same stage factors and kernel
     pytest.param(propagate, "_stepped", "_flow(rho_f, m4, work, x)",
-                 "_flow(rho_f, m3, work, x)", STEPPED,
+                 "_flow(rho_f, m3, work, x)", STEPPED - {"backprop_gradient"},
                  id="first_stage_on_m3"),
+    pytest.param(propagate, "_step_increment", "_stage_factors(h, dt)[::-1]",
+                 "_stage_factors(h, dt)[[2, 2, 1, 0]]", {"backprop_gradient"},
+                 id="increment_first_stage_on_m3"),
     # the angular convention's factor, 2 pi, on a plain schedule
     pytest.param(superop, "dataset_loss_grad",
                  "parameter_gradient(2 * dm, s.convention)",

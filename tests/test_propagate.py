@@ -512,34 +512,14 @@ def random_seed(rng):
 
 
 @pytest.mark.parametrize("dt", [0.25, 0.05])
-def test_one_chunk_walks_are_the_sequential_walks_bit_for_bit(dt):
-    """With one chunk no boundary state is carried: the recorded forward
-    states are evolve's recorded trajectory, and the adjoint states the
-    walk back from the seed under -H, bit for bit, on a random row and on
-    trained_set2's first."""
-    rng = np.random.default_rng(36)
-    cfg = IntegratorConfig(dt)
-    steps = cfg.steps_per_chunk(75.0)
-    for name, chunks in (("Bell_AB", rng.uniform(-6.0, 6.0, size=(1, 9))),
-                         ("W", TRAINED_SET2.chunks[:1])):
-        s, rho, seed = Schedule(chunks), mix(catalog(name)), random_seed(rng)
-        hs = s.hamiltonians()
-        xs, lams = propagate._chunk_walks(rho, hs, dt, steps, lambda _: seed)
-        lam = np.empty((steps + 1, 8, 8), dtype=complex)
-        _stepped(seed, -hs, dt, steps, lam[::-1])
-        _, trajectory = evolve(rho, s, cfg, record=True)
-        assert np.array_equal(xs[0], trajectory.states)
-        assert np.array_equal(lams[0], lam)
-
-
-@pytest.mark.parametrize("dt", [0.25, 0.05])
-@pytest.mark.parametrize("n_chunks", [2, 3, 4])
+@pytest.mark.parametrize("n_chunks", [1, 2, 3, 4])
 def test_the_adjoint_is_the_sequential_walk_up_to_round_off(n_chunks, dt):
-    """Stepping the chunks side by side from carried boundary states moves
-    the gradient from the sequential walk's only by round-off: relative to
-    the largest component, the largest gap measured here and on 20 other
-    random problems is 2.4e-14 at dt 0.25 and 1.5e-13 at dt 0.05. A carry
-    that drops the metric, or skips a chunk, moves it by far more."""
+    """Walking the chunks' coordinates side by side from carried boundary
+    states, one chunk included, moves the gradient from the sequential
+    matrix walk's only by round-off: relative to the largest component,
+    the largest gap measured here and on 40 other random problems is
+    4.9e-15 at dt 0.25 and 6.8e-15 at dt 0.05. A carry or a step that
+    drops the metric, or skips a chunk, moves it by far more."""
     rng = np.random.default_rng(n_chunks)
     cfg = IntegratorConfig(dt)
     for name, convention in (("GHZ_minus", PLAIN), ("M", ANGULAR)):
@@ -556,18 +536,38 @@ def test_the_adjoint_is_the_sequential_walk_up_to_round_off(n_chunks, dt):
 
 @pytest.mark.parametrize("dt", [0.25, 0.05])
 def test_the_metric_scaled_transpose_is_the_increment_under_minus_h(dt):
-    """W D^T W^-1, the adjoint of a chunk's increment D in the trace
-    metric, is the increment of the same steps under -H up to round-off:
-    at most 4.4e-16 apart on 10 random schedules, for entries of up to
-    1.5, where the plain transpose D^T is off by more than 0.1."""
-    steps = IntegratorConfig(dt).steps_per_chunk(75.0)
+    """W D^T W^-1, the adjoint of an increment D in the trace metric, is
+    the increment of the same steps under -H up to round-off, both for a
+    chunk's steps and for one step (D1, which the adjoint walks). On 10
+    random schedules they are at most 1.95 eps apart, in units of the
+    largest entry where it is below 1 (a chunk's reach 1.9, one step's
+    9e-3 at dt 0.25), where the plain transpose D^T is off by at least
+    0.18 of that scale for a chunk and 0.09 for one step (0.29 and 0.18
+    on this schedule)."""
     hs = random_schedule(36).hamiltonians()
     metric = propagate._METRIC
-    for d, reverse in zip(propagate._increments(hs, dt, steps),
-                          propagate._increments(-hs, dt, steps)):
-        assert np.abs(metric[:, None] * d.T / metric - reverse).max() <= (
-            4 * EPS)
-        assert np.abs(d.T - reverse).max() > 0.1
+    for steps in (IntegratorConfig(dt).steps_per_chunk(75.0), 1):
+        for h in hs:
+            d, reverse = (propagate._power_increment(
+                propagate._step_increment(g, dt), steps) for g in (h, -h))
+            scale = min(np.abs(d).max(), 1.0)
+            assert np.abs(metric[:, None] * d.T / metric - reverse).max() <= (
+                4 * EPS * scale)
+            assert np.abs(d.T - reverse).max() > 0.1 * scale
+
+
+@pytest.mark.parametrize("dt", [0.25, 0.05])
+def test_the_step_increment_is_the_step_matrix_before_its_rounding(dt):
+    """I + D1 is the step matrix S bit for bit, and D1 keeps low bits of
+    the step's increment that S - I has rounded away against the
+    identity, on a random schedule and on trained_set2, whose steps are
+    closer to it."""
+    for s in (random_schedule(38), TRAINED_SET2):
+        for h in s.hamiltonians():
+            d1 = propagate._step_increment(h, dt)
+            s1 = propagate._step_matrix(h, dt)
+            assert np.array_equal(np.eye(64) + d1, s1)
+            assert not np.array_equal(d1, s1 - np.eye(64))
 
 
 def test_stability_limit_is_where_a_step_starts_to_grow():

@@ -160,13 +160,28 @@ def test_relabelling_the_qubits_permutes_the_outputs(perm, params, parts):
     assert np.abs(got - out[moved + [3]]).max() <= 1e-10
 
 
-def test_calibration_selects_matching_convention():
+def test_calibration_selects_matching_convention(monkeypatch):
     result = calibrate(bundled_schedule("set1"), cfg=FAST)
     assert set(result.scores) == {"plain", "angular"}
     assert result.convention.name == "plain"
     assert result.scores["plain"] == pytest.approx(0.1393, abs=2e-3)
     assert result.scores["angular"] == pytest.approx(0.4376, abs=2e-3)
     assert result.scores["plain"] < 0.2
+
+    # each Bell state's matching output meets its own trained value (AB
+    # 0.9943, AC 0.9930, BC 0.9945): outputs that replay them exactly under
+    # one convention score it 0, which a reordered table would not
+    def replayed(rhos, s, cfg):
+        out = np.full((3, 4), 0.5)
+        if s.convention.name == "angular":
+            out[range(3), range(3)] = (0.9943, 0.9930, 0.9945)
+        return out
+
+    monkeypatch.setattr(witness, "evaluate_many", replayed)
+    result = calibrate(bundled_schedule("set1"), cfg=FAST)
+    assert result.convention.name == "angular"
+    assert result.scores["angular"] == 0.0
+    assert result.scores["plain"] == pytest.approx(0.4939, abs=1e-4)
 
 
 def test_calibration_inconclusive_for_nonsense_parameters():
